@@ -19,7 +19,6 @@ from .freealg import (
     braided_bracket,
     enumerate_bracketings,
     minus_bracket,
-    multiply,
 )
 from .graphs import (
     AUGMENTED,

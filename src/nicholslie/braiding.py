@@ -128,14 +128,6 @@ class BraidingMatrix:
             raise IndexError(f"index ({i},{j}) out of range for rank {self.n}")
         return self._rows[i - 1][j - 1]
 
-    def entry_inv(self, i: int, j: int) -> Scalar:
-        """q_ij^-1, cached (heavily used by skew derivations)."""
-        if self._inv_rows is None:
-            self._build_inverse_tables()
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise IndexError(f"index ({i},{j}) out of range for rank {self.n}")
-        return self._inv_rows[i - 1][j - 1]
-
     def _build_inverse_tables(self):
         inv = tuple(tuple(e.inv() for e in row) for row in self._rows)
         flags = tuple(tuple(e.is_one() for e in row) for row in inv)
@@ -165,10 +157,6 @@ class BraidingMatrix:
                 if b:
                     out = out * row[j] ** (a * b)
         return out
-
-    def p(self, u_deg, v_deg) -> Scalar:
-        """p_uv = chi(deg u, deg v) for homogeneous degrees."""
-        return self.chi(u_deg, v_deg)
 
     def p_tilde(self, i: int, j: int) -> Scalar:
         """q_ij * q_ji; equal to 1 exactly when {i,j} is not a pure edge."""

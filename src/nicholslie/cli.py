@@ -14,8 +14,7 @@ import re
 import sys
 
 from .braiding import BraidingMatrix, InvalidMatrixError
-from .freealg import BRAIDED, MINUS, FreeElement, format_bracketing
-from . import freealg
+from .freealg import BRAIDED, MINUS, apply_bracketing, format_bracketing
 from .graphs import AUGMENTED, PURE, DynkinGraph, build_graph, components
 from .lie import MEMBER, monomial_membership
 from .nichols import GuardrailExceeded, basis_of_degree, is_zero_in_nichols
@@ -32,8 +31,6 @@ __all__ = [
     "BracketParseError",
     "parse_matrix_file",
     "parse_bracket_expr",
-    "format_bracket_expr",
-    "eval_bracket_expr",
     "parse_monomial",
     "parse_degree",
     "emit_dot",
@@ -110,22 +107,14 @@ def parse_bracket_expr(text: str):
     return ast
 
 
-def format_bracket_expr(ast) -> str:
+def _bracketing_of(ast):
+    """The (tree, word) pair of a parsed expression, as apply_bracketing
+    and format_bracketing take it."""
     if isinstance(ast, int):
-        return f"x{ast}"
-    return f"[{format_bracket_expr(ast[0])},{format_bracket_expr(ast[1])}]"
-
-
-def eval_bracket_expr(B: BraidingMatrix, ast, kind: str) -> FreeElement:
-    if isinstance(ast, int):
-        if ast > B.n:
-            raise BracketParseError(f"generator x{ast} out of range for rank {B.n}")
-        return FreeElement.generator(B.n, B.order, ast)
-    left = eval_bracket_expr(B, ast[0], kind)
-    right = eval_bracket_expr(B, ast[1], kind)
-    if kind == BRAIDED:
-        return freealg.braided_bracket(B, left, right)
-    return freealg.minus_bracket(left, right)
+        return None, (ast,)
+    left, left_word = _bracketing_of(ast[0])
+    right, right_word = _bracketing_of(ast[1])
+    return (left, right), left_word + right_word
 
 
 def parse_monomial(text: str, n: int):
@@ -262,8 +251,11 @@ def _cmd_components(B, args, out):
 
 
 def _cmd_bracket(B, args, out):
-    ast = parse_bracket_expr(args.expr)
-    elem = eval_bracket_expr(B, ast, args.lie)
+    tree, word = _bracketing_of(parse_bracket_expr(args.expr))
+    for i in word:
+        if i > B.n:
+            raise BracketParseError(f"generator x{i} out of range for rank {B.n}")
+    elem = apply_bracketing(B, tree, word, args.lie)
     out.write(str(elem) + "\n")
     if args.nichols:
         zero = (not elem.terms) or is_zero_in_nichols(B, elem)

@@ -28,11 +28,9 @@ __all__ = [
     "words_of_total_degree",
     "multinomial",
     "catalan",
-    "multiply",
     "braided_bracket",
     "minus_bracket",
     "enumerate_bracketings",
-    "tree_leaf_count",
     "apply_bracketing",
     "format_bracketing",
     "BRAIDED",
@@ -242,13 +240,6 @@ class FreeElement:
                 )
         return deg
 
-    def is_homogeneous(self) -> bool:
-        try:
-            self.degree()
-        except NonHomogeneousError:
-            return False
-        return True
-
     # -- equality / display -------------------------------------------------
 
     def __eq__(self, other):
@@ -283,11 +274,6 @@ class FreeElement:
 
     def __repr__(self):
         return f"FreeElement({self!s})"
-
-
-def multiply(a: FreeElement, b: FreeElement) -> FreeElement:
-    """Concatenation product, bilinear; the empty word is the unit."""
-    return a * b
 
 
 def braided_bracket(B: BraidingMatrix, x: FreeElement, y: FreeElement) -> FreeElement:
@@ -336,16 +322,30 @@ def enumerate_bracketings(m: int):
     return tuple(out)
 
 
-def tree_leaf_count(tree) -> int:
-    if tree is None:
-        return 1
-    return tree_leaf_count(tree[0]) + tree_leaf_count(tree[1])
-
-
 def _check_bracket_kind(kind: str) -> str:
     if kind not in (BRAIDED, MINUS):
         raise ValueError(f"bracket kind must be {BRAIDED!r} or {MINUS!r}, got {kind!r}")
     return kind
+
+
+def _fold_bracketing(tree, word, leaf, node):
+    """Evaluate a bracketing bottom-up: leaf(letter) at each leaf and
+    node(left, right) at each internal node, binding leaves to the word's
+    letters in one left-to-right pass."""
+    letters = iter(word)
+
+    def rec(t):
+        if t is None:
+            letter = next(letters, None)
+            if letter is None:
+                raise ValueError(f"tree has more leaves than the word's {len(word)} letters")
+            return leaf(letter)
+        return node(rec(t[0]), rec(t[1]))
+
+    out = rec(tree)
+    if next(letters, None) is not None:
+        raise ValueError(f"tree has fewer leaves than the word's {len(word)} letters")
+    return out
 
 
 def apply_bracketing(B: BraidingMatrix, tree, word, kind: str) -> FreeElement:
@@ -354,34 +354,15 @@ def apply_bracketing(B: BraidingMatrix, tree, word, kind: str) -> FreeElement:
     word = tuple(word)
     if not word:
         raise ValueError("cannot bracket the empty word")
-    if tree_leaf_count(tree) != len(word):
-        raise ValueError(
-            f"tree has {tree_leaf_count(tree)} leaves but word has {len(word)} letters"
-        )
 
-    def rec(t, w):
-        if t is None:
-            return FreeElement.generator(B.n, B.order, w[0])
-        k = tree_leaf_count(t[0])
-        left = rec(t[0], w[:k])
-        right = rec(t[1], w[k:])
-        if kind == BRAIDED:
-            return braided_bracket(B, left, right)
-        return minus_bracket(left, right)
+    def node(left, right):
+        return braided_bracket(B, left, right) if kind == BRAIDED else minus_bracket(left, right)
 
-    return rec(tree, word)
+    return _fold_bracketing(tree, word, lambda i: FreeElement.generator(B.n, B.order, i), node)
 
 
 def format_bracketing(tree, word) -> str:
     """Render a (tree, word) pair as a bracket expression, e.g. [x1,[x2,x3]]."""
-    word = tuple(word)
-    if tree_leaf_count(tree) != len(word):
-        raise ValueError("tree/word length mismatch")
-
-    def rec(t, w):
-        if t is None:
-            return f"x{w[0]}"
-        k = tree_leaf_count(t[0])
-        return f"[{rec(t[0], w[:k])},{rec(t[1], w[k:])}]"
-
-    return rec(tree, word)
+    return _fold_bracketing(
+        tree, tuple(word), lambda i: f"x{i}", lambda left, right: f"[{left},{right}]"
+    )

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 from .braiding import BraidingMatrix
 from .freealg import (
-    BRAIDED,
-    MINUS,
     FreeElement,
+    _check_bracket_kind,
     apply_bracketing,
     enumerate_bracketings,
     multinomial,
@@ -25,8 +24,8 @@ from .freealg import (
 )
 from .nichols import (
     GuardrailExceeded,
-    MAX_TERMS_DEFAULT,
     _RowReducer,
+    _cap,
     basis_of_degree,
     pairing_vector,
     word_pairing_vector,
@@ -51,26 +50,21 @@ NOT_MEMBER = "NotMember"
 
 @dataclass
 class LieSpan:
-    """A maximal independent set of bracketing images at one multidegree."""
+    """A maximal independent set of bracketing images at one multidegree.
+
+    solver is the row reducer that selected the basis; its solutions are
+    keyed by basis index.
+    """
 
     degree: tuple
     kind: str
     basis: list = field(repr=False)           # NicholsVector, linearly independent
     generators_used: list = field(repr=False)  # (tree, word) provenance per basis entry
-    _solver: object = field(default=None, repr=False, compare=False)
+    solver: _RowReducer = field(repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    def solver(self) -> _RowReducer:
-        """Row reducer over the basis, built once per span."""
-        if self._solver is None:
-            reducer = _RowReducer()
-            for nv in self.basis:
-                reducer.insert(nv.row())
-            self._solver = reducer
-        return self._solver
 
 
 @dataclass
@@ -79,12 +73,6 @@ class MembershipReport:
     status: str
     witness: list = None   # scalar per span basis vector when status == MEMBER
     span: LieSpan = None
-
-
-def _check_kind(kind: str) -> str:
-    if kind not in (BRAIDED, MINUS):
-        raise ValueError(f"kind must be {BRAIDED!r} or {MINUS!r}, got {kind!r}")
-    return kind
 
 
 def lie_span(B: BraidingMatrix, alpha, kind: str, max_terms=None) -> LieSpan:
@@ -96,18 +84,20 @@ def lie_span(B: BraidingMatrix, alpha, kind: str, max_terms=None) -> LieSpan:
     words lexicographically, trees in enumeration order).  Degree-1
     components are the generators themselves.
     """
-    _check_kind(kind)
+    _check_bracket_kind(kind)
     alpha = tuple(alpha)
     if len(alpha) != B.n or any(a < 0 for a in alpha):
         raise ValueError(f"bad multidegree {alpha} for rank {B.n}")
     d = sum(alpha)
     if d < 1:
         raise ValueError("Lie span needs total degree >= 1")
-    cap = MAX_TERMS_DEFAULT if max_terms is None else int(max_terms)
+    cap = _cap(max_terms)
+    reducer = _RowReducer()
     if d == 1:
         i = alpha.index(1) + 1
-        gen = FreeElement.generator(B.n, B.order, i)
-        return LieSpan(alpha, kind, [pairing_vector(B, gen, cap)], [(None, (i,))])
+        nv = pairing_vector(B, FreeElement.generator(B.n, B.order, i), cap)
+        reducer.insert(nv.values)
+        return LieSpan(alpha, kind, [nv], [(None, (i,))], reducer)
     trees = enumerate_bracketings(d)
     m = multinomial(alpha)
     if len(trees) * m * m > cap:
@@ -118,7 +108,6 @@ def lie_span(B: BraidingMatrix, alpha, kind: str, max_terms=None) -> LieSpan:
         )
     # ambient dimension bounds the span; lets the scan stop early
     _, ambient_rank = basis_of_degree(B, alpha, cap)
-    reducer = _RowReducer()
     basis = []
     provenance = []
     seen = set()
@@ -137,12 +126,12 @@ def lie_span(B: BraidingMatrix, alpha, kind: str, max_terms=None) -> LieSpan:
                 continue
             seen.add(key)
             nv = pairing_vector(B, elem, cap)
-            if reducer.insert(nv.row()):
+            if reducer.insert(nv.values):
                 basis.append(nv)
                 provenance.append((tree, word))
                 if len(basis) == ambient_rank:
                     break
-    return LieSpan(alpha, kind, basis, provenance)
+    return LieSpan(alpha, kind, basis, provenance, reducer)
 
 
 def monomial_membership(
@@ -154,7 +143,7 @@ def monomial_membership(
     than Member: its support is representation-dependent, so the
     connectivity statements exclude it.
     """
-    _check_kind(kind)
+    _check_bracket_kind(kind)
     word = tuple(word)
     if not word:
         raise ValueError("membership of the empty word is undefined")
@@ -166,7 +155,7 @@ def monomial_membership(
         span = lie_span(B, alpha, kind, max_terms)
     elif span.degree != alpha or span.kind != kind:
         raise ValueError("supplied span does not match the word's degree and kind")
-    combo = span.solver().solve(target.row())
+    combo = span.solver.solve(target.values)
     if combo is None:
         return MembershipReport(word, NOT_MEMBER, span=span)
     witness = [combo.get(k, Scalar.zero(B.order)) for k in range(len(span.basis))]
@@ -181,7 +170,7 @@ def max_supports(B: BraidingMatrix, d_max: int, kind: str, max_terms=None):
     already-established member support cannot change the maximal set and
     is skipped; Lie spans are cached per multidegree.
     """
-    _check_kind(kind)
+    _check_bracket_kind(kind)
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
     member_supports = []

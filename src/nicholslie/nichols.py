@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .braiding import BraidingMatrix
-from .freealg import FreeElement, _multidegree_words, multinomial, words_of_multidegree
+from .freealg import FreeElement, multinomial, words_of_multidegree
 from .scalar import Scalar
 
 __all__ = [
@@ -55,17 +55,16 @@ def _cap(max_terms) -> int:
 @dataclass
 class NicholsVector:
     """Pairing values of a homogeneous element against all dual words of
-    its multidegree; the element is zero in B(V) iff all values vanish."""
+    its multidegree; the element is zero in B(V) iff all values vanish.
+
+    values[k] belongs to the k-th dual word of words_of_multidegree(degree).
+    """
 
     degree: tuple
-    values: dict = field(repr=False)
-
-    def row(self):
-        """Values as a list aligned to the sorted dual words."""
-        return [self.values[w] for w in sorted(self.values)]
+    values: tuple = field(repr=False)
 
     def is_zero(self) -> bool:
-        return not any(self.values.values())
+        return not any(self.values)
 
 
 def _homogeneous_degree(u: FreeElement):
@@ -113,8 +112,9 @@ def skew_derivation(B: BraidingMatrix, i: int, u: FreeElement) -> FreeElement:
 def pairing_vector(B: BraidingMatrix, u: FreeElement, max_terms=None) -> NicholsVector:
     """All iterated pairing values of a homogeneous element.
 
-    The value stored at dual word (j_1, ..., j_d) is the degree-0 scalar
-    obtained by applying D_{j_1} first, then D_{j_2}, and so on.
+    The value for dual word (j_1, ..., j_d) is the degree-0 scalar
+    obtained by applying D_{j_1} first, then D_{j_2}, and so on; the
+    depth-first descent visits dual words in lexicographic order.
     """
     deg = _homogeneous_degree(u)
     if deg is None:
@@ -124,23 +124,22 @@ def pairing_vector(B: BraidingMatrix, u: FreeElement, max_terms=None) -> Nichols
     if size > cap:
         raise GuardrailExceeded(f"pairing vector at degree {deg}", size, cap)
     zero = Scalar.zero(B.order)
-    values = {}
+    values = []
 
-    def descend(elem, alpha, prefix):
+    def descend(elem, alpha):
         if not elem.terms:
-            for tail in _multidegree_words(alpha):
-                values[prefix + tail] = zero
+            values.extend([zero] * multinomial(alpha))
             return
         if sum(alpha) == 0:
-            values[prefix] = elem.terms.get((), zero)
+            values.append(elem.terms.get((), zero))
             return
         for idx, count in enumerate(alpha):
             if count:
                 reduced = alpha[:idx] + (count - 1,) + alpha[idx + 1:]
-                descend(_skew(B, idx + 1, elem), reduced, prefix + (idx + 1,))
+                descend(_skew(B, idx + 1, elem), reduced)
 
-    descend(u, deg, ())
-    return NicholsVector(deg, values)
+    descend(u, deg)
+    return NicholsVector(deg, tuple(values))
 
 
 def word_pairing_vector(B: BraidingMatrix, word, max_terms=None) -> NicholsVector:
@@ -193,42 +192,40 @@ class _RowReducer:
 
     Pivot rows are normalized to a leading 1 and indexed by their lead
     column; insertion order is the deterministic pivot choice.  When
-    solving, coefficients over the previously inserted rows are tracked.
+    solving, coefficients over the accepted rows are tracked, keyed by
+    the rank at which each row was accepted.
     """
 
     def __init__(self):
         self._by_lead = {}
-        self._count = 0
 
     @property
     def rank(self) -> int:
         return len(self._by_lead)
 
-    def _reduced(self, row, track: bool):
+    def _reduced(self, row):
         row = list(row)
-        combo = {} if track else None
+        combo = {}
         for lead in sorted(self._by_lead):
             c = row[lead]
             if c:
                 prow, support, pcombo = self._by_lead[lead]
                 for idx in support:
                     row[idx] = row[idx] - c * prow[idx]
-                if track:
-                    for tag, v in pcombo.items():
-                        acc = combo.get(tag)
-                        acc = c * v if acc is None else acc + c * v
-                        if acc:
-                            combo[tag] = acc
-                        elif tag in combo:
-                            del combo[tag]
+                for tag, v in pcombo.items():
+                    acc = combo.get(tag)
+                    acc = c * v if acc is None else acc + c * v
+                    if acc:
+                        combo[tag] = acc
+                    elif tag in combo:
+                        del combo[tag]
         return row, combo
 
     def insert(self, row) -> bool:
         """Reduce a row and keep it as a new pivot if independent; returns
         True when the rank grew."""
-        tag = self._count
-        self._count += 1
-        row, combo = self._reduced(row, track=True)
+        tag = self.rank
+        row, combo = self._reduced(row)
         lead = next((k for k, v in enumerate(row) if v), None)
         if lead is None:
             return False
@@ -242,9 +239,9 @@ class _RowReducer:
         return True
 
     def solve(self, row):
-        """Coefficients expressing the row over the inserted pivots, keyed
-        by insertion tag; None when the row is outside the span."""
-        reduced, combo = self._reduced(row, track=True)
+        """Coefficients expressing the row over the accepted rows, keyed by
+        acceptance index; None when the row is outside the span."""
+        reduced, combo = self._reduced(row)
         if any(reduced):
             return None
         return combo
@@ -268,7 +265,7 @@ def basis_of_degree(B: BraidingMatrix, alpha, max_terms=None):
     pivot_words = []
     for word in words_of_multidegree(alpha):
         nv = word_pairing_vector(B, word, max_terms=cap)
-        if reducer.insert(nv.row()):
+        if reducer.insert(nv.values):
             pivot_words.append(word)
     return tuple(pivot_words), reducer.rank
 
@@ -333,9 +330,7 @@ def symmetrizer_rank_oracle(B: BraidingMatrix, alpha, max_terms=None) -> int:
     one = Scalar.one(B.order)
     zero = Scalar.zero(B.order)
     reducer = _RowReducer()
-    rank = 0
     for word in words:
         image = _symmetrize(B, {word: one}, d)
-        if reducer.insert([image.get(w, zero) for w in words]):
-            rank += 1
-    return rank
+        reducer.insert([image.get(w, zero) for w in words])
+    return reducer.rank

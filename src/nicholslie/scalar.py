@@ -301,6 +301,9 @@ class Scalar:
         return self.order == other.order and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a rational scalar compares equal to its int/Fraction value
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash((self.order, self.coeffs))
 
     def __str__(self):

@@ -44,7 +44,7 @@ from .freealg import (
 )
 from .graphs import AUGMENTED, PURE, build_graph, components, generated_subgraph, support
 from .lie import MEMBER, lie_span, max_supports, monomial_membership
-from .nichols import GuardrailExceeded, MAX_TERMS_DEFAULT, is_zero_in_nichols
+from .nichols import GuardrailExceeded, _cap, is_zero_in_nichols
 from .scalar import parse_scalar
 
 __all__ = [
@@ -208,7 +208,7 @@ def check_prop_disconnected_pair(B: BraidingMatrix, u_word, v_word, max_terms=No
                     PRECONDITION_NOT_MET,
                     {"pair": [i, j], "q_ij": str(B.entry(i, j)), "q_ji": str(B.entry(j, i))},
                 )
-    cap = MAX_TERMS_DEFAULT if max_terms is None else int(max_terms)
+    cap = _cap(max_terms)
     bracket = minus_bracket(
         FreeElement.from_word(B.n, B.order, u_word),
         FreeElement.from_word(B.n, B.order, v_word),
@@ -248,7 +248,7 @@ def check_prop_all_bracketings(B: BraidingMatrix, word, max_terms=None) -> Verif
                 PRECONDITION_NOT_MET,
                 {"reason": "augmented support subgraph is connected", "support": list(sup)},
             )
-    cap = MAX_TERMS_DEFAULT if max_terms is None else int(max_terms)
+    cap = _cap(max_terms)
     deg = word_degree(word, B.n)
     n_trees = catalan(len(word) - 1)
     if n_trees * multinomial(deg) > cap:

@@ -16,7 +16,6 @@ from nicholslie.freealg import (
     BRAIDED,
     FreeElement,
     braided_bracket,
-    multiply,
     words_of_total_degree,
 )
 from nicholslie.graphs import PURE, DynkinGraph, build_graph, components, realize_graph
@@ -87,13 +86,11 @@ def test_criterion_1_bracket_identities():
         rhs1 = (
             braided_bracket(B, u, braided_bracket(B, v, w))
             + braided_bracket(B, braided_bracket(B, u, w), v).scale(p_vw.inv())
-            + multiply(v, braided_bracket(B, u, w)).scale(p_wv - p_vw.inv())
+            + (v * braided_bracket(B, u, w)).scale(p_wv - p_vw.inv())
         )
         assert lhs1 == rhs1, "nested-bracket identity failed"
-        lhs2 = braided_bracket(B, u, multiply(v, w))
-        rhs2 = multiply(braided_bracket(B, u, v), w).scale(p_wu) + multiply(
-            v, braided_bracket(B, u, w)
-        )
+        lhs2 = braided_bracket(B, u, v * w)
+        rhs2 = (braided_bracket(B, u, v) * w).scale(p_wu) + v * braided_bracket(B, u, w)
         assert lhs2 == rhs2, "product-expansion identity failed"
     elapsed = time.monotonic() - start
     assert elapsed < 30.0

@@ -73,19 +73,19 @@ def test_chi_biadditivity_randomized(rng):
         assert right == B.chi(b, a) * B.chi(b, a2)
 
 
-# -- p and p~ ---------------------------------------------------------------
+# -- p_uv = chi(deg u, deg v) and p~ ---------------------------------------------------------------
 
 def test_p_on_generators():
     B = matrix_from_strings([["2", "z"], ["z^2", "-1"]], 8)
-    assert B.p((0, 1), (1, 0)) == B.entry(2, 1)
-    assert B.p((1, 1), (1, 0)) == B.entry(1, 1) * B.entry(2, 1)
+    assert B.chi((0, 1), (1, 0)) == B.entry(2, 1)
+    assert B.chi((1, 1), (1, 0)) == B.entry(1, 1) * B.entry(2, 1)
 
 
 def test_p_of_product_word_with_itself():
     B = matrix_from_strings([["2", "z"], ["z^2", "-1"]], 8)
     # deg(x1 x2) paired with itself expands to the full 2x2 product
     expected = B.entry(1, 1) * B.entry(1, 2) * B.entry(2, 1) * B.entry(2, 2)
-    assert B.p((1, 1), (1, 1)) == expected
+    assert B.chi((1, 1), (1, 1)) == expected
 
 
 def test_p_tilde_inverse_pair_is_one():
@@ -113,7 +113,7 @@ def test_p_concatenation_multiplicativity(rng):
         dv = tuple(rng.randint(0, 2) for _ in range(3))
         dw = tuple(rng.randint(0, 2) for _ in range(3))
         duv = tuple(a + b for a, b in zip(du, dv))
-        assert B.p(duv, dw) == B.p(du, dw) * B.p(dv, dw)
+        assert B.chi(duv, dw) == B.chi(du, dw) * B.chi(dv, dw)
 
 
 def test_p_tilde_index_out_of_range():

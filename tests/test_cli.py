@@ -9,14 +9,15 @@ import pytest
 from nicholslie.braiding import InvalidMatrixError
 from nicholslie.cli import (
     BracketParseError,
+    _bracketing_of,
     emit_dot,
-    format_bracket_expr,
     main,
     parse_bracket_expr,
     parse_degree,
     parse_matrix_file,
     parse_monomial,
 )
+from nicholslie.freealg import format_bracketing
 from nicholslie.graphs import AUGMENTED, PURE, build_graph, generated_subgraph
 from nicholslie.scalar import Scalar
 
@@ -89,7 +90,7 @@ def test_parse_bracket_expr_rejects(bad):
 
 def test_bracket_expr_print_parse_identity():
     for ast in [1, (1, 2), (1, (2, 3)), ((1, 2), (3, (1, 4)))]:
-        assert parse_bracket_expr(format_bracket_expr(ast)) == ast
+        assert parse_bracket_expr(format_bracketing(*_bracketing_of(ast))) == ast
 
 
 def test_parse_monomial():
@@ -240,6 +241,14 @@ def test_cmd_bracket_nichols_flag(matrix_file):
     assert "zero in Nichols algebra: yes" in out
 
 
+def test_cmd_bracket_generator_out_of_range(matrix_file, capsys):
+    code, out = run(
+        ["bracket", "--input", matrix_file(CONNECTED), "--expr", "[x1,x9]", "--lie", "minus"]
+    )
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: generator x9 out of range for rank 2\n"
+
+
 def test_cmd_ismember(matrix_file):
     code, out = run(
         ["ismember", "--input", matrix_file(DISCONNECTED), "--monomial", "x2 x1", "--lie", "braided"]
@@ -370,3 +379,53 @@ def test_stdout_byte_identical(matrix_file):
         ["ismember", "--input", path, "--monomial", "x1 x2", "--lie", "braided"],
     ):
         assert run(argv) == run(argv)
+
+
+# -- golden outputs --------------------------------------------------------------
+#
+# Full stdout on a connected order-8 matrix (q12 q21 = z^5), so that a
+# change in witness coefficients or their order shows.
+
+GOLDEN_MATRIX = '{"n":2,"cyclotomic_order":8,"q":[["z","z^2"],["z^3","-1"]]}'
+
+GOLDEN = [
+    (
+        ["ismember", "--monomial", "x2 x1 x1", "--lie", "braided"],
+        "Member\n"
+        "witness: (-1/2*z^3 + 1/2*z^2 - 1/2*z + 1/2) * [x1,[x1,x2]]\n"
+        "witness: (1/2*z + 1/2) * [[x1,x1],x2]\n"
+        "witness: (1/2*z^3 - 1/2*z) * [x1,[x2,x1]]\n",
+    ),
+    (
+        ["ismember", "--monomial", "x1 x2 x1 x2", "--lie", "braided"],
+        "Member\n"
+        "witness: (1/2*z^2 - z + 1/2) * [x1,[x2,[x1,x2]]]\n"
+        "witness: (1/2*z - 1/2) * [[x1,[x2,x1]],x2]\n",
+    ),
+    (
+        ["bracket", "--expr", "[x1,[x2,x1]]", "--lie", "braided", "--nichols"],
+        "1 * x1 x1 x2 + (-z^2 + 1) * x1 x2 x1 + (-z^2) * x2 x1 x1\n"
+        "zero in Nichols algebra: no\n",
+    ),
+    (
+        ["verify", "--claim", "thm-equiv", "--json"],
+        "{\n"
+        '  "claim": "thm-equiv",\n'
+        '  "digest": "3ab32f42365e",\n'
+        '  "evidence": {\n'
+        '    "ascending_word_member": true,\n'
+        '    "descending_word_member": true,\n'
+        '    "full_support_member": true,\n'
+        '    "full_support_witness": "x1 x2",\n'
+        '    "graph_connected": true\n'
+        "  },\n"
+        '  "instance": "n=2 order=8 d_max=2",\n'
+        '  "verdict": "Confirmed"\n'
+        "}\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN, ids=[g[0][0] + str(i) for i, g in enumerate(GOLDEN)])
+def test_golden_stdout(matrix_file, argv, expected):
+    assert run(argv[:1] + ["--input", matrix_file(GOLDEN_MATRIX)] + argv[1:]) == (0, expected)

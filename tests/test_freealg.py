@@ -14,8 +14,6 @@ from nicholslie.freealg import (
     format_bracketing,
     minus_bracket,
     multinomial,
-    multiply,
-    tree_leaf_count,
     word_degree,
     words_of_multidegree,
     words_of_total_degree,
@@ -55,14 +53,14 @@ def test_words_of_total_degree_lex():
 
 def test_multiply_words_concatenate():
     B = rational_matrix([[2, 2], [2, 2]])
-    prod = multiply(gen(B, 1), gen(B, 2))
+    prod = gen(B, 1) * gen(B, 2)
     assert prod.terms == {(1, 2): Scalar.one(1)}
 
 
 def test_multiply_distributes():
     B = rational_matrix([[2, 2], [2, 2]])
     s = gen(B, 1) + gen(B, 2)
-    prod = multiply(s, gen(B, 1))
+    prod = s * gen(B, 1)
     assert prod == word(B, (1, 1)) + word(B, (2, 1))
 
 
@@ -70,7 +68,7 @@ def test_multiply_scalars_collect():
     B = rational_matrix([[2, 2], [2, 2]])
     from fractions import Fraction
 
-    prod = multiply(gen(B, 1).scale(2), gen(B, 2).scale(Fraction(1, 2)))
+    prod = gen(B, 1).scale(2) * gen(B, 2).scale(Fraction(1, 2))
     assert prod == word(B, (1, 2))
 
 
@@ -80,25 +78,25 @@ def test_multiply_unit_and_associativity(rng):
     a = word(B, (1, 2)) + gen(B, 2).scale(3)
     b = word(B, (2, 2))
     c = gen(B, 1)
-    assert multiply(one, a) == a == multiply(a, one)
-    assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+    assert one * a == a == a * one
+    assert (a * b) * c == a * (b * c)
 
 
 def test_multiply_ambient_mismatch():
     a = FreeElement.generator(2, 8, 1)
     b = FreeElement.generator(2, 4, 1)
     with pytest.raises(FieldMismatchError):
-        multiply(a, b)
+        a * b
     c = FreeElement.generator(3, 8, 1)
     with pytest.raises(FieldMismatchError):
-        multiply(a, c)
+        a * c
 
 
 def test_grading_of_products(rng):
     B = random_braiding_matrix(rng, 3, 8)
     a = word(B, (1, 3))
     b = word(B, (2,))
-    assert multiply(a, b).degree() == (1, 1, 1)
+    assert (a * b).degree() == (1, 1, 1)
 
 
 # -- braided bracket -----------------------------------------------------------
@@ -203,7 +201,7 @@ def test_jacobi_like_identity_randomized(rng):
         rhs = (
             braided_bracket(B, u, braided_bracket(B, v, w))
             + braided_bracket(B, braided_bracket(B, u, w), v).scale(p_vw.inv())
-            + multiply(v, braided_bracket(B, u, w)).scale(p_wv - p_vw.inv())
+            + (v * braided_bracket(B, u, w)).scale(p_wv - p_vw.inv())
         )
         assert lhs == rhs
 
@@ -214,10 +212,8 @@ def test_product_expansion_identity_randomized(rng):
         B = random_braiding_matrix(rng, 3, 8)
         u, v, w = (random_homogeneous(rng, B) for _ in range(3))
         p_wu = B.chi(w.degree(), u.degree())
-        lhs = braided_bracket(B, u, multiply(v, w))
-        rhs = multiply(braided_bracket(B, u, v), w).scale(p_wu) + multiply(
-            v, braided_bracket(B, u, w)
-        )
+        lhs = braided_bracket(B, u, v * w)
+        rhs = (braided_bracket(B, u, v) * w).scale(p_wu) + v * braided_bracket(B, u, w)
         assert lhs == rhs
 
 
@@ -233,7 +229,7 @@ def test_enumerate_bracketings_counts():
 def test_enumerate_bracketings_unique_and_deterministic():
     trees = enumerate_bracketings(5)
     assert len(set(trees)) == len(trees)
-    assert all(tree_leaf_count(t) == 5 for t in trees)
+    assert all(str(t).count("None") == 5 for t in trees)
     assert trees == enumerate_bracketings(5)
 
 

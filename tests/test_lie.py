@@ -57,11 +57,10 @@ def test_membership_member_when_connected():
     assert report.status == MEMBER
     # the witness reconstructs the monomial's pairing vector exactly
     target = pairing_vector(B, FreeElement.from_word(2, 8, (2, 1)))
-    combo = {}
+    combo = [Scalar.zero(8)] * len(target.values)
     for coeff, nv in zip(report.witness, report.span.basis):
-        for w, v in nv.values.items():
-            combo[w] = combo.get(w, Scalar.zero(8)) + coeff * v
-    assert combo == target.values
+        combo = [acc + coeff * v for acc, v in zip(combo, nv.values)]
+    assert tuple(combo) == target.values
 
 
 def test_membership_not_member_when_disconnected():
@@ -104,7 +103,7 @@ def test_bracket_closure_at_small_degrees(rng):
         target_span = lie_span(B, (2, 1), BRAIDED)
         reducer = _RowReducer()
         for nv in target_span.basis:
-            reducer.insert(nv.row())
+            reducer.insert(nv.values)
         for t1, w1 in s1.generators_used:
             e1 = apply_bracketing(B, t1, w1, BRAIDED)
             for t2, w2 in s2.generators_used:
@@ -115,7 +114,7 @@ def test_bracket_closure_at_small_degrees(rng):
                 nv = pairing_vector(B, br)
                 if nv.is_zero():
                     continue
-                assert reducer.solve(nv.row()) is not None
+                assert reducer.solve(nv.values) is not None
 
 
 # -- maximal supports ------------------------------------------------------------
@@ -179,9 +178,9 @@ def test_minus_span_inside_braided_at_trivial_braiding():
 
         reducer = _RowReducer()
         for nv in braided_span.basis:
-            reducer.insert(nv.row())
+            reducer.insert(nv.values)
         for nv in minus_span.basis:
-            assert reducer.solve(nv.row()) is not None
+            assert reducer.solve(nv.values) is not None
 
 
 def test_lie_span_guardrail():

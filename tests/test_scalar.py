@@ -133,6 +133,20 @@ def test_equality_requires_same_order():
     assert Scalar.from_rational(4, 2) != Scalar.from_rational(8, 2)
 
 
+@pytest.mark.parametrize("order", [1, 3, 8])
+def test_equal_rationals_hash_equal(order):
+    # a scalar equal to an int or Fraction must hash like it, so it finds
+    # the same dict entry and collapses in a set
+    for value in (0, 1, -1, 7, Fraction(1, 2), Fraction(-3, 4)):
+        s = Scalar.from_rational(order, value)
+        assert s == value
+        assert hash(s) == hash(value)
+        assert {value: "x"}.get(s) == "x"
+        assert len({s, value}) == 1
+    z = Scalar.root_power(order, 1)
+    assert (z == 1) == (order == 1)
+
+
 # -- field axioms at several orders ------------------------------------------
 
 @pytest.mark.parametrize("order", [1, 3, 4, 8, 12])
