@@ -53,7 +53,7 @@ class BraidingMatrix:
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_inv_rows", None)
         object.__setattr__(self, "_inv_is_one", None)
-        object.__setattr__(self, "_word_pairing_cache", None)
+        object.__setattr__(self, "_word_pairing_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("BraidingMatrix is immutable")

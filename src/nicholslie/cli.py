@@ -258,7 +258,7 @@ def _cmd_bracket(B, args, out):
     elem = apply_bracketing(B, tree, word, args.lie)
     out.write(str(elem) + "\n")
     if args.nichols:
-        zero = (not elem.terms) or is_zero_in_nichols(B, elem)
+        zero = is_zero_in_nichols(B, elem)
         out.write(f"zero in Nichols algebra: {'yes' if zero else 'no'}\n")
     return EXIT_OK
 

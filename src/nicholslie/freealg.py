@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .braiding import BraidingMatrix
 from .scalar import FieldMismatchError, Scalar
@@ -111,6 +112,21 @@ def catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
 
 
+def _collect(n: int, order: int, pairs) -> "FreeElement":
+    """Sum (word, coeff) pairs into an element, dropping cancelled words."""
+    out = {}
+    for word, coeff in pairs:
+        acc = out.get(word)
+        acc = coeff if acc is None else acc + coeff
+        if acc:
+            out[word] = acc
+        elif word in out:
+            del out[word]
+    elem = FreeElement(n, order)
+    elem.terms = out
+    return elem
+
+
 class FreeElement:
     """Finite scalar combination of words; immutable in spirit (callers must
     not mutate .terms)."""
@@ -165,17 +181,7 @@ class FreeElement:
         if not isinstance(other, FreeElement):
             return NotImplemented
         self._check_ambient(other)
-        terms = dict(self.terms)
-        for word, coeff in other.terms.items():
-            acc = terms.get(word)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                terms[word] = acc
-            elif word in terms:
-                del terms[word]
-        out = FreeElement(self.n, self.order)
-        out.terms = terms
-        return out
+        return _collect(self.n, self.order, chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, FreeElement):
@@ -202,20 +208,11 @@ class FreeElement:
         if not isinstance(other, FreeElement):
             return NotImplemented
         self._check_ambient(other)
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                word = w1 + w2
-                coeff = c1 * c2
-                acc = out.get(word)
-                acc = coeff if acc is None else acc + coeff
-                if acc:
-                    out[word] = acc
-                elif word in out:
-                    del out[word]
-        elem = FreeElement(self.n, self.order)
-        elem.terms = out
-        return elem
+        return _collect(self.n, self.order, (
+            (w1 + w2, c1 * c2)
+            for w1, c1 in self.terms.items()
+            for w2, c2 in other.terms.items()
+        ))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -289,14 +286,23 @@ def braided_bracket(B: BraidingMatrix, x: FreeElement, y: FreeElement) -> FreeEl
     dy = y.degree()
     if dx is None or dy is None:
         return FreeElement.zero(x.n, x.order)
-    p_yx = B.chi(dy, dx)
-    return y * x - (x * y).scale(p_yx)
+    return _commutator(x, y, B.chi(dy, dx))
 
 
 def minus_bracket(x: FreeElement, y: FreeElement) -> FreeElement:
     """[x, y]- = y*x - x*y (the classical commutator, reversed)."""
     x._check_ambient(y)
-    return y * x - x * y
+    return _commutator(x, y, Scalar.one(x.order))
+
+
+def _commutator(x: FreeElement, y: FreeElement, p: Scalar) -> FreeElement:
+    """y*x - p * x*y, accumulated in one pass over the term pairs."""
+    xs, ys = x.terms.items(), y.terms.items()
+    scaled = [(wx, -(cx * p)) for wx, cx in xs]  # -p folded into x once
+    return _collect(x.n, x.order, chain(
+        ((wy + wx, cy * cx) for wy, cy in ys for wx, cx in xs),
+        ((wx + wy, cx * cy) for wx, cx in scaled for wy, cy in ys),
+    ))
 
 
 # -- full bracketings ------------------------------------------------------

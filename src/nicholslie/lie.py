@@ -23,9 +23,9 @@ from .freealg import (
     words_of_total_degree,
 )
 from .nichols import (
-    GuardrailExceeded,
     _RowReducer,
-    _cap,
+    _check_degree,
+    _guard,
     basis_of_degree,
     pairing_vector,
     word_pairing_vector,
@@ -52,8 +52,8 @@ NOT_MEMBER = "NotMember"
 class LieSpan:
     """A maximal independent set of bracketing images at one multidegree.
 
-    solver is the row reducer that selected the basis; its solutions are
-    keyed by basis index.
+    solver is the row reducer that selected the basis; solver.reduce(v)
+    is all zero exactly when v lies in the span.
     """
 
     degree: tuple
@@ -85,27 +85,23 @@ def lie_span(B: BraidingMatrix, alpha, kind: str, max_terms=None) -> LieSpan:
     components are the generators themselves.
     """
     _check_bracket_kind(kind)
-    alpha = tuple(alpha)
-    if len(alpha) != B.n or any(a < 0 for a in alpha):
-        raise ValueError(f"bad multidegree {alpha} for rank {B.n}")
+    alpha = _check_degree(B, alpha)
     d = sum(alpha)
     if d < 1:
         raise ValueError("Lie span needs total degree >= 1")
-    cap = _cap(max_terms)
     reducer = _RowReducer()
     if d == 1:
         i = alpha.index(1) + 1
-        nv = pairing_vector(B, FreeElement.generator(B.n, B.order, i), cap)
+        nv = pairing_vector(B, FreeElement.generator(B.n, B.order, i), max_terms)
         reducer.insert(nv.values)
         return LieSpan(alpha, kind, [nv], [(None, (i,))], reducer)
     trees = enumerate_bracketings(d)
     m = multinomial(alpha)
-    if len(trees) * m * m > cap:
-        raise GuardrailExceeded(
-            f"Lie span at degree {alpha} ({len(trees)} bracketings x {m} words)",
-            len(trees) * m * m,
-            cap,
-        )
+    cap = _guard(
+        f"Lie span at degree {alpha} ({len(trees)} bracketings x {m} words)",
+        len(trees) * m * m,
+        max_terms,
+    )
     # ambient dimension bounds the span; lets the scan stop early
     _, ambient_rank = basis_of_degree(B, alpha, cap)
     basis = []
@@ -147,19 +143,24 @@ def monomial_membership(
     word = tuple(word)
     if not word:
         raise ValueError("membership of the empty word is undefined")
-    alpha = word_degree(word, B.n)
     target = word_pairing_vector(B, word, max_terms)
     if target.is_zero():
         return MembershipReport(word, ZERO_IN_NICHOLS)
     if span is None:
-        span = lie_span(B, alpha, kind, max_terms)
-    elif span.degree != alpha or span.kind != kind:
+        span = lie_span(B, target.degree, kind, max_terms)
+    elif span.degree != target.degree or span.kind != kind:
         raise ValueError("supplied span does not match the word's degree and kind")
-    combo = span.solver.solve(target.values)
-    if combo is None:
+    if any(span.solver.reduce(target.values)):
         return MembershipReport(word, NOT_MEMBER, span=span)
-    witness = [combo.get(k, Scalar.zero(B.order)) for k in range(len(span.basis))]
-    return MembershipReport(word, MEMBER, witness=witness, span=span)
+    # The basis is independent, so the witness is unique: reducing
+    # (target | 0) by the rows (basis[k] | e_k) leaves (0 | -witness).
+    r = len(span.basis)
+    zero, one = Scalar.zero(B.order), Scalar.one(B.order)
+    augmented = _RowReducer()
+    for k, nv in enumerate(span.basis):
+        augmented.insert(nv.values + (zero,) * k + (one,) + (zero,) * (r - 1 - k))
+    tail = augmented.reduce(target.values + (zero,) * r)[-r:]
+    return MembershipReport(word, MEMBER, witness=[-v for v in tail], span=span)
 
 
 def max_supports(B: BraidingMatrix, d_max: int, kind: str, max_terms=None):

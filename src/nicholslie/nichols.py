@@ -15,9 +15,10 @@ computation provides an independent cross-check of the dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .braiding import BraidingMatrix
-from .freealg import FreeElement, multinomial, words_of_multidegree
+from .freealg import FreeElement, _collect, multinomial, words_of_multidegree
 from .scalar import Scalar
 
 __all__ = [
@@ -52,6 +53,21 @@ def _cap(max_terms) -> int:
     return MAX_TERMS_DEFAULT if max_terms is None else int(max_terms)
 
 
+def _guard(what: str, needed: int, max_terms) -> int:
+    """The effective cap; raises GuardrailExceeded when needed exceeds it."""
+    cap = _cap(max_terms)
+    if needed > cap:
+        raise GuardrailExceeded(what, needed, cap)
+    return cap
+
+
+def _check_degree(B: BraidingMatrix, alpha) -> tuple:
+    alpha = tuple(alpha)
+    if len(alpha) != B.n or any(a < 0 for a in alpha):
+        raise ValueError(f"bad multidegree {alpha} for rank {B.n}")
+    return alpha
+
+
 @dataclass
 class NicholsVector:
     """Pairing values of a homogeneous element against all dual words of
@@ -67,7 +83,9 @@ class NicholsVector:
         return not any(self.values)
 
 
-def _homogeneous_degree(u: FreeElement):
+def _homogeneous_degree(B: BraidingMatrix, u: FreeElement):
+    if B.n != u.n or B.order != u.order:
+        raise ValueError("braiding matrix and element have different ambients")
     deg = u.degree()  # raises NonHomogeneousError on mixed input
     if deg is None:
         return None
@@ -80,85 +98,67 @@ def _skew(B: BraidingMatrix, i: int, u: FreeElement) -> FreeElement:
     # single left-to-right pass per word, keeping the running product
     # of q_{i, w_l}^{-1} over the prefix; unit factors are skipped
     inv_row, inv_is_one = B.inverse_row(i)
-    out = {}
-    for word, coeff in u.terms.items():
-        running = coeff
-        for k, letter in enumerate(word):
-            if letter == i:
-                reduced = word[:k] + word[k + 1:]
-                acc = out.get(reduced)
-                acc = running if acc is None else acc + running
-                if acc:
-                    out[reduced] = acc
-                elif reduced in out:
-                    del out[reduced]
-            if not inv_is_one[letter - 1]:
-                running = running * inv_row[letter - 1]
-    elem = FreeElement(u.n, u.order)
-    elem.terms = out
-    return elem
+
+    def pairs():
+        for word, coeff in u.terms.items():
+            running = coeff
+            for k, letter in enumerate(word):
+                if letter == i:
+                    yield word[:k] + word[k + 1:], running
+                if not inv_is_one[letter - 1]:
+                    running = running * inv_row[letter - 1]
+
+    return _collect(u.n, u.order, pairs())
 
 
 def skew_derivation(B: BraidingMatrix, i: int, u: FreeElement) -> FreeElement:
     """D_i(u): lowers the multidegree by e_i; zero when u contains no x_i."""
     if not 1 <= i <= B.n:
         raise IndexError(f"generator index {i} out of range 1..{B.n}")
-    if B.n != u.n or B.order != u.order:
-        raise ValueError("braiding matrix and element have different ambients")
-    _homogeneous_degree(u)
+    _homogeneous_degree(B, u)
     return _skew(B, i, u)
+
+
+def _pairings(B: BraidingMatrix, elem: FreeElement, alpha):
+    """Pairing values of elem against the dual words of alpha, in
+    lexicographic dual-word order: D_{j_1} is applied first, then D_{j_2},
+    and so on.  A vanished branch yields its zeros without descending."""
+    if not elem.terms:
+        yield from repeat(Scalar.zero(B.order), multinomial(alpha))
+    elif not any(alpha):
+        yield elem.terms.get((), Scalar.zero(B.order))
+    else:
+        for idx, count in enumerate(alpha):
+            if count:
+                reduced = alpha[:idx] + (count - 1,) + alpha[idx + 1:]
+                yield from _pairings(B, _skew(B, idx + 1, elem), reduced)
 
 
 def pairing_vector(B: BraidingMatrix, u: FreeElement, max_terms=None) -> NicholsVector:
     """All iterated pairing values of a homogeneous element.
 
     The value for dual word (j_1, ..., j_d) is the degree-0 scalar
-    obtained by applying D_{j_1} first, then D_{j_2}, and so on; the
-    depth-first descent visits dual words in lexicographic order.
+    obtained by applying D_{j_1} first, then D_{j_2}, and so on.
     """
-    deg = _homogeneous_degree(u)
+    deg = _homogeneous_degree(B, u)
     if deg is None:
         raise ValueError("the zero element has no well-defined pairing degree")
-    cap = _cap(max_terms)
-    size = multinomial(deg)
-    if size > cap:
-        raise GuardrailExceeded(f"pairing vector at degree {deg}", size, cap)
-    zero = Scalar.zero(B.order)
-    values = []
-
-    def descend(elem, alpha):
-        if not elem.terms:
-            values.extend([zero] * multinomial(alpha))
-            return
-        if sum(alpha) == 0:
-            values.append(elem.terms.get((), zero))
-            return
-        for idx, count in enumerate(alpha):
-            if count:
-                reduced = alpha[:idx] + (count - 1,) + alpha[idx + 1:]
-                descend(_skew(B, idx + 1, elem), reduced)
-
-    descend(u, deg)
-    return NicholsVector(deg, tuple(values))
+    _guard(f"pairing vector at degree {deg}", multinomial(deg), max_terms)
+    return NicholsVector(deg, tuple(_pairings(B, u, deg)))
 
 
 def word_pairing_vector(B: BraidingMatrix, word, max_terms=None) -> NicholsVector:
     """pairing_vector of a single monomial, cached per matrix (monomials
     are re-paired constantly by rank, membership, and support scans)."""
     word = tuple(word)
-    cache = getattr(B, "_word_pairing_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(B, "_word_pairing_cache", cache)
+    cache = B._word_pairing_cache
     hit = cache.get(word)
     if hit is None:
         hit = pairing_vector(B, FreeElement.from_word(B.n, B.order, word), max_terms)
         cache[word] = hit
     else:
         # still honor a tighter explicit guardrail
-        cap = _cap(max_terms)
-        if multinomial(hit.degree) > cap:
-            raise GuardrailExceeded(f"pairing vector at degree {hit.degree}", multinomial(hit.degree), cap)
+        _guard(f"pairing vector at degree {hit.degree}", multinomial(hit.degree), max_terms)
     return hit
 
 
@@ -168,32 +168,16 @@ def is_zero_in_nichols(B: BraidingMatrix, u: FreeElement) -> bool:
     Depth-first descent with early exit: u = 0 iff D_i(u) = 0 in B(V)
     for every generator i occurring in its degree.
     """
-    deg = _homogeneous_degree(u)
-    if deg is None:
-        return True
-
-    def rec(elem, alpha):
-        if not elem.terms:
-            return True
-        if sum(alpha) == 0:
-            return not elem.terms.get(())
-        for idx, count in enumerate(alpha):
-            if count:
-                reduced = alpha[:idx] + (count - 1,) + alpha[idx + 1:]
-                if not rec(_skew(B, idx + 1, elem), reduced):
-                    return False
-        return True
-
-    return rec(u, deg)
+    deg = _homogeneous_degree(B, u)
+    return deg is None or not any(_pairings(B, u, deg))
 
 
 class _RowReducer:
-    """Incremental exact row reduction over lists of Scalar.
+    """Incremental exact row reduction over lists of Scalar (an echelon
+    basis).
 
     Pivot rows are normalized to a leading 1 and indexed by their lead
-    column; insertion order is the deterministic pivot choice.  When
-    solving, coefficients over the accepted rows are tracked, keyed by
-    the rank at which each row was accepted.
+    column; insertion order is the deterministic pivot choice.
     """
 
     def __init__(self):
@@ -203,48 +187,29 @@ class _RowReducer:
     def rank(self) -> int:
         return len(self._by_lead)
 
-    def _reduced(self, row):
+    def reduce(self, row) -> list:
+        """The residue of a row after elimination by every pivot; it is
+        all zero exactly when the row lies in the span."""
         row = list(row)
-        combo = {}
         for lead in sorted(self._by_lead):
             c = row[lead]
             if c:
-                prow, support, pcombo = self._by_lead[lead]
+                prow, support = self._by_lead[lead]
                 for idx in support:
                     row[idx] = row[idx] - c * prow[idx]
-                for tag, v in pcombo.items():
-                    acc = combo.get(tag)
-                    acc = c * v if acc is None else acc + c * v
-                    if acc:
-                        combo[tag] = acc
-                    elif tag in combo:
-                        del combo[tag]
-        return row, combo
+        return row
 
     def insert(self, row) -> bool:
         """Reduce a row and keep it as a new pivot if independent; returns
         True when the rank grew."""
-        tag = self.rank
-        row, combo = self._reduced(row)
+        row = self.reduce(row)
         lead = next((k for k, v in enumerate(row) if v), None)
         if lead is None:
             return False
         inv = row[lead].inv()
         row = [v * inv for v in row]
-        support = tuple(k for k, v in enumerate(row) if v)
-        # pivot = inv * (original_tag - sum combo[t] * original_t)
-        pivot_combo = {t: -(inv * v) for t, v in combo.items()}
-        pivot_combo[tag] = inv
-        self._by_lead[lead] = (row, support, pivot_combo)
+        self._by_lead[lead] = (row, tuple(k for k, v in enumerate(row) if v))
         return True
-
-    def solve(self, row):
-        """Coefficients expressing the row over the accepted rows, keyed by
-        acceptance index; None when the row is outside the span."""
-        reduced, combo = self._reduced(row)
-        if any(reduced):
-            return None
-        return combo
 
 
 def basis_of_degree(B: BraidingMatrix, alpha, max_terms=None):
@@ -254,13 +219,9 @@ def basis_of_degree(B: BraidingMatrix, alpha, max_terms=None):
     first-nonzero pivoting in lexicographic word order, so the returned
     pivot set is deterministic.
     """
-    alpha = tuple(alpha)
-    if len(alpha) != B.n or any(a < 0 for a in alpha):
-        raise ValueError(f"bad multidegree {alpha} for rank {B.n}")
-    cap = _cap(max_terms)
+    alpha = _check_degree(B, alpha)
     m = multinomial(alpha)
-    if m * m > cap:
-        raise GuardrailExceeded(f"elimination at degree {alpha}", m * m, cap)
+    cap = _guard(f"elimination at degree {alpha}", m * m, max_terms)
     reducer = _RowReducer()
     pivot_words = []
     for word in words_of_multidegree(alpha):
@@ -316,16 +277,12 @@ def symmetrizer_rank_oracle(B: BraidingMatrix, alpha, max_terms=None) -> int:
     Independent of the skew-derivation machinery; must agree with
     basis_of_degree's rank.
     """
-    alpha = tuple(alpha)
-    if len(alpha) != B.n or any(a < 0 for a in alpha):
-        raise ValueError(f"bad multidegree {alpha} for rank {B.n}")
+    alpha = _check_degree(B, alpha)
     d = sum(alpha)
     if d == 0:
         raise ValueError("degree-0 component is the base field; rank query needs degree >= 1")
-    cap = _cap(max_terms)
     m = multinomial(alpha)
-    if m * m > cap:
-        raise GuardrailExceeded(f"symmetrizer at degree {alpha}", m * m, cap)
+    _guard(f"symmetrizer at degree {alpha}", m * m, max_terms)
     words = list(words_of_multidegree(alpha))
     one = Scalar.one(B.order)
     zero = Scalar.zero(B.order)

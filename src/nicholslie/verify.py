@@ -42,7 +42,7 @@ from .freealg import (
     word_degree,
     words_of_total_degree,
 )
-from .graphs import AUGMENTED, PURE, build_graph, components, generated_subgraph, support
+from .graphs import AUGMENTED, PURE, build_graph, components, is_connected_monomial, support
 from .lie import MEMBER, lie_span, max_supports, monomial_membership
 from .nichols import GuardrailExceeded, _cap, is_zero_in_nichols
 from .scalar import parse_scalar
@@ -238,16 +238,14 @@ def check_prop_all_bracketings(B: BraidingMatrix, word, max_terms=None) -> Verif
     digest = _digest(B, claim, f"w={word}")
     instance = f"n={B.n} order={B.order} w={_word_str(word)}"
     sup = support(word)
-    if len(sup) > 1:
-        sub = generated_subgraph(build_graph(B, AUGMENTED), sup)
-        if len(components(sub)) == 1:
-            return VerificationReport(
-                claim,
-                instance,
-                digest,
-                PRECONDITION_NOT_MET,
-                {"reason": "augmented support subgraph is connected", "support": list(sup)},
-            )
+    if len(sup) > 1 and is_connected_monomial(B, word, AUGMENTED):
+        return VerificationReport(
+            claim,
+            instance,
+            digest,
+            PRECONDITION_NOT_MET,
+            {"reason": "augmented support subgraph is connected", "support": list(sup)},
+        )
     cap = _cap(max_terms)
     deg = word_degree(word, B.n)
     n_trees = catalan(len(word) - 1)
@@ -258,7 +256,7 @@ def check_prop_all_bracketings(B: BraidingMatrix, word, max_terms=None) -> Verif
         )
     for tree in enumerate_bracketings(len(word)):
         elem = apply_bracketing(B, tree, word, MINUS)
-        if elem.terms and not is_zero_in_nichols(B, elem):
+        if not is_zero_in_nichols(B, elem):
             return VerificationReport(
                 claim, instance, digest, COUNTEREXAMPLE,
                 {"bracketing": format_bracketing(tree, word), "element": str(elem)},

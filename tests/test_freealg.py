@@ -101,11 +101,55 @@ def test_grading_of_products(rng):
 
 # -- braided bracket -----------------------------------------------------------
 
-def test_braided_bracket_generators():
+# matrices with chi(d, d) = 1 at every degree d = (a, b), so that in
+# [x, y] with y = s*x + e the words of s*x*x cancel
+_CANCELLING = {1: [["1", "2"], ["1/2", "1"]], 3: [["1", "z"], ["z^2", "1"]], 8: [["1", "z^3"], ["z^5", "1"]]}
+
+
+def random_of_degree(rng, B, alpha, terms):
+    words = list(words_of_multidegree(alpha))
+    out = FreeElement.zero(B.n, B.order)
+    for letters in rng.sample(words, min(terms, len(words))):
+        out = out + word(B, letters).scale(random_scalar(rng, B.order, nonzero=True))
+    return out
+
+
+def bracket_cases(rng, order):
+    """(B, x, y) with multi-term homogeneous x, y; in half the cases y
+    repeats a multiple of x, over a matrix where those terms cancel."""
+    degrees = [(1, 1), (2, 1), (1, 2), (2, 0)]
+    for trial in range(12):
+        cancel = trial % 2 == 0
+        if cancel:
+            B = matrix_from_strings(_CANCELLING[order], order)
+        else:
+            B = random_braiding_matrix(rng, 2, order)
+        dx = rng.choice(degrees)
+        x = random_of_degree(rng, B, dx, 3)
+        if cancel:
+            y = x.scale(random_scalar(rng, order, nonzero=True)) + random_of_degree(rng, B, dx, 1)
+        else:
+            y = random_of_degree(rng, B, rng.choice(degrees), 3)
+        yield cancel, B, x, y
+
+
+def cancelled(got, x, y):
+    """Some word of y*x or x*y is missing from the result."""
+    return len(got.terms) < len(set((y * x).terms) | set((x * y).terms))
+
+
+def test_braided_bracket_generators(rng):
     B = matrix_from_strings([["2", "z"], ["z^3", "-1"]], 8)
     got = braided_bracket(B, gen(B, 1), gen(B, 2))
     expected = word(B, (2, 1)) - word(B, (1, 2)).scale(B.entry(2, 1))
     assert got == expected
+    for order in (1, 3, 8):
+        saw_cancellation = False
+        for cancel, B, x, y in bracket_cases(rng, order):
+            got = braided_bracket(B, x, y)
+            assert got == y * x - (x * y).scale(B.chi(y.degree(), x.degree()))
+            saw_cancellation |= cancel and cancelled(got, x, y)
+        assert saw_cancellation
 
 
 def test_braided_bracket_same_generator():
@@ -151,10 +195,17 @@ def test_braided_bracket_zero_operand():
 
 # -- minus bracket ---------------------------------------------------------------
 
-def test_minus_bracket_generators():
+def test_minus_bracket_generators(rng):
     B = rational_matrix([[2, 2], [2, 2]])
     got = minus_bracket(gen(B, 1), gen(B, 2))
     assert got == word(B, (2, 1)) - word(B, (1, 2))
+    for order in (1, 3, 8):
+        saw_cancellation = False
+        for cancel, _, x, y in bracket_cases(rng, order):
+            got = minus_bracket(x, y)
+            assert got == y * x - x * y
+            saw_cancellation |= cancel and cancelled(got, x, y)
+        assert saw_cancellation
 
 
 def test_minus_bracket_antisymmetric_diagonal(rng):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from nicholslie.braiding import BraidingMatrix
 from nicholslie.freealg import BRAIDED, MINUS, FreeElement, apply_bracketing
 from nicholslie.graphs import PURE, build_graph, components
 from nicholslie.lie import (
@@ -51,16 +52,41 @@ def test_span_basis_is_independent_and_sourced(rng):
         assert pairing_vector(B, elem).values == nv.values
 
 
+def assert_witness_rebuilds(B, letters, report):
+    target = pairing_vector(B, FreeElement.from_word(B.n, B.order, letters))
+    assert len(report.witness) == report.span.dimension
+    combo = [Scalar.zero(B.order)] * len(target.values)
+    for coeff, nv in zip(report.witness, report.span.basis):
+        combo = [acc + coeff * v for acc, v in zip(combo, nv.values)]
+    assert tuple(combo) == target.values
+
+
 def test_membership_member_when_connected():
     B = matrix_from_strings(CONNECTED, 8)
     report = monomial_membership(B, (2, 1), BRAIDED)
     assert report.status == MEMBER
     # the witness reconstructs the monomial's pairing vector exactly
-    target = pairing_vector(B, FreeElement.from_word(2, 8, (2, 1)))
-    combo = [Scalar.zero(8)] * len(target.values)
-    for coeff, nv in zip(report.witness, report.span.basis):
-        combo = [acc + coeff * v for acc, v in zip(combo, nv.values)]
-    assert tuple(combo) == target.values
+    assert_witness_rebuilds(B, (2, 1), report)
+    # rank 3, orders 3, 8 and 24, spans of dimension >= 2
+    for order in (3, 8, 24):
+        rng = random.Random(order)
+        while True:  # root-power entries keep the arithmetic cheap
+            B = BraidingMatrix([[Scalar.root_power(order, rng.randrange(1, order)) for _ in range(3)] for _ in range(3)])
+            if len(components(build_graph(B, PURE))) == 1:
+                break
+        checked = 0
+        for letters in [(1, 2, 3), (3, 1, 2), (2, 1, 1), (1, 2, 1, 3), (3, 2, 1, 2), (2, 3, 3, 1)]:
+            report = monomial_membership(B, letters, BRAIDED)
+            if report.status == MEMBER and report.span.dimension >= 2:
+                assert_witness_rebuilds(B, letters, report)
+                checked += 1
+        assert checked >= 3
+
+
+def test_membership_rejects_out_of_range_letter():
+    B = matrix_from_strings(CONNECTED, 8)
+    with pytest.raises(ValueError, match="letter 3 out of range 1..2"):
+        monomial_membership(B, (3,), BRAIDED)
 
 
 def test_membership_not_member_when_disconnected():
@@ -114,7 +140,7 @@ def test_bracket_closure_at_small_degrees(rng):
                 nv = pairing_vector(B, br)
                 if nv.is_zero():
                     continue
-                assert reducer.solve(nv.values) is not None
+                assert not any(reducer.reduce(nv.values))
 
 
 # -- maximal supports ------------------------------------------------------------
@@ -180,7 +206,7 @@ def test_minus_span_inside_braided_at_trivial_braiding():
         for nv in braided_span.basis:
             reducer.insert(nv.values)
         for nv in minus_span.basis:
-            assert reducer.solve(nv.values) is not None
+            assert not any(reducer.reduce(nv.values))
 
 
 def test_lie_span_guardrail():

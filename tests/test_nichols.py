@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from nicholslie.freealg import FreeElement, words_of_multidegree
+from nicholslie.freealg import FreeElement, braided_bracket, words_of_multidegree
 from nicholslie.nichols import (
     GuardrailExceeded,
     NicholsVector,
@@ -17,7 +17,7 @@ from nicholslie.nichols import (
 )
 from nicholslie.scalar import Scalar
 
-from conftest import matrix_from_strings, random_braiding_matrix, rational_matrix
+from conftest import matrix_from_strings, random_braiding_matrix, random_scalar, rational_matrix
 
 
 def gen(B, i):
@@ -303,6 +303,52 @@ def test_is_zero_rejects_non_homogeneous():
 
     with pytest.raises(NonHomogeneousError):
         is_zero_in_nichols(B, gen(B, 1) + word(B, (1, 2)))
+
+
+@pytest.mark.parametrize("elem", [
+    FreeElement.from_word(3, 1, (1, 3)),  # rank 3 against a rank-2 matrix
+    FreeElement.from_word(1, 1, (1, 1)),  # rank 1
+], ids=["rank3", "rank1"])
+def test_pairing_and_zeroness_reject_other_ambient(elem):
+    B = rational_matrix([[2, 2], [2, 2]])
+    for fn in (pairing_vector, is_zero_in_nichols):
+        with pytest.raises(ValueError, match="different ambients"):
+            fn(B, elem)
+
+
+def test_is_zero_agrees_with_pairing_vector(rng):
+    # Blocks: [x1, x2], zero iff q12 q21 = 1; x1 x2 - q12 x2 x1, which D_1
+    # kills, so the descent's first branch vanishes; x1^N when q11 has
+    # order N.  Elements are two-sided multiples of a block, sometimes
+    # plus a word of the same degree.
+    seen = set()
+    late_nonzero = 0  # nonzero, yet the first pairing value vanishes
+    for rows, order, nilpotency in [
+        ([["-1", "2"], ["1/2", "3"]], 1, 2),
+        ([["z", "z^2"], ["z", "-1"]], 3, 3),
+        ([["z", "z^2"], ["z^3", "-1"]], 8, None),
+    ]:
+        B = matrix_from_strings(rows, order)
+        x1, x2 = gen(B, 1), gen(B, 2)
+        blocks = [braided_bracket(B, x1, x2), x1 * x2 - (x2 * x1).scale(B.entry(1, 2))]
+        if nilpotency:
+            blocks.append(word(B, (1,) * nilpotency))
+        for _ in range(30):
+            left = tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 2)))
+            right = tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 1)))
+            elem = word(B, left) * rng.choice(blocks) * word(B, right)
+            if elem.terms and rng.random() < 0.3:
+                letters = max(elem.terms)
+                elem = elem + word(B, rng.sample(letters, len(letters)), random_scalar(rng, order, nonzero=True))
+            if not elem.terms:
+                continue
+            zero = is_zero_in_nichols(B, elem)
+            values = pairing_vector(B, elem).values
+            assert zero == (not any(values))
+            seen.add(zero)
+            late_nonzero += not zero and not values[0]
+    assert seen == {True, False}
+    assert late_nonzero
 
 
 def test_skew_derivation_index_range():
