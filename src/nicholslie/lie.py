@@ -13,12 +13,10 @@ from dataclasses import dataclass, field
 
 from .braiding import BraidingMatrix
 from .freealg import (
-    FreeElement,
     _check_bracket_kind,
     apply_bracketing,
     enumerate_bracketings,
     multinomial,
-    word_degree,
     words_of_multidegree,
     words_of_total_degree,
 )
@@ -81,20 +79,14 @@ def lie_span(B: BraidingMatrix, alpha, kind: str, max_terms=None) -> LieSpan:
     Enumerates (word, tree) pairs, collapses bracketings that already
     coincide in the free algebra, pairs each survivor, and keeps a
     maximal linearly independent subset (deterministic greedy order:
-    words lexicographically, trees in enumeration order).  Degree-1
-    components are the generators themselves.
+    words lexicographically, trees in enumeration order).  At degree 1
+    the one bracketing is the generator itself.
     """
     _check_bracket_kind(kind)
     alpha = _check_degree(B, alpha)
     d = sum(alpha)
     if d < 1:
         raise ValueError("Lie span needs total degree >= 1")
-    reducer = _RowReducer()
-    if d == 1:
-        i = alpha.index(1) + 1
-        nv = pairing_vector(B, FreeElement.generator(B.n, B.order, i), max_terms)
-        reducer.insert(nv.values)
-        return LieSpan(alpha, kind, [nv], [(None, (i,))], reducer)
     trees = enumerate_bracketings(d)
     m = multinomial(alpha)
     cap = _guard(
@@ -104,6 +96,7 @@ def lie_span(B: BraidingMatrix, alpha, kind: str, max_terms=None) -> LieSpan:
     )
     # ambient dimension bounds the span; lets the scan stop early
     _, ambient_rank = basis_of_degree(B, alpha, cap)
+    reducer = _RowReducer()
     basis = []
     provenance = []
     seen = set()
@@ -130,14 +123,14 @@ def lie_span(B: BraidingMatrix, alpha, kind: str, max_terms=None) -> LieSpan:
     return LieSpan(alpha, kind, basis, provenance, reducer)
 
 
-def monomial_membership(
-    B: BraidingMatrix, word, kind: str, max_terms=None, span: LieSpan = None
-) -> MembershipReport:
+def monomial_membership(B: BraidingMatrix, word, kind: str, max_terms=None) -> MembershipReport:
     """Decide whether a monomial's image lies in the Lie span of its degree.
 
     A monomial that is zero in B(V) is reported as ZeroInNichols rather
     than Member: its support is representation-dependent, so the
-    connectivity statements exclude it.
+    connectivity statements exclude it.  Spans are cached on B per
+    (degree, kind, max_terms), so a tighter cap never reuses a span
+    built under a looser one.
     """
     _check_bracket_kind(kind)
     word = tuple(word)
@@ -146,10 +139,10 @@ def monomial_membership(
     target = word_pairing_vector(B, word, max_terms)
     if target.is_zero():
         return MembershipReport(word, ZERO_IN_NICHOLS)
+    key = (target.degree, kind, max_terms)
+    span = B._lie_span_cache.get(key)
     if span is None:
-        span = lie_span(B, target.degree, kind, max_terms)
-    elif span.degree != target.degree or span.kind != kind:
-        raise ValueError("supplied span does not match the word's degree and kind")
+        span = B._lie_span_cache[key] = lie_span(B, target.degree, kind, max_terms)
     if any(span.solver.reduce(target.values)):
         return MembershipReport(word, NOT_MEMBER, span=span)
     # The basis is independent, so the witness is unique: reducing
@@ -169,24 +162,19 @@ def max_supports(B: BraidingMatrix, d_max: int, kind: str, max_terms=None):
     Words are scanned in increasing total degree, lexicographically
     within a degree.  A word whose support is contained in an
     already-established member support cannot change the maximal set and
-    is skipped; Lie spans are cached per multidegree.
+    is skipped; each Lie span is built once per multidegree and kept in
+    B's span cache (see monomial_membership).
     """
     _check_bracket_kind(kind)
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
     member_supports = []
-    spans = {}
     for d in range(1, d_max + 1):
         for word in words_of_total_degree(B.n, d):
             s = frozenset(word)
             if any(s <= t for t in member_supports):
                 continue
-            alpha = word_degree(word, B.n)
-            span = spans.get(alpha)
-            if span is None:
-                span = spans[alpha] = lie_span(B, alpha, kind, max_terms)
-            report = monomial_membership(B, word, kind, max_terms, span=span)
-            if report.status == MEMBER:
+            if monomial_membership(B, word, kind, max_terms).status == MEMBER:
                 member_supports.append(s)
     maximal = [
         s for s in member_supports

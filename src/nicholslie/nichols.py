@@ -49,13 +49,9 @@ class GuardrailExceeded(RuntimeError):
         self.cap = cap
 
 
-def _cap(max_terms) -> int:
-    return MAX_TERMS_DEFAULT if max_terms is None else int(max_terms)
-
-
 def _guard(what: str, needed: int, max_terms) -> int:
     """The effective cap; raises GuardrailExceeded when needed exceeds it."""
-    cap = _cap(max_terms)
+    cap = MAX_TERMS_DEFAULT if max_terms is None else int(max_terms)
     if needed > cap:
         raise GuardrailExceeded(what, needed, cap)
     return cap

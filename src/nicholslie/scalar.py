@@ -240,13 +240,7 @@ class Scalar:
             return other
         if b == one:
             return self
-        out = [_ZERO] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] += ai * bj
-        return Scalar(self.order, _reduce(self.order, out))
+        return Scalar(self.order, _reduce(self.order, _poly_mul(a, b)))
 
     __rmul__ = __mul__
 

@@ -43,8 +43,8 @@ from .freealg import (
     words_of_total_degree,
 )
 from .graphs import AUGMENTED, PURE, build_graph, components, is_connected_monomial, support
-from .lie import MEMBER, lie_span, max_supports, monomial_membership
-from .nichols import GuardrailExceeded, _cap, is_zero_in_nichols
+from .lie import MEMBER, max_supports, monomial_membership
+from .nichols import GuardrailExceeded, _guard, is_zero_in_nichols
 from .scalar import parse_scalar
 
 __all__ = [
@@ -119,15 +119,9 @@ def check_theorem_equivalences(B: BraidingMatrix, d_max=None, max_terms=None) ->
     instance = f"n={n} order={B.order} d_max={d_max}"
     try:
         a = len(components(build_graph(B, PURE))) == 1
-        spans = {}
 
         def member(word):
-            alpha = word_degree(word, n)
-            span = spans.get(alpha)
-            if span is None:
-                span = spans[alpha] = lie_span(B, alpha, BRAIDED, max_terms)
-            rep = monomial_membership(B, word, BRAIDED, max_terms, span=span)
-            return rep.status == MEMBER
+            return monomial_membership(B, word, BRAIDED, max_terms).status == MEMBER
 
         descending = tuple(range(n, 0, -1))
         ascending = tuple(range(1, n + 1))
@@ -208,17 +202,15 @@ def check_prop_disconnected_pair(B: BraidingMatrix, u_word, v_word, max_terms=No
                     PRECONDITION_NOT_MET,
                     {"pair": [i, j], "q_ij": str(B.entry(i, j)), "q_ji": str(B.entry(j, i))},
                 )
-    cap = _cap(max_terms)
+    deg = word_degree(u_word + v_word, B.n)
+    try:
+        _guard(f"pairing descent at degree {deg}", multinomial(deg), max_terms)
+    except GuardrailExceeded as exc:
+        return VerificationReport(claim, instance, digest, INCONCLUSIVE, {"guardrail": str(exc)})
     bracket = minus_bracket(
         FreeElement.from_word(B.n, B.order, u_word),
         FreeElement.from_word(B.n, B.order, v_word),
     )
-    deg = word_degree(u_word + v_word, B.n)
-    if multinomial(deg) > cap:
-        return VerificationReport(
-            claim, instance, digest, INCONCLUSIVE,
-            {"guardrail": f"pairing descent at degree {deg} exceeds cap {cap}"},
-        )
     if is_zero_in_nichols(B, bracket):
         return VerificationReport(claim, instance, digest, CONFIRMED, {"bracket_vanishes": True})
     return VerificationReport(
@@ -246,14 +238,14 @@ def check_prop_all_bracketings(B: BraidingMatrix, word, max_terms=None) -> Verif
             PRECONDITION_NOT_MET,
             {"reason": "augmented support subgraph is connected", "support": list(sup)},
         )
-    cap = _cap(max_terms)
     deg = word_degree(word, B.n)
     n_trees = catalan(len(word) - 1)
-    if n_trees * multinomial(deg) > cap:
-        return VerificationReport(
-            claim, instance, digest, INCONCLUSIVE,
-            {"guardrail": f"{n_trees} bracketings x {multinomial(deg)} dual words exceeds cap {cap}"},
-        )
+    m = multinomial(deg)
+    try:
+        _guard(f"bracketing descent at degree {deg} ({n_trees} bracketings x {m} dual words)",
+               n_trees * m, max_terms)
+    except GuardrailExceeded as exc:
+        return VerificationReport(claim, instance, digest, INCONCLUSIVE, {"guardrail": str(exc)})
     for tree in enumerate_bracketings(len(word)):
         elem = apply_bracketing(B, tree, word, MINUS)
         if not is_zero_in_nichols(B, elem):

@@ -1,10 +1,14 @@
 """Public names: every export resolves, and removed names stay removed."""
 
 import importlib
+import importlib.util
+import inspect
+from pathlib import Path
 
 import pytest
 
 import nicholslie
+from nicholslie.lie import monomial_membership
 
 MODULES = ["scalar", "braiding", "freealg", "graphs", "nichols", "lie", "verify", "cli"]
 
@@ -49,3 +53,29 @@ def test_removed_names_stay_removed(module, path):
     for parent in parents:
         owner = getattr(owner, parent)
     assert not hasattr(owner, attr)
+
+
+def test_monomial_membership_takes_no_span():
+    assert "span" not in inspect.signature(monomial_membership).parameters
+    B = nicholslie.BraidingMatrix.from_strings([["2"]], 1)
+    with pytest.raises(TypeError):
+        monomial_membership(B, (1,), "braided", span=None)
+
+
+def _tracer_targets():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return [(module, attr_path) for module, attr_path, _ in tracing.TARGETS]
+
+
+@pytest.mark.parametrize("module, path", _tracer_targets())
+def test_benchmark_tracer_targets_resolve(module, path):
+    """The benchmark wraps these names by path; a rename must not silently
+    drop a layer from its per-layer figures."""
+    owner = importlib.import_module(f"nicholslie.{module}")
+    for attr in path.split("."):
+        assert hasattr(owner, attr), f"nicholslie.{module}.{path}"
+        owner = getattr(owner, attr)
+    assert callable(owner)

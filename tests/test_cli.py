@@ -249,6 +249,18 @@ def test_cmd_bracket_generator_out_of_range(matrix_file, capsys):
     assert capsys.readouterr().err == "error: generator x9 out of range for rank 2\n"
 
 
+def test_cmd_bracket_nichols_honors_max_terms(matrix_file, capsys):
+    argv = ["bracket", "--input", matrix_file(CONNECTED), "--expr", "[[x1,x1],[x2,[x2,x1]]]",
+            "--lie", "minus", "--nichols"]
+    code, out = run(argv + ["--max-terms", "1"])
+    assert code == 3 and "zero in Nichols algebra" not in out
+    assert capsys.readouterr().err == (
+        "inconclusive: pairing descent at degree (3, 2): needs 10 entries, cap is 1\n"
+    )
+    code, out = run(argv + ["--max-terms", "10"])
+    assert code == 0 and "zero in Nichols algebra" in out
+
+
 def test_cmd_ismember(matrix_file):
     code, out = run(
         ["ismember", "--input", matrix_file(DISCONNECTED), "--monomial", "x2 x1", "--lie", "braided"]
@@ -429,3 +441,25 @@ GOLDEN = [
 @pytest.mark.parametrize("argv, expected", GOLDEN, ids=[g[0][0] + str(i) for i, g in enumerate(GOLDEN)])
 def test_golden_stdout(matrix_file, argv, expected):
     assert run(argv[:1] + ["--input", matrix_file(GOLDEN_MATRIX)] + argv[1:]) == (0, expected)
+
+
+# Every claim reaches Inconclusive through the same guardrail text:
+# "<what> at degree <alpha> ...: needs N entries, cap is C".
+CAPPED = [
+    (CONNECTED, ["--claim", "thm-equiv"], "pairing vector at degree (1, 1): needs 2 entries, cap is 1"),
+    (CONNECTED, ["--claim", "thm-maxsupport"],
+     "pairing vector at degree (1, 1): needs 2 entries, cap is 1"),
+    (ALL_ONES_OFF, ["--claim", "prop-pair", "--u", "x1 x1", "--v", "x2"],
+     "pairing descent at degree (2, 1): needs 3 entries, cap is 1"),
+    (ALL_ONES_OFF, ["--claim", "prop-brackets", "--monomial", "x1 x2 x1"],
+     "bracketing descent at degree (2, 1) (2 bracketings x 3 dual words): needs 6 entries, cap is 1"),
+]
+
+
+@pytest.mark.parametrize("doc, args, guardrail", CAPPED, ids=[c[1][1] for c in CAPPED])
+def test_cmd_verify_inconclusive_evidence(matrix_file, doc, args, guardrail):
+    code, out = run(["verify", "--input", matrix_file(doc), "--json", "--max-terms", "1"] + args)
+    assert code == 3
+    report = json.loads(out)
+    assert report["verdict"] == "Inconclusive"
+    assert report["evidence"] == {"guardrail": guardrail}

@@ -96,6 +96,26 @@ def test_membership_not_member_when_disconnected():
     assert report.witness is None
 
 
+def test_membership_span_cache_is_per_matrix():
+    # same degree and kind, different matrices: B1's span must not answer for B2
+    B1 = matrix_from_strings(CONNECTED, 8)
+    B2 = matrix_from_strings(DISCONNECTED, 8)
+    assert monomial_membership(B1, (2, 1), BRAIDED).status == MEMBER
+    report = monomial_membership(B2, (2, 1), BRAIDED)
+    assert report.status == NOT_MEMBER
+    assert report.span.dimension == 0
+
+
+def test_membership_cached_span_honors_tighter_cap():
+    B = rational_matrix([[2, 2], [2, 2]])
+    assert monomial_membership(B, (1, 2, 1), BRAIDED).status == MEMBER
+    with pytest.raises(GuardrailExceeded) as info:
+        monomial_membership(B, (1, 2, 1), BRAIDED, max_terms=5)
+    assert str(info.value) == (
+        "Lie span at degree (2, 1) (2 bracketings x 3 words): needs 18 entries, cap is 5"
+    )
+
+
 def test_membership_zero_status():
     B = matrix_from_strings([["-1", "z"], ["z^-1", "2"]], 8)
     report = monomial_membership(B, (1, 1), BRAIDED)
