@@ -12,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+from functools import lru_cache
 
 from .braiding import BraidingMatrix, InvalidMatrixError
 from .freealg import BRAIDED, MINUS, apply_bracketing, format_bracketing, multinomial, word_degree
@@ -63,8 +64,9 @@ def parse_matrix_file(path) -> BraidingMatrix:
 #
 #   expr := "x" digits | "[" expr "," expr "]"
 #
-# The AST is an int (generator index) or a pair of ASTs; the bracket
-# kind is supplied separately, so one expression serves both brackets.
+# An expression parses to the (tree, word) pair that apply_bracketing and
+# format_bracketing take; the bracket kind is supplied separately, so one
+# expression serves both brackets.
 
 _BRACKET_TOKEN = re.compile(r"\s*(?:x(\d+)|([\[\],]))")
 
@@ -90,31 +92,21 @@ def parse_bracket_expr(text: str):
         if isinstance(tok, int):
             if tok < 1:
                 raise BracketParseError(f"generator index must be >= 1, got x{tok}")
-            return tok, at + 1
+            return None, (tok,), at + 1
         if tok == "[":
-            left, at = parse(at + 1)
+            left, left_word, at = parse(at + 1)
             if at >= len(tokens) or tokens[at] != ",":
                 raise BracketParseError("expected ',' inside bracket")
-            right, at = parse(at + 1)
+            right, right_word, at = parse(at + 1)
             if at >= len(tokens) or tokens[at] != "]":
                 raise BracketParseError("expected ']' to close bracket")
-            return (left, right), at + 1
+            return (left, right), left_word + right_word, at + 1
         raise BracketParseError(f"unexpected token {tok!r}")
 
-    ast, at = parse(0)
+    tree, word, at = parse(0)
     if at != len(tokens):
         raise BracketParseError("trailing input after bracket expression")
-    return ast
-
-
-def _bracketing_of(ast):
-    """The (tree, word) pair of a parsed expression, as apply_bracketing
-    and format_bracketing take it."""
-    if isinstance(ast, int):
-        return None, (ast,)
-    left, left_word = _bracketing_of(ast[0])
-    right, right_word = _bracketing_of(ast[1])
-    return (left, right), left_word + right_word
+    return tree, word
 
 
 def parse_monomial(text: str, n: int):
@@ -173,7 +165,9 @@ def emit_dot(G: DynkinGraph, B: BraidingMatrix = None, annotate: bool = False) -
 # -- dispatch ---------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="nicholslie",
         description="Exact computations in Nichols algebras of diagonal type",
@@ -251,7 +245,7 @@ def _cmd_components(B, args, out):
 
 
 def _cmd_bracket(B, args, out):
-    tree, word = _bracketing_of(parse_bracket_expr(args.expr))
+    tree, word = parse_bracket_expr(args.expr)
     for i in word:
         if i > B.n:
             raise BracketParseError(f"generator x{i} out of range for rank {B.n}")

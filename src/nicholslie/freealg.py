@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, product
 
 from .braiding import BraidingMatrix
 from .scalar import FieldMismatchError, Scalar
@@ -56,25 +56,13 @@ def word_degree(word, n: int) -> tuple:
 
 @lru_cache(maxsize=4096)
 def _multidegree_words(alpha):
-    total = sum(alpha)
-    remaining = list(alpha)
-    prefix = []
-    out = []
-
-    def rec():
-        if len(prefix) == total:
-            out.append(tuple(prefix))
-            return
-        for i, count in enumerate(remaining):
-            if count:
-                remaining[i] -= 1
-                prefix.append(i + 1)
-                rec()
-                prefix.pop()
-                remaining[i] += 1
-
-    rec()
-    return tuple(out)
+    if not any(alpha):
+        return ((),)
+    return tuple(
+        (i + 1,) + rest
+        for i, count in enumerate(alpha) if count
+        for rest in _multidegree_words(alpha[:i] + (count - 1,) + alpha[i + 1:])
+    )
 
 
 def words_of_multidegree(alpha):
@@ -84,19 +72,7 @@ def words_of_multidegree(alpha):
 
 def words_of_total_degree(n: int, d: int):
     """All words of length d over 1..n, in lexicographic order."""
-    if d == 0:
-        yield ()
-        return
-    word = [1] * d
-    while True:
-        yield tuple(word)
-        k = d - 1
-        while k >= 0 and word[k] == n:
-            word[k] = 1
-            k -= 1
-        if k < 0:
-            return
-        word[k] += 1
+    return product(range(1, n + 1), repeat=d)
 
 
 def multinomial(alpha) -> int:

@@ -15,6 +15,7 @@ from .braiding import BraidingMatrix
 from .freealg import (
     _check_bracket_kind,
     apply_bracketing,
+    catalan,
     enumerate_bracketings,
     multinomial,
     words_of_multidegree,
@@ -87,12 +88,10 @@ def lie_span(B: BraidingMatrix, alpha, kind: str, max_terms=None) -> LieSpan:
     d = sum(alpha)
     if d < 1:
         raise ValueError("Lie span needs total degree >= 1")
-    trees = enumerate_bracketings(d)
+    t = catalan(d - 1)
     m = multinomial(alpha)
     cap = _guard(
-        f"Lie span at degree {alpha} ({len(trees)} bracketings x {m} words)",
-        len(trees) * m * m,
-        max_terms,
+        f"Lie span at degree {alpha} ({t} bracketings x {m} words)", t * m * m, max_terms
     )
     # ambient dimension bounds the span; lets the scan stop early
     _, ambient_rank = basis_of_degree(B, alpha, cap)
@@ -103,7 +102,7 @@ def lie_span(B: BraidingMatrix, alpha, kind: str, max_terms=None) -> LieSpan:
     for word in words_of_multidegree(alpha):
         if len(basis) == ambient_rank:
             break
-        for tree in trees:
+        for tree in enumerate_bracketings(d):
             elem = apply_bracketing(B, tree, word, kind)
             if not elem.terms:
                 continue

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 __all__ = [
     "FieldMismatchError",
@@ -39,21 +40,11 @@ class ScalarParseError(ValueError):
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    """Euler's totient of n >= 1."""
+    """Euler's totient of n >= 1, read as the degree of the n-th
+    cyclotomic polynomial."""
     if n < 1:
         raise ValueError(f"totient undefined for {n}")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return len(cyclotomic_polynomial(n)) - 1
 
 
 # Polynomials below are little-endian coefficient lists over Fraction.
@@ -92,8 +83,10 @@ def cyclotomic_polynomial(n: int):
     """Coefficients of the N-th cyclotomic polynomial, little-endian.
 
     Computed by dividing x^n - 1 by the product of the d-th cyclotomic
-    polynomials over the proper divisors d of n; the result is monic of
-    degree euler_phi(n) with integer coefficients.
+    polynomials over the proper divisors d of n; the result is monic with
+    integer coefficients.  It is the one form of the modulus: euler_phi
+    reads its degree, _reduce folds with its coefficients and Scalar.inv
+    starts Euclid from it.
     """
     if n < 1:
         raise ValueError(f"cyclotomic polynomial undefined for {n}")
@@ -114,23 +107,19 @@ def cyclotomic_polynomial(n: int):
     return tuple(int(c) for c in coeffs)
 
 
-@lru_cache(maxsize=None)
-def _modulus(order: int):
-    return tuple(Fraction(c) for c in cyclotomic_polynomial(order))
-
-
 def _reduce(order: int, coeffs):
-    """Reduce a coefficient list modulo the order-th cyclotomic polynomial."""
-    phi = euler_phi(order)
-    mod = _modulus(order)
+    """Reduce a coefficient list modulo the order-th cyclotomic polynomial,
+    folding each coefficient above the degree down with its integer
+    coefficients (zero ones skipped)."""
+    mod = cyclotomic_polynomial(order)
+    phi = len(mod) - 1
     c = list(coeffs)
     for i in range(len(c) - 1, phi - 1, -1):
         top = c[i]
         if top:
-            base = i - phi
-            for j in range(phi):
-                c[base + j] -= top * mod[j]
-        c[i] = _ZERO
+            for k, m in zip(range(i - phi, i), mod):
+                if m:
+                    c[k] -= top * m
     c = c[:phi]
     c.extend([_ZERO] * (phi - len(c)))
     return tuple(c)
@@ -249,12 +238,13 @@ class Scalar:
         against the cyclotomic modulus."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        mod = list(_modulus(self.order))
-        r0, r1 = mod, list(self.coeffs)
+        # explicit Fractions keep every division in _poly_divmod exact
+        r0 = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
+        r1 = list(self.coeffs)
         s0, s1 = [_ZERO], [_ONE]
         while any(r1):
             q, r = _poly_divmod(r0, r1)
-            s = [a - b for a, b in _zip_pad(s0, _poly_mul(q, s1))]
+            s = [a - b for a, b in zip_longest(s0, _poly_mul(q, s1), fillvalue=_ZERO)]
             r0, r1 = r1, r
             s0, s1 = s1, s
         # r0 is a nonzero constant gcd (modulus irreducible over Q)
@@ -335,14 +325,6 @@ def _cached_zero(order: int) -> Scalar:
 @lru_cache(maxsize=None)
 def _cached_one(order: int) -> Scalar:
     return Scalar.from_poly(order, [_ONE])
-
-
-def _zip_pad(a, b):
-    if len(a) < len(b):
-        a = a + [_ZERO] * (len(b) - len(a))
-    elif len(b) < len(a):
-        b = b + [_ZERO] * (len(a) - len(b))
-    return zip(a, b)
 
 
 # -- literal parsing ---------------------------------------------------

@@ -45,6 +45,9 @@ def test_top_level_names_are_module_exports():
         ("lie", "_check_kind"),
         ("cli", "eval_bracket_expr"),
         ("cli", "format_bracket_expr"),
+        ("cli", "_bracketing_of"),
+        ("scalar", "_modulus"),
+        ("scalar", "_zip_pad"),
     ],
 )
 def test_removed_names_stay_removed(module, path):

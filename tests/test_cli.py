@@ -9,7 +9,6 @@ import pytest
 from nicholslie.braiding import InvalidMatrixError
 from nicholslie.cli import (
     BracketParseError,
-    _bracketing_of,
     emit_dot,
     main,
     parse_bracket_expr,
@@ -71,15 +70,15 @@ def test_parse_matrix_file_missing(tmp_path):
 # -- bracket expressions ----------------------------------------------------------
 
 def test_parse_bracket_expr_nested():
-    assert parse_bracket_expr("[x1,[x2,x3]]") == (1, (2, 3))
+    assert parse_bracket_expr("[x1,[x2,x3]]") == ((None, (None, None)), (1, 2, 3))
 
 
 def test_parse_bracket_expr_leaf():
-    assert parse_bracket_expr("x3") == 3
+    assert parse_bracket_expr("x3") == (None, (3,))
 
 
 def test_parse_bracket_expr_whitespace():
-    assert parse_bracket_expr(" [ x1 , [ x2 , x3 ] ] ") == (1, (2, 3))
+    assert parse_bracket_expr(" [ x1 , [ x2 , x3 ] ] ") == ((None, (None, None)), (1, 2, 3))
 
 
 @pytest.mark.parametrize("bad", ["[x1", "x1]", "[x1,x2", "[x1 x2]", "", "[x1,]", "y2", "[x1,x2]]"])
@@ -89,8 +88,14 @@ def test_parse_bracket_expr_rejects(bad):
 
 
 def test_bracket_expr_print_parse_identity():
-    for ast in [1, (1, 2), (1, (2, 3)), ((1, 2), (3, (1, 4)))]:
-        assert parse_bracket_expr(format_bracketing(*_bracketing_of(ast))) == ast
+    leaf = None
+    for bracketing in [
+        (leaf, (1,)),
+        ((leaf, leaf), (1, 2)),
+        ((leaf, (leaf, leaf)), (1, 2, 3)),
+        (((leaf, leaf), (leaf, (leaf, leaf))), (1, 2, 3, 1, 4)),
+    ]:
+        assert parse_bracket_expr(format_bracketing(*bracketing)) == bracketing
 
 
 def test_parse_monomial():
@@ -259,6 +264,19 @@ def test_cmd_bracket_nichols_honors_max_terms(matrix_file, capsys):
     )
     code, out = run(argv + ["--max-terms", "10"])
     assert code == 0 and "zero in Nichols algebra" in out
+
+
+def test_cmd_ismember_long_word_refused_before_enumeration(matrix_file, capsys):
+    # catalan(13) = 742900 bracketings are compared with the cap, not built
+    code, out = run(
+        ["ismember", "--input", matrix_file('{"n":1,"cyclotomic_order":1,"q":[["2"]]}'),
+         "--monomial", " ".join(["x1"] * 14), "--lie", "braided", "--max-terms", "5"]
+    )
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == (
+        "inconclusive: Lie span at degree (14,) (742900 bracketings x 1 words): "
+        "needs 742900 entries, cap is 5\n"
+    )
 
 
 def test_cmd_ismember(matrix_file):

@@ -1,5 +1,7 @@
 """Free algebra: product, both brackets, bracketing trees, identities."""
 
+import itertools
+
 import pytest
 
 from nicholslie.freealg import (
@@ -47,6 +49,19 @@ def test_words_of_multidegree_lex():
 def test_words_of_total_degree_lex():
     out = list(words_of_total_degree(2, 2))
     assert out == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_words_of_multidegree_match_distinct_permutations(n):
+    for d in range(7):
+        alphas = [a for a in itertools.product(range(d + 1), repeat=n) if sum(a) == d]
+        for alpha in alphas:
+            letters = [i + 1 for i, count in enumerate(alpha) for _ in range(count)]
+            expected = sorted(set(itertools.permutations(letters)))
+            assert list(words_of_multidegree(alpha)) == expected
+        # the words of length d are the disjoint union over those degrees
+        union = sorted(w for alpha in alphas for w in words_of_multidegree(alpha))
+        assert list(words_of_total_degree(n, d)) == union
 
 
 # -- multiplication -----------------------------------------------------------

@@ -235,6 +235,21 @@ def test_lie_span_guardrail():
         lie_span(B, (3, 3), BRAIDED, max_terms=10)
 
 
+def test_lie_span_guard_precedes_bracketing_enumeration(monkeypatch):
+    # 14 letters have catalan(13) = 742900 bracketings; the cap must refuse
+    # them from the count alone, without building a single tree
+    def refuse(m):
+        raise AssertionError(f"enumerated the bracketings of {m} leaves")
+
+    monkeypatch.setattr("nicholslie.lie.enumerate_bracketings", refuse)
+    B = rational_matrix([[2]])
+    with pytest.raises(GuardrailExceeded) as info:
+        lie_span(B, (14,), BRAIDED, max_terms=5)
+    assert str(info.value) == (
+        "Lie span at degree (14,) (742900 bracketings x 1 words): needs 742900 entries, cap is 5"
+    )
+
+
 def test_lie_span_rejects_bad_kind():
     B = rational_matrix([[2]])
     with pytest.raises(ValueError):

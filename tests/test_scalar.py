@@ -59,7 +59,17 @@ def test_cyclotomic_matches_numeric_oracle(n):
 def test_cyclotomic_monic_of_totient_degree(n):
     poly = cyclotomic_polynomial(n)
     assert poly[-1] == 1
-    assert len(poly) - 1 == euler_phi(n)
+    # euler_phi reads the degree, so count the units mod n independently
+    units = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+    assert len(poly) - 1 == euler_phi(n) == units
+
+
+def test_cyclotomic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(1, 61):
+        expected = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(n) == tuple(int(c) for c in expected), n
 
 
 # -- multiplication / inversion --------------------------------------------
@@ -98,6 +108,49 @@ def test_inv_one_plus_i():
     got = (one + z).inv()
     assert got == expected
     assert ((one + z) * got).is_one()
+
+
+def _random_operand(rng, order):
+    phi = euler_phi(order)
+    while True:
+        s = Scalar.from_poly(
+            order, [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(phi)]
+        )
+        if s:
+            return s
+
+
+def test_mul_and_inv_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def to_sympy(s):
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(s.coeffs)]
+        return sympy.Poly(coeffs, x, domain="QQ")
+
+    def from_sympy(poly, order):
+        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+        return Scalar.from_poly(order, coeffs)
+
+    rng = random.Random(1729)
+    for order in range(1, 31):
+        modulus = sympy.Poly(sympy.cyclotomic_poly(order, x), x, domain="QQ")
+        for _ in range(5):
+            a, b = _random_operand(rng, order), _random_operand(rng, order)
+            assert a * b == from_sympy((to_sympy(a) * to_sympy(b)).rem(modulus), order)
+            assert a.inv() == from_sympy(to_sympy(a).invert(modulus), order)
+
+
+def test_products_and_inverses_have_fraction_coefficients():
+    rng = random.Random(4)
+    for order in range(1, 31):
+        for _ in range(4):
+            a, b = _random_operand(rng, order), _random_operand(rng, order)
+            for value in (a * b, a.inv()):
+                assert all(type(c) is Fraction for c in value.coeffs)
+        # an operand holding plain ints still inverts to exact Fractions
+        ints = Scalar(order, tuple(rng.randint(1, 4) for _ in range(euler_phi(order))))
+        assert all(type(c) is Fraction for c in ints.inv().coeffs)
 
 
 def test_inv_of_zero_raises():
