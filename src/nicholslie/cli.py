@@ -165,6 +165,17 @@ def emit_dot(G: DynkinGraph, B: BraidingMatrix = None, annotate: bool = False) -
 # -- dispatch ---------------------------------------------------------------
 
 
+def _cap(text: str) -> int:
+    """--max-terms value: an integer >= 0 (0 refuses every computation)."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {cap}")
+    return cap
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once: parse_args leaves it unchanged."""
@@ -176,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--input", required=True, help="matrix file (JSON document)")
-        p.add_argument("--max-terms", type=int, default=None,
+        p.add_argument("--max-terms", type=_cap, default=None,
                        help="guardrail cap on elimination matrix entries")
 
     p_graph = sub.add_parser("graph", help="print a Dynkin graph")

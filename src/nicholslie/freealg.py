@@ -227,10 +227,6 @@ class FreeElement:
     def __bool__(self):
         return bool(self.terms)
 
-    def canonical_key(self):
-        """Hashable canonical form (used to collapse duplicate bracketings)."""
-        return tuple(sorted((w, self.terms[w].coeffs) for w in self.terms))
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -288,7 +284,6 @@ def _commutator(x: FreeElement, y: FreeElement, p: Scalar) -> FreeElement:
 # leaf is None, an internal node a (left, right) pair.
 
 
-@lru_cache(maxsize=None)
 def enumerate_bracketings(m: int):
     """All binary trees with m leaves, deterministically ordered; there are
     catalan(m - 1) of them."""
@@ -298,9 +293,8 @@ def enumerate_bracketings(m: int):
         return (None,)
     out = []
     for k in range(1, m):
-        for left in enumerate_bracketings(k):
-            for right in enumerate_bracketings(m - k):
-                out.append((left, right))
+        rights = enumerate_bracketings(m - k)
+        out.extend((left, right) for left in enumerate_bracketings(k) for right in rights)
     return tuple(out)
 
 

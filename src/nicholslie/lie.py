@@ -1,31 +1,29 @@
 """Per-degree spans of the Nichols (braided) Lie algebra inside B(V).
 
-The braided Lie algebra generated by the x_i is spanned, in each
-multidegree, by the images of all full bracketings of all words of that
-multidegree (brackets are bilinear, and any Lie subalgebra containing
-the generators contains every such bracketing).  Monomial membership is
-an exact linear solve against that span.
+L_alpha is spanned by the images of all full bracketings of the words
+of multidegree alpha.  The bracket is bilinear and ker(T(V) -> B(V)) is
+a graded two-sided ideal, so L_alpha = span{[b, c] : b in L_beta, c in
+L_gamma, beta + gamma = alpha}, which is how it is built.  Monomial
+membership is an exact linear solve against that span.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .braiding import BraidingMatrix
 from .freealg import (
     _check_bracket_kind,
     apply_bracketing,
     catalan,
-    enumerate_bracketings,
     multinomial,
-    words_of_multidegree,
     words_of_total_degree,
 )
 from .nichols import (
     _RowReducer,
     _check_degree,
     _guard,
-    basis_of_degree,
     pairing_vector,
     word_pairing_vector,
 )
@@ -77,11 +75,12 @@ class MembershipReport:
 def lie_span(B: BraidingMatrix, alpha, kind: str, max_terms=None) -> LieSpan:
     """Span of the braided or classical Lie algebra at one multidegree.
 
-    Enumerates (word, tree) pairs, collapses bracketings that already
-    coincide in the free algebra, pairs each survivor, and keeps a
-    maximal linearly independent subset (deterministic greedy order:
-    words lexicographically, trees in enumeration order).  At degree 1
-    the one bracketing is the generator itself.
+    Degree 1 is spanned by its generator.  Above it, each bracket [b, c]
+    of basis entries of L_beta and L_gamma, beta + gamma = alpha (beta in
+    itertools.product order, then b, then c), is rebuilt from its (tree,
+    word) pair, paired, and kept when independent.  Spans are cached on B
+    per (degree, kind), behind the guard at alpha, which dominates every
+    lower degree's.
     """
     _check_bracket_kind(kind)
     alpha = _check_degree(B, alpha)
@@ -93,33 +92,28 @@ def lie_span(B: BraidingMatrix, alpha, kind: str, max_terms=None) -> LieSpan:
     cap = _guard(
         f"Lie span at degree {alpha} ({t} bracketings x {m} words)", t * m * m, max_terms
     )
-    # ambient dimension bounds the span; lets the scan stop early
-    _, ambient_rank = basis_of_degree(B, alpha, cap)
+    key = (alpha, kind)
+    if key in B._lie_span_cache:
+        return B._lie_span_cache[key]
+    candidates = [(None, (alpha.index(1) + 1,))] if d == 1 else []
+    for beta in product(*(range(a + 1) for a in alpha)):
+        if 0 < sum(beta) < d:
+            gamma = tuple(a - b for a, b in zip(alpha, beta))
+            left = lie_span(B, beta, kind, cap).generators_used
+            right = lie_span(B, gamma, kind, cap).generators_used
+            candidates.extend(((tb, tc), wb + wc) for tb, wb in left for tc, wc in right)
     reducer = _RowReducer()
-    basis = []
-    provenance = []
-    seen = set()
-    for word in words_of_multidegree(alpha):
-        if len(basis) == ambient_rank:
-            break
-        for tree in enumerate_bracketings(d):
-            elem = apply_bracketing(B, tree, word, kind)
-            if not elem.terms:
-                continue
-            # scalar multiples of an already-seen bracketing add nothing:
-            # normalize the dedup key by the leading coefficient
-            lead = elem.terms[min(elem.terms)]
-            key = (elem if lead.is_one() else elem.scale(lead.inv())).canonical_key()
-            if key in seen:
-                continue
-            seen.add(key)
-            nv = pairing_vector(B, elem, cap)
-            if reducer.insert(nv.values):
-                basis.append(nv)
-                provenance.append((tree, word))
-                if len(basis) == ambient_rank:
-                    break
-    return LieSpan(alpha, kind, basis, provenance, reducer)
+    basis, provenance = [], []
+    for tree, word in candidates:
+        elem = apply_bracketing(B, tree, word, kind)
+        if not elem.terms:
+            continue
+        nv = pairing_vector(B, elem, cap)
+        if reducer.insert(nv.values):
+            basis.append(nv)
+            provenance.append((tree, word))
+    span = B._lie_span_cache[key] = LieSpan(alpha, kind, basis, provenance, reducer)
+    return span
 
 
 def monomial_membership(B: BraidingMatrix, word, kind: str, max_terms=None) -> MembershipReport:
@@ -127,9 +121,8 @@ def monomial_membership(B: BraidingMatrix, word, kind: str, max_terms=None) -> M
 
     A monomial that is zero in B(V) is reported as ZeroInNichols rather
     than Member: its support is representation-dependent, so the
-    connectivity statements exclude it.  Spans are cached on B per
-    (degree, kind, max_terms), so a tighter cap never reuses a span
-    built under a looser one.
+    connectivity statements exclude it.  The span comes from lie_span,
+    so a tighter cap is still checked against a cached span.
     """
     _check_bracket_kind(kind)
     word = tuple(word)
@@ -138,10 +131,7 @@ def monomial_membership(B: BraidingMatrix, word, kind: str, max_terms=None) -> M
     target = word_pairing_vector(B, word, max_terms)
     if target.is_zero():
         return MembershipReport(word, ZERO_IN_NICHOLS)
-    key = (target.degree, kind, max_terms)
-    span = B._lie_span_cache.get(key)
-    if span is None:
-        span = B._lie_span_cache[key] = lie_span(B, target.degree, kind, max_terms)
+    span = lie_span(B, target.degree, kind, max_terms)
     if any(span.solver.reduce(target.values)):
         return MembershipReport(word, NOT_MEMBER, span=span)
     # The basis is independent, so the witness is unique: reducing
@@ -161,8 +151,8 @@ def max_supports(B: BraidingMatrix, d_max: int, kind: str, max_terms=None):
     Words are scanned in increasing total degree, lexicographically
     within a degree.  A word whose support is contained in an
     already-established member support cannot change the maximal set and
-    is skipped; each Lie span is built once per multidegree and kept in
-    B's span cache (see monomial_membership).
+    is skipped; each Lie span, and each lower span it is built from, is
+    built once per multidegree and kept in B's span cache (see lie_span).
     """
     _check_bracket_kind(kind)
     if d_max < 1:

@@ -50,8 +50,10 @@ class GuardrailExceeded(RuntimeError):
 
 
 def _guard(what: str, needed: int, max_terms) -> int:
-    """The effective cap; raises GuardrailExceeded when needed exceeds it."""
+    """The effective cap; ValueError if negative, GuardrailExceeded if needed exceeds it."""
     cap = MAX_TERMS_DEFAULT if max_terms is None else int(max_terms)
+    if cap < 0:
+        raise ValueError(f"max_terms must be >= 0, got {cap}")
     if needed > cap:
         raise GuardrailExceeded(what, needed, cap)
     return cap

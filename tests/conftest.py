@@ -3,7 +3,10 @@ import random
 import pytest
 
 from nicholslie.braiding import BraidingMatrix
-from nicholslie.scalar import Scalar
+from nicholslie.cli import parse_bracket_expr
+from nicholslie.freealg import FreeElement, apply_bracketing
+from nicholslie.nichols import pairing_vector
+from nicholslie.scalar import Scalar, parse_scalar
 
 
 def rational_matrix(rows):
@@ -31,6 +34,21 @@ def random_braiding_matrix(rng, n, order):
     return BraidingMatrix(
         [[random_scalar(rng, order, nonzero=True) for _ in range(n)] for _ in range(n)]
     )
+
+
+def assert_witness_lines_rebuild(B, word, kind, lines):
+    """Each `witness: (c) * EXPR` line is a certificate: the sum of
+    c * pairing_vector(EXPR) must be the monomial's pairing vector."""
+    target = pairing_vector(B, FreeElement.from_word(B.n, B.order, word)).values
+    combo = [Scalar.zero(B.order)] * len(target)
+    assert lines
+    for line in lines:
+        coeff_text, expr = line[len("witness: ("):].split(") * ")
+        coeff = parse_scalar(coeff_text, B.order)
+        tree, gen_word = parse_bracket_expr(expr)
+        nv = pairing_vector(B, apply_bracketing(B, tree, gen_word, kind))
+        combo = [acc + coeff * v for acc, v in zip(combo, nv.values)]
+    assert tuple(combo) == target
 
 
 @pytest.fixture

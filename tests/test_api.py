@@ -39,6 +39,7 @@ def test_top_level_names_are_module_exports():
         ("freealg", "multiply"),
         ("freealg", "tree_leaf_count"),
         ("freealg", "FreeElement.is_homogeneous"),
+        ("freealg", "FreeElement.canonical_key"),
         ("braiding", "BraidingMatrix.p"),
         ("braiding", "BraidingMatrix.entry_inv"),
         ("nichols", "NicholsVector.row"),

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from nicholslie.braiding import InvalidMatrixError
+from nicholslie.braiding import BraidingMatrix, InvalidMatrixError
 from nicholslie.cli import (
     BracketParseError,
     emit_dot,
@@ -20,7 +20,7 @@ from nicholslie.freealg import format_bracketing
 from nicholslie.graphs import AUGMENTED, PURE, build_graph, generated_subgraph
 from nicholslie.scalar import Scalar
 
-from conftest import rational_matrix
+from conftest import assert_witness_lines_rebuild, rational_matrix
 
 
 CONNECTED = '{"n":2,"cyclotomic_order":1,"q":[["2","2"],["2","2"]]}'
@@ -376,6 +376,31 @@ def test_usage_error_exit_two(matrix_file):
     assert code == 2
 
 
+def test_negative_cap_is_usage_error(matrix_file, capsys):
+    # a negative cap is a malformed argument, not a guardrail hit
+    path = matrix_file(CONNECTED)
+    for cap in ("-1", "-40"):
+        for argv in (["dim", "--input", path, "--degree", "1,1"],
+                     ["ismember", "--input", path, "--monomial", "x2 x1", "--lie", "braided"],
+                     ["verify", "--input", path, "--claim", "thm-equiv"]):
+            code, out = run(argv + ["--max-terms", cap])
+            assert (code, out) == (2, "")
+            err = capsys.readouterr().err
+            assert f"argument --max-terms: must be an integer >= 0, got {cap}" in err
+            assert "inconclusive" not in err
+    code, _ = run(["dim", "--input", path, "--degree", "1,1", "--max-terms", "x"])
+    assert code == 2
+    assert "argument --max-terms: invalid int value: 'x'" in capsys.readouterr().err
+
+
+def test_zero_cap_is_inconclusive(matrix_file, capsys):
+    code, out = run(["dim", "--input", matrix_file(CONNECTED), "--degree", "1,1", "--max-terms", "0"])
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == (
+        "inconclusive: elimination at degree (1, 1): needs 4 entries, cap is 0\n"
+    )
+
+
 def test_guardrail_exit_three(matrix_file):
     code, _ = run(
         ["dim", "--input", matrix_file(CONNECTED), "--degree", "3,3", "--max-terms", "4"]
@@ -422,15 +447,16 @@ GOLDEN = [
     (
         ["ismember", "--monomial", "x2 x1 x1", "--lie", "braided"],
         "Member\n"
-        "witness: (-1/2*z^3 + 1/2*z^2 - 1/2*z + 1/2) * [x1,[x1,x2]]\n"
-        "witness: (1/2*z + 1/2) * [[x1,x1],x2]\n"
-        "witness: (1/2*z^3 - 1/2*z) * [x1,[x2,x1]]\n",
+        "witness: (1/4*z^3 + 1/4*z^2 + 1/4*z + 1/4) * [x2,[x1,x1]]\n"
+        "witness: (1/2*z^3) * [x1,[x2,x1]]\n"
+        "witness: (-1/2*z + 1/2) * [x1,[x1,x2]]\n",
     ),
     (
         ["ismember", "--monomial", "x1 x2 x1 x2", "--lie", "braided"],
         "Member\n"
-        "witness: (1/2*z^2 - z + 1/2) * [x1,[x2,[x1,x2]]]\n"
-        "witness: (1/2*z - 1/2) * [[x1,[x2,x1]],x2]\n",
+        "witness: (-1/4*z^3 + 1/4*z^2 - 1/4*z + 1/4) * [x2,[x1,[x2,x1]]]\n"
+        "witness: (-1/2*z^3) * [x2,[x1,[x1,x2]]]\n"
+        "witness: (-1/2*z^3 - 1/2*z) * [x1,[x2,[x1,x2]]]\n",
     ),
     (
         ["bracket", "--expr", "[x1,[x2,x1]]", "--lie", "braided", "--nichols"],
@@ -459,6 +485,16 @@ GOLDEN = [
 @pytest.mark.parametrize("argv, expected", GOLDEN, ids=[g[0][0] + str(i) for i, g in enumerate(GOLDEN)])
 def test_golden_stdout(matrix_file, argv, expected):
     assert run(argv[:1] + ["--input", matrix_file(GOLDEN_MATRIX)] + argv[1:]) == (0, expected)
+
+
+GOLDEN_MEMBERS = {argv[2]: (argv[4], expected) for argv, expected in GOLDEN if argv[0] == "ismember"}
+
+
+@pytest.mark.parametrize("monomial", sorted(GOLDEN_MEMBERS))
+def test_golden_witnesses_rebuild_their_monomials(monomial):
+    B = BraidingMatrix.from_json(GOLDEN_MATRIX)
+    kind, expected = GOLDEN_MEMBERS[monomial]
+    assert_witness_lines_rebuild(B, parse_monomial(monomial, B.n), kind, expected.splitlines()[1:])
 
 
 # Every claim reaches Inconclusive through the same guardrail text:

@@ -17,7 +17,10 @@ import random
 import sys
 from pathlib import Path
 
-from nicholslie.cli import main
+from nicholslie.braiding import BraidingMatrix
+from nicholslie.cli import main, parse_monomial
+
+from conftest import assert_witness_lines_rebuild
 
 TRANSCRIPT = Path(__file__).parent / "data" / "cli_transcript.txt"
 
@@ -134,6 +137,21 @@ def test_cli_transcript_byte_identical(tmp_path):
             command = want.split("\n", 1)[0]
             raise AssertionError(f"first differing command: {command}\nexpected:\n{want}\ngot:\n{have}")
     assert len(got) == len(expected), f"{len(got)} commands, transcript has {len(expected)}"
+
+
+def test_transcript_witnesses_rebuild_their_monomials():
+    matrices = {name: BraidingMatrix.from_json(doc) for name, doc, _ in matrix_documents()}
+    checked = 0
+    for block in TRANSCRIPT.read_text(encoding="utf-8").split("\n\n"):
+        command, _, *output = block.strip("\n").split("\n")
+        if not command.startswith("$ ismember ") or "> Member" not in output:
+            continue
+        opts = dict(arg.split(" ", 1) for arg in command.split(" --")[1:])
+        B = matrices[opts["input"]]
+        witnesses = [line[2:] for line in output if line.startswith("> witness: ")]
+        assert_witness_lines_rebuild(B, parse_monomial(opts["monomial"], B.n), opts["lie"], witnesses)
+        checked += 1
+    assert checked == 37
 
 
 if __name__ == "__main__":

@@ -1,11 +1,19 @@
 """Lie spans per multidegree, monomial membership, maximal supports."""
 
 import random
+from itertools import product
 
 import pytest
 
 from nicholslie.braiding import BraidingMatrix
-from nicholslie.freealg import BRAIDED, MINUS, FreeElement, apply_bracketing
+from nicholslie.freealg import (
+    BRAIDED,
+    MINUS,
+    FreeElement,
+    apply_bracketing,
+    enumerate_bracketings,
+    words_of_multidegree,
+)
 from nicholslie.graphs import PURE, build_graph, components
 from nicholslie.lie import (
     MEMBER,
@@ -15,7 +23,7 @@ from nicholslie.lie import (
     max_supports,
     monomial_membership,
 )
-from nicholslie.nichols import GuardrailExceeded, pairing_vector
+from nicholslie.nichols import GuardrailExceeded, _RowReducer, basis_of_degree, pairing_vector
 from nicholslie.scalar import Scalar
 
 from conftest import matrix_from_strings, random_braiding_matrix, rational_matrix
@@ -163,6 +171,56 @@ def test_bracket_closure_at_small_degrees(rng):
                 assert not any(reducer.reduce(nv.values))
 
 
+# -- the all-bracketings oracle ----------------------------------------------------
+#
+# lie_span builds L_alpha from the spans one degree down; the oracle is the
+# definition itself: every bracketing tree on every word of alpha, paired.
+# For n = 3 vertex 3 keeps no pure edge, so NotMember statuses occur.
+
+ORACLE_MATRICES = {
+    (1, 2): [["-1", "2"], ["3", "2"]],
+    (1, 3): [["-1", "2", "2"], ["3", "2", "-1"], ["1/2", "-1", "3"]],
+    (3, 2): [["z", "z"], ["z", "-1"]],
+    (3, 3): [["z", "z", "z^2"], ["z", "-1", "-z"], ["z", "-z^2", "2"]],
+    (8, 2): [["z", "z^2"], ["z^3", "-1"]],
+    (8, 3): [["z", "z^2", "z^3"], ["z^3", "-1", "2"], ["z^5", "1/2", "z^2"]],
+}
+
+
+def all_bracketings_reducer(B, alpha, kind):
+    reducer = _RowReducer()
+    for word in words_of_multidegree(alpha):
+        for tree in enumerate_bracketings(len(word)):
+            elem = apply_bracketing(B, tree, word, kind)
+            if elem.terms:
+                reducer.insert(pairing_vector(B, elem).values)
+    return reducer
+
+
+@pytest.mark.parametrize("order, n", sorted(ORACLE_MATRICES))
+def test_lie_span_matches_all_bracketings_oracle(order, n):
+    B = matrix_from_strings(ORACLE_MATRICES[order, n], order)
+    statuses = set()
+    for kind in (BRAIDED, MINUS):
+        oracle = {}
+        for alpha in product(range(5), repeat=n):
+            if 1 <= sum(alpha) <= 4:
+                oracle[alpha] = all_bracketings_reducer(B, alpha, kind)
+                dim = lie_span(B, alpha, kind).dimension
+                assert dim == oracle[alpha].rank <= basis_of_degree(B, alpha)[1], (kind, alpha)
+        for word in product(range(1, n + 1), repeat=3):
+            target = pairing_vector(B, FreeElement.from_word(n, order, word))
+            if target.is_zero():
+                expected = ZERO_IN_NICHOLS
+            elif any(oracle[target.degree].reduce(target.values)):
+                expected = NOT_MEMBER
+            else:
+                expected = MEMBER
+            assert monomial_membership(B, word, kind).status == expected, (kind, word)
+            statuses.add(expected)
+    assert {MEMBER, NOT_MEMBER} <= statuses
+
+
 # -- maximal supports ------------------------------------------------------------
 
 def test_max_supports_disconnected_pair():
@@ -237,11 +295,11 @@ def test_lie_span_guardrail():
 
 def test_lie_span_guard_precedes_bracketing_enumeration(monkeypatch):
     # 14 letters have catalan(13) = 742900 bracketings; the cap must refuse
-    # them from the count alone, without building a single tree
-    def refuse(m):
-        raise AssertionError(f"enumerated the bracketings of {m} leaves")
+    # them from the count alone, without building a single bracket
+    def refuse(B, tree, word, kind):
+        raise AssertionError(f"built a bracketing of {word}")
 
-    monkeypatch.setattr("nicholslie.lie.enumerate_bracketings", refuse)
+    monkeypatch.setattr("nicholslie.lie.apply_bracketing", refuse)
     B = rational_matrix([[2]])
     with pytest.raises(GuardrailExceeded) as info:
         lie_span(B, (14,), BRAIDED, max_terms=5)

@@ -14,6 +14,7 @@ from nicholslie.nichols import (
     pairing_vector,
     skew_derivation,
     symmetrizer_rank_oracle,
+    word_pairing_vector,
 )
 from nicholslie.scalar import Scalar
 
@@ -206,6 +207,17 @@ def test_guardrail_raises():
     B = rational_matrix([[2, 2], [2, 2]])
     with pytest.raises(GuardrailExceeded):
         basis_of_degree(B, (3, 3), max_terms=4)
+
+
+def test_negative_cap_rejected():
+    B = rational_matrix([[2, 2], [2, 2]])
+    with pytest.raises(ValueError, match="max_terms must be >= 0, got -1"):
+        basis_of_degree(B, (1, 1), max_terms=-1)
+    with pytest.raises(ValueError, match="max_terms must be >= 0"):
+        word_pairing_vector(B, (1, 2), max_terms=-3)
+    # zero is a valid cap that refuses any work
+    with pytest.raises(GuardrailExceeded):
+        basis_of_degree(B, (1, 1), max_terms=0)
 
 
 def test_basis_deterministic(rng):
