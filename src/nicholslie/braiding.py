@@ -84,9 +84,10 @@ class BraidingMatrix:
                 raise InvalidMatrixError(f"matrix document missing field {key!r}")
         n = data["n"]
         order = data["cyclotomic_order"]
-        if not isinstance(n, int) or n < 1:
+        # type(), not isinstance(): JSON true/false load as bool, an int subclass
+        if type(n) is not int or n < 1:
             raise InvalidMatrixError(f"field 'n' must be a positive integer, got {n!r}")
-        if not isinstance(order, int) or order < 1:
+        if type(order) is not int or order < 1:
             raise InvalidMatrixError(
                 f"field 'cyclotomic_order' must be an integer >= 1, got {order!r}"
             )

@@ -10,13 +10,17 @@ membership is an exact linear solve against that span.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
 from .braiding import BraidingMatrix
 from .freealg import (
+    BRAIDED,
+    FreeElement,
     _check_bracket_kind,
-    apply_bracketing,
+    braided_bracket,
     catalan,
+    minus_bracket,
     multinomial,
     words_of_total_degree,
 )
@@ -57,6 +61,7 @@ class LieSpan:
     kind: str
     basis: list = field(repr=False)           # NicholsVector, linearly independent
     generators_used: list = field(repr=False)  # (tree, word) provenance per basis entry
+    elements: list = field(repr=False, compare=False)  # FreeElement per basis entry
     solver: _RowReducer = field(repr=False, compare=False)
 
     @property
@@ -77,10 +82,11 @@ def lie_span(B: BraidingMatrix, alpha, kind: str, max_terms=None) -> LieSpan:
 
     Degree 1 is spanned by its generator.  Above it, each bracket [b, c]
     of basis entries of L_beta and L_gamma, beta + gamma = alpha (beta in
-    itertools.product order, then b, then c), is rebuilt from its (tree,
-    word) pair, paired, and kept when independent.  Spans are cached on B
-    per (degree, kind), behind the guard at alpha, which dominates every
-    lower degree's.
+    itertools.product order, then b, then c), is formed from the two
+    stored elements, paired, and kept when independent; its provenance
+    is the (tree, word) pair ((t_b, t_c), w_b + w_c).  Spans are cached
+    on B per (degree, kind), behind the guard at alpha, which dominates
+    every lower degree's.
     """
     _check_bracket_kind(kind)
     alpha = _check_degree(B, alpha)
@@ -95,24 +101,32 @@ def lie_span(B: BraidingMatrix, alpha, kind: str, max_terms=None) -> LieSpan:
     key = (alpha, kind)
     if key in B._lie_span_cache:
         return B._lie_span_cache[key]
-    candidates = [(None, (alpha.index(1) + 1,))] if d == 1 else []
-    for beta in product(*(range(a + 1) for a in alpha)):
-        if 0 < sum(beta) < d:
-            gamma = tuple(a - b for a, b in zip(alpha, beta))
-            left = lie_span(B, beta, kind, cap).generators_used
-            right = lie_span(B, gamma, kind, cap).generators_used
-            candidates.extend(((tb, tc), wb + wc) for tb, wb in left for tc, wc in right)
+
+    bracket = partial(braided_bracket, B) if kind == BRAIDED else minus_bracket
+
+    def candidates():
+        if d == 1:
+            letter = alpha.index(1) + 1
+            yield (None, (letter,)), FreeElement.generator(B.n, B.order, letter)
+        for beta in product(*(range(a + 1) for a in alpha)):
+            if 0 < sum(beta) < d:
+                gamma = tuple(a - b for a, b in zip(alpha, beta))
+                left, right = lie_span(B, beta, kind, cap), lie_span(B, gamma, kind, cap)
+                for (tb, wb), eb in zip(left.generators_used, left.elements):
+                    for (tc, wc), ec in zip(right.generators_used, right.elements):
+                        yield ((tb, tc), wb + wc), bracket(eb, ec)
+
     reducer = _RowReducer()
-    basis, provenance = [], []
-    for tree, word in candidates:
-        elem = apply_bracketing(B, tree, word, kind)
+    basis, provenance, elements = [], [], []
+    for source, elem in candidates():
         if not elem.terms:
             continue
         nv = pairing_vector(B, elem, cap)
         if reducer.insert(nv.values):
             basis.append(nv)
-            provenance.append((tree, word))
-    span = B._lie_span_cache[key] = LieSpan(alpha, kind, basis, provenance, reducer)
+            provenance.append(source)
+            elements.append(elem)
+    span = B._lie_span_cache[key] = LieSpan(alpha, kind, basis, provenance, elements, reducer)
     return span
 
 

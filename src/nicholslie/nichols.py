@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from .braiding import BraidingMatrix
-from .freealg import FreeElement, _collect, multinomial, words_of_multidegree
+from .freealg import FreeElement, multinomial, words_of_multidegree
 from .scalar import Scalar
 
 __all__ = [
@@ -94,19 +94,26 @@ def _homogeneous_degree(B: BraidingMatrix, u: FreeElement):
 
 def _skew(B: BraidingMatrix, i: int, u: FreeElement) -> FreeElement:
     # single left-to-right pass per word, keeping the running product
-    # of q_{i, w_l}^{-1} over the prefix; unit factors are skipped
+    # of q_{i, w_l}^{-1} over the prefix; unit factors are skipped.  The
+    # accumulation is inlined: this is the innermost loop of every descent.
     inv_row, inv_is_one = B.inverse_row(i)
-
-    def pairs():
-        for word, coeff in u.terms.items():
-            running = coeff
-            for k, letter in enumerate(word):
-                if letter == i:
-                    yield word[:k] + word[k + 1:], running
-                if not inv_is_one[letter - 1]:
-                    running = running * inv_row[letter - 1]
-
-    return _collect(u.n, u.order, pairs())
+    out = {}
+    for word, coeff in u.terms.items():
+        running = coeff
+        for k, letter in enumerate(word):
+            if letter == i:
+                reduced = word[:k] + word[k + 1:]
+                acc = out.get(reduced)
+                acc = running if acc is None else acc + running
+                if acc:
+                    out[reduced] = acc
+                elif reduced in out:
+                    del out[reduced]
+            if not inv_is_one[letter - 1]:
+                running = running * inv_row[letter - 1]
+    elem = FreeElement(u.n, u.order)
+    elem.terms = out
+    return elem
 
 
 def skew_derivation(B: BraidingMatrix, i: int, u: FreeElement) -> FreeElement:

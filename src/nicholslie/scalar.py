@@ -7,6 +7,15 @@ polynomial is irreducible over Q, every nonzero scalar is invertible and
 equality of coefficient vectors is a faithful equality test, which is
 what every "q != 1" edge condition in the graph layer relies on.
 
+Layout: a scalar is (order, num, den), the polynomial
+sum(num[e] * z^e) / den, where num is a tuple of phi(N) ints and den a
+positive int with gcd(den, *num) = 1; zero is (0, ..., 0) / 1.  The form
+is canonical, so equality is a tuple compare.  Sums share one
+denominator, products are integer schoolbook products folded by the
+monic integer modulus, and inverses go through the field norm, so every
+operation runs on plain ints and ends in one gcd pass.  The rational
+coefficients are read through Scalar.coeffs.
+
 Scalars are immutable; all operations return new values.
 """
 
@@ -15,7 +24,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
+from math import gcd, lcm
 
 __all__ = [
     "FieldMismatchError",
@@ -25,9 +34,6 @@ __all__ = [
     "euler_phi",
     "parse_scalar",
 ]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class FieldMismatchError(ValueError):
@@ -47,108 +53,146 @@ def euler_phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
-# Polynomials below are little-endian coefficient lists over Fraction.
-
-def _poly_mul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _poly_divmod(num, den):
-    """Exact quotient and remainder of num by den (den nonzero, monic-safe)."""
-    num = list(num)
-    dd = len(den) - 1
-    while dd > 0 and not den[dd]:
-        dd -= 1
-    lead = den[dd]
-    quot = [_ZERO] * max(len(num) - dd, 1)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            f = c / lead
-            quot[i - dd] = f
-            for j in range(dd + 1):
-                num[i - dd + j] -= f * den[j]
-    rem = num[:dd] if dd else [_ZERO]
-    return quot, rem
-
+# Polynomials below are little-endian lists of ints.
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int):
     """Coefficients of the N-th cyclotomic polynomial, little-endian.
 
-    Computed by dividing x^n - 1 by the product of the d-th cyclotomic
-    polynomials over the proper divisors d of n; the result is monic with
-    integer coefficients.  It is the one form of the modulus: euler_phi
-    reads its degree, _reduce folds with its coefficients and Scalar.inv
-    starts Euclid from it.
+    Computed by dividing x^n - 1 by the d-th cyclotomic polynomials over
+    the proper divisors d of n; each divisor is monic with integer
+    coefficients, so every division stays in the integers.  It is the one
+    form of the modulus: euler_phi reads its degree, products fold with
+    its coefficients and the root table is reduced by it.
     """
     if n < 1:
         raise ValueError(f"cyclotomic polynomial undefined for {n}")
-    if n == 1:
-        return (-1, 1)
-    num = [_ZERO] * (n + 1)
-    num[0] = Fraction(-1)
-    num[n] = _ONE
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            num, rem = _poly_divmod(num, [Fraction(c) for c in cyclotomic_polynomial(d)])
-            assert not any(rem), f"inexact cyclotomic division at n={n}, d={d}"
-    deg = len(num) - 1
-    while deg > 0 and not num[deg]:
-        deg -= 1
-    coeffs = num[: deg + 1]
-    assert all(c.denominator == 1 for c in coeffs)
-    return tuple(int(c) for c in coeffs)
+            divisor = cyclotomic_polynomial(d)
+            dd = len(divisor) - 1
+            quot = [0] * (len(poly) - dd)
+            for i in range(len(poly) - 1, dd - 1, -1):
+                c = poly[i]
+                if c:
+                    quot[i - dd] = c
+                    for j, m in enumerate(divisor, i - dd):
+                        poly[j] -= c * m
+            assert not any(poly), f"inexact cyclotomic division at n={n}, d={d}"
+            poly = quot
+    return tuple(poly)
 
 
-def _reduce(order: int, coeffs):
-    """Reduce a coefficient list modulo the order-th cyclotomic polynomial,
-    folding each coefficient above the degree down with its integer
-    coefficients (zero ones skipped)."""
+@lru_cache(maxsize=None)
+def _fold_terms(order: int):
+    """(k, m) for the nonzero coefficients m = Phi_N[k] below the leading one."""
     mod = cyclotomic_polynomial(order)
-    phi = len(mod) - 1
-    c = list(coeffs)
-    for i in range(len(c) - 1, phi - 1, -1):
-        top = c[i]
+    return tuple((k, m) for k, m in enumerate(mod[:-1]) if m)
+
+
+def _fold(order: int, poly: list) -> list:
+    """Reduce an int polynomial modulo Phi_N in place, folding each
+    coefficient above the degree down with the modulus's nonzero
+    coefficients; Phi_N is monic, so ints stay ints."""
+    phi = euler_phi(order)
+    terms = _fold_terms(order)
+    for i in range(len(poly) - 1, phi - 1, -1):
+        top = poly[i]
         if top:
-            for k, m in zip(range(i - phi, i), mod):
-                if m:
-                    c[k] -= top * m
-    c = c[:phi]
-    c.extend([_ZERO] * (phi - len(c)))
-    return tuple(c)
+            base = i - phi
+            for k, m in terms:
+                poly[base + k] -= top * m
+    del poly[phi:]
+    poly.extend([0] * (phi - len(poly)))
+    return poly
+
+
+def _product(order: int, a, b) -> list:
+    """a * b mod Phi_N for int coefficient tuples of length phi(N)."""
+    out = [0] * (2 * len(a) - 1)
+    terms = [(j, y) for j, y in enumerate(b) if y]  # battery entries are mostly +-z^k
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms:
+                out[i + j] += x * y
+    return _fold(order, out)
+
+
+@lru_cache(maxsize=None)
+def _root_table(order: int):
+    """z^e mod Phi_N as int tuples, for e = 0 .. N-1."""
+    return tuple(tuple(_fold(order, [0] * e + [1])) for e in range(order))
+
+
+def _to_ints(coeffs):
+    """(int numerators, common denominator) of int/Fraction coefficients;
+    anything inexact, such as a float, is a TypeError."""
+    coeffs = tuple(coeffs)
+    for c in coeffs:
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(
+                f"scalar coefficients must be int or Fraction, got {type(c).__name__} {c!r}"
+            )
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+_new = object.__new__
+
+
+def _canonical(order: int, num, den: int) -> "Scalar":
+    """The scalar num / den (den nonzero), divided through by
+    gcd(den, *num) and signed so that den > 0."""
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    s = _new(Scalar)
+    s.order = order
+    if g == 1:
+        s.num = tuple(num)
+        s.den = den
+    else:
+        s.num = tuple([c // g for c in num])
+        s.den = den // g
+    return s
 
 
 class Scalar:
-    """An element of Q(zeta_N), canonical coefficient vector of length phi(N).
+    """An element of Q(zeta_N): the canonical (num, den) pair described
+    in the module docstring.
 
     Treated as immutable everywhere; nothing may rebind the slots after
     construction.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != euler_phi(order):
+        """The scalar with the given phi(N) int/Fraction coefficients."""
+        num, den = _to_ints(coeffs)  # den > 0: an lcm of denominators
+        if len(num) != euler_phi(order):
             raise ValueError(
-                f"expected {euler_phi(order)} coefficients for order {order}, got {len(coeffs)}"
+                f"expected {euler_phi(order)} coefficients for order {order}, got {len(num)}"
             )
+        g = gcd(den, *num)
         self.order = order
-        self.coeffs = coeffs
+        self.num = tuple(c // g for c in num)
+        self.den = den // g
+
+    @property
+    def coeffs(self) -> tuple:
+        """The phi(N) rational coefficients, as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_poly(cls, order: int, coeffs) -> "Scalar":
         """Build from an arbitrary-length polynomial in zeta_N, reducing."""
-        return cls(order, _reduce(order, [Fraction(c) for c in coeffs]))
+        num, den = _to_ints(coeffs)
+        return _canonical(order, _fold(order, num), den)
 
     @classmethod
     def zero(cls, order: int) -> "Scalar":
@@ -160,28 +204,30 @@ class Scalar:
 
     @classmethod
     def from_rational(cls, order: int, value) -> "Scalar":
-        return cls.from_poly(order, [Fraction(value)])
+        return cls.from_poly(order, [value])
 
     @classmethod
     def root_power(cls, order: int, k: int) -> "Scalar":
         """zeta_N ** k (k any integer)."""
-        k %= order
-        return cls.from_poly(order, [_ZERO] * k + [_ONE])
+        return _canonical(order, _root_table(order)[k % order], 1)
 
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_one(self) -> bool:
         return self == _cached_one(self.order)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.num)
 
     # -- arithmetic ---------------------------------------------------
 
     def _coerce(self, other):
+        """other as a Scalar of this order; None (so the operator returns
+        NotImplemented and Python raises TypeError) for anything that is
+        not a Scalar, int or Fraction."""
         if isinstance(other, Scalar):
             if other.order != self.order:
                 raise FieldMismatchError(
@@ -193,20 +239,30 @@ class Scalar:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if len(self.coeffs) == 1:
-            return Scalar(self.order, (self.coeffs[0] + other.coeffs[0],))
-        return Scalar(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        if other.__class__ is not Scalar or other.order != self.order:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.den, other.den
+        if a == b:
+            return _canonical(self.order, [x + y for x, y in zip(self.num, other.num)], a)
+        return _canonical(
+            self.order, [x * b + y * a for x, y in zip(self.num, other.num)], a * b
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        if other.__class__ is not Scalar or other.order != self.order:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.den, other.den
+        if a == b:
+            return _canonical(self.order, [x - y for x, y in zip(self.num, other.num)], a)
+        return _canonical(
+            self.order, [x * b - y * a for x, y in zip(self.num, other.num)], a * b
+        )
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -215,45 +271,61 @@ class Scalar:
         return other - self
 
     def __neg__(self):
-        return Scalar(self.order, tuple(-a for a in self.coeffs))
+        s = _new(Scalar)
+        s.order = self.order
+        s.num = tuple([-c for c in self.num])
+        s.den = self.den
+        return s
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) == 1:  # plain rationals, no reduction needed
-            return Scalar(self.order, (a[0] * b[0],))
-        one = _cached_one(self.order).coeffs
-        if a == one:
-            return other
-        if b == one:
-            return self
-        return Scalar(self.order, _reduce(self.order, _poly_mul(a, b)))
+        if other.__class__ is not Scalar or other.order != self.order:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.num, other.num
+        den = self.den * other.den
+        if len(a) == 1:  # plain rationals: no reduction, and den > 0 already
+            n = a[0] * b[0]
+            g = gcd(n, den)
+            s = _new(Scalar)
+            s.order = self.order
+            s.num = (n // g,) if g != 1 else (n,)
+            s.den = den // g
+            return s
+        if den == 1:
+            one = _cached_one(self.order).num
+            if a == one:
+                return other
+            if b == one:
+                return self
+        return _canonical(self.order, _product(self.order, a, b), den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "Scalar":
-        """Multiplicative inverse, via the extended Euclidean algorithm
-        against the cyclotomic modulus."""
+        """Multiplicative inverse through the field norm: with
+        c = prod sigma_k(num) over the units k != 1 mod N (sigma_k: z -> z^k),
+        num * c is the rational integer norm of num, so
+        (num / den)^-1 = den * c / norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        # explicit Fractions keep every division in _poly_divmod exact
-        r0 = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r1 = list(self.coeffs)
-        s0, s1 = [_ZERO], [_ONE]
-        while any(r1):
-            q, r = _poly_divmod(r0, r1)
-            s = [a - b for a, b in zip_longest(s0, _poly_mul(q, s1), fillvalue=_ZERO)]
-            r0, r1 = r1, r
-            s0, s1 = s1, s
-        # r0 is a nonzero constant gcd (modulus irreducible over Q)
-        deg = len(r0) - 1
-        while deg > 0 and not r0[deg]:
-            deg -= 1
-        assert deg == 0, "cyclotomic modulus must be coprime to nonzero scalars"
-        c = r0[0]
-        return Scalar(self.order, _reduce(self.order, [x / c for x in s0]))
+        order, num = self.order, self.num
+        if len(num) == 1:
+            return _canonical(order, (self.den,), num[0])
+        table = _root_table(order)
+        cofactor = None
+        for k in range(2, order):
+            if gcd(k, order) == 1:
+                conj = [0] * len(num)
+                for e, c in enumerate(num):
+                    if c:
+                        for i, r in enumerate(table[k * e % order]):
+                            conj[i] += c * r
+                cofactor = conj if cofactor is None else _product(order, cofactor, conj)
+        norm = _product(order, num, cofactor)
+        # the norm of a nonzero element is a nonzero rational (Phi_N irreducible)
+        assert norm[0] and not any(norm[1:]), "cyclotomic norm must be a nonzero rational"
+        return _canonical(order, [self.den * c for c in cofactor], norm[0])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -282,18 +354,19 @@ class Scalar:
             other = Scalar.from_rational(self.order, other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self.num == other.num and self.den == other.den
 
     def __hash__(self):
         # a rational scalar compares equal to its int/Fraction value
-        if not any(self.coeffs[1:]):
-            return hash(self.coeffs[0])
+        if not any(self.num[1:]):
+            return hash(Fraction(self.num[0], self.den))
         return hash((self.order, self.coeffs))
 
     def __str__(self):
         parts = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
+        coeffs = self.coeffs
+        for e in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[e]
             if not c:
                 continue
             if e == 0:
@@ -319,12 +392,12 @@ class Scalar:
 
 @lru_cache(maxsize=None)
 def _cached_zero(order: int) -> Scalar:
-    return Scalar(order, (_ZERO,) * euler_phi(order))
+    return _canonical(order, [0] * euler_phi(order), 1)
 
 
 @lru_cache(maxsize=None)
 def _cached_one(order: int) -> Scalar:
-    return Scalar.from_poly(order, [_ONE])
+    return Scalar.root_power(order, 0)
 
 
 # -- literal parsing ---------------------------------------------------
@@ -400,7 +473,7 @@ class _ScalarParser:
             return self.zpow() * coeff
         return Scalar.from_rational(self.order, coeff)
 
-    def coeff(self) -> Fraction:
+    def coeff(self) -> int | Fraction:
         sign = 1
         if self.peek() == "-":
             self.take()
@@ -412,7 +485,7 @@ class _ScalarParser:
             if den == 0:
                 raise ScalarParseError("zero denominator in scalar literal")
             return Fraction(sign * num, den)
-        return Fraction(sign * num)
+        return sign * num
 
     def zpow(self) -> Scalar:
         self.take("z")

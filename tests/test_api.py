@@ -49,6 +49,9 @@ def test_top_level_names_are_module_exports():
         ("cli", "_bracketing_of"),
         ("scalar", "_modulus"),
         ("scalar", "_zip_pad"),
+        ("scalar", "_poly_mul"),
+        ("scalar", "_poly_divmod"),
+        ("scalar", "_reduce"),
     ],
 )
 def test_removed_names_stay_removed(module, path):

@@ -158,6 +158,20 @@ def test_from_json_rejects_bad_documents():
             BraidingMatrix.from_json(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": true, "cyclotomic_order": true, "q": [["2"]]}',
+        '{"n": true, "cyclotomic_order": 1, "q": [["2"]]}',
+        '{"n": 1, "cyclotomic_order": true, "q": [["2"]]}',
+    ],
+)
+def test_from_json_rejects_booleans(text):
+    # JSON true is a Python bool, an int subclass equal to 1
+    with pytest.raises(InvalidMatrixError):
+        BraidingMatrix.from_json(text)
+
+
 def test_json_roundtrip():
     B = matrix_from_strings([["2", "z"], ["z^-1", "-1"]], 8)
     again = BraidingMatrix.from_json(B.to_json())

@@ -425,6 +425,13 @@ def test_bad_file_exit_one(tmp_path):
     assert code == 1
 
 
+def test_boolean_fields_exit_one(matrix_file):
+    path = matrix_file('{"n": true, "cyclotomic_order": true, "q": [["2"]]}')
+    for argv in (["dim", "--input", path, "--degree", "1"],
+                 ["graph", "--input", path, "--kind", "pure"]):
+        assert run(argv) == (1, "")
+
+
 def test_stdout_byte_identical(matrix_file):
     path = matrix_file(DISCONNECTED)
     for argv in (

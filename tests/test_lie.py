@@ -60,6 +60,20 @@ def test_span_basis_is_independent_and_sourced(rng):
         assert pairing_vector(B, elem).values == nv.values
 
 
+@pytest.mark.parametrize("kind", [BRAIDED, MINUS])
+def test_span_elements_are_their_bracketings(rng, kind):
+    # spans one degree up bracket these stored elements, so each must be
+    # exactly the free-algebra value of its recorded bracketing
+    B = random_braiding_matrix(rng, 2, 3)
+    lie_span(B, (2, 2), kind)
+    spans = [span for (alpha, k), span in B._lie_span_cache.items() if k == kind]
+    assert len(spans) == 8  # every 0 < beta <= (2, 2)
+    for span in spans:
+        assert len(span.elements) == span.dimension
+        for elem, (tree, word) in zip(span.elements, span.generators_used):
+            assert elem == apply_bracketing(B, tree, word, kind)
+
+
 def assert_witness_rebuilds(B, letters, report):
     target = pairing_vector(B, FreeElement.from_word(B.n, B.order, letters))
     assert len(report.witness) == report.span.dimension
@@ -296,10 +310,11 @@ def test_lie_span_guardrail():
 def test_lie_span_guard_precedes_bracketing_enumeration(monkeypatch):
     # 14 letters have catalan(13) = 742900 bracketings; the cap must refuse
     # them from the count alone, without building a single bracket
-    def refuse(B, tree, word, kind):
-        raise AssertionError(f"built a bracketing of {word}")
+    def refuse(*args):
+        raise AssertionError(f"built a bracket of {args[-2:]}")
 
-    monkeypatch.setattr("nicholslie.lie.apply_bracketing", refuse)
+    monkeypatch.setattr("nicholslie.lie.braided_bracket", refuse)
+    monkeypatch.setattr("nicholslie.lie.minus_bracket", refuse)
     B = rational_matrix([[2]])
     with pytest.raises(GuardrailExceeded) as info:
         lie_span(B, (14,), BRAIDED, max_terms=5)

@@ -1,7 +1,10 @@
 """Cyclotomic field arithmetic: canonical form, field axioms, parsing."""
 
 import cmath
+import copy
+import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -15,6 +18,8 @@ from nicholslie.scalar import (
     euler_phi,
     parse_scalar,
 )
+
+from fraction_kernel import FractionScalar
 
 
 def numeric_cyclotomic(n):
@@ -151,6 +156,73 @@ def test_products_and_inverses_have_fraction_coefficients():
         # an operand holding plain ints still inverts to exact Fractions
         ints = Scalar(order, tuple(rng.randint(1, 4) for _ in range(euler_phi(order))))
         assert all(type(c) is Fraction for c in ints.inv().coeffs)
+
+
+def test_inexact_coefficients_raise_type_error():
+    # a float would silently turn exact arithmetic into float arithmetic
+    for build in (
+        lambda: Scalar(1, (0.5,)),
+        lambda: Scalar(3, (0.5, 1)),
+        lambda: Scalar.from_poly(8, [1, 0.25]),
+        lambda: Scalar.from_rational(1, 0.1),
+        lambda: Scalar.from_rational(3, 1.0),
+        lambda: Scalar.one(3) * 0.5,
+        lambda: 0.5 + Scalar.one(3),
+        lambda: Scalar.one(1) - 1.5,
+    ):
+        with pytest.raises(TypeError):
+            build()
+
+
+def _oracle_polys(rng, order):
+    """Raw coefficient lists: zero, +-z^k (unreduced), a small rational, a
+    small-rational dense element and a two-term one with large
+    denominators."""
+    phi = euler_phi(order)
+    k = rng.randrange(order)
+    return [
+        [0],
+        [0] * k + [1],
+        [0] * k + [-1],
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 9))],
+        [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(phi)],
+        [0] * rng.randrange(phi) + [Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**12))]
+        + [Fraction(rng.randint(1, 10**12), rng.randint(1, 10**12))],
+    ]
+
+
+def _assert_same(got, want):
+    # equality compares the canonical (num, den) form, so this also checks
+    # that got was normalized
+    assert got == Scalar(want.order, want.coeffs)
+    assert got.coeffs == want.coeffs
+    assert all(type(c) is Fraction for c in got.coeffs)
+    assert str(got) == str(want)
+    assert hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("order", list(range(1, 31)))
+def test_integer_kernel_matches_fraction_oracle(order):
+    rng = random.Random(order * 7 + 3)
+    polys = _oracle_polys(rng, order)
+    pairs = [(Scalar.from_poly(order, p), FractionScalar(order, p)) for p in polys]
+    for (a, fa), (b, fb) in itertools.product(pairs, repeat=2):
+        _assert_same(a + b, fa + fb)
+        _assert_same(a - b, fa - fb)
+        _assert_same(a * b, fa * fb)
+        assert (a == b) == (fa == fb)
+    for a, fa in pairs:
+        _assert_same(-a, -fa)
+        if any(fa.coeffs):
+            _assert_same(a.inv(), fa.inv())
+            for k in (-2, 3):
+                _assert_same(a ** k, fa ** k)
+
+
+def test_scalars_pickle_and_copy():
+    for s in (Scalar.root_power(8, 3), Scalar.from_rational(1, Fraction(-2, 3)), Scalar.zero(3)):
+        for again in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
+            assert again == s and hash(again) == hash(s) and str(again) == str(s)
 
 
 def test_inv_of_zero_raises():
