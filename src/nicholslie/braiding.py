@@ -25,8 +25,7 @@ class InvalidMatrixError(ValueError):
 class BraidingMatrix:
     """Validated matrix of nonzero scalars; entries are 1-based."""
 
-    __slots__ = ("n", "order", "_rows", "_inv_rows", "_inv_is_one",
-                 "_word_pairing_cache", "_lie_span_cache")
+    __slots__ = ("n", "order", "_rows", "_inv_rows", "_inv_is_one", "_lie_span_cache")
 
     def __init__(self, rows):
         rows = tuple(tuple(row) for row in rows)
@@ -54,7 +53,6 @@ class BraidingMatrix:
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_inv_rows", None)
         object.__setattr__(self, "_inv_is_one", None)
-        object.__setattr__(self, "_word_pairing_cache", {})
         object.__setattr__(self, "_lie_span_cache", {})
 
     def __setattr__(self, name, value):

@@ -18,7 +18,7 @@ from .braiding import BraidingMatrix, InvalidMatrixError
 from .freealg import BRAIDED, MINUS, apply_bracketing, format_bracketing, multinomial, word_degree
 from .graphs import AUGMENTED, PURE, DynkinGraph, build_graph, components
 from .lie import MEMBER, monomial_membership
-from .nichols import GuardrailExceeded, _guard, basis_of_degree, is_zero_in_nichols
+from .nichols import GuardrailExceeded, _bound_degree, _guard, basis_of_degree, is_zero_in_nichols
 from .verify import (
     CONFIRMED,
     INCONCLUSIVE,
@@ -263,7 +263,7 @@ def _cmd_bracket(B, args, out):
     elem = apply_bracketing(B, tree, word, args.lie)
     out.write(str(elem) + "\n")
     if args.nichols:
-        deg = word_degree(word, B.n)
+        deg = _bound_degree(word_degree(word, B.n))
         _guard(f"pairing descent at degree {deg}", multinomial(deg), args.max_terms)
         zero = is_zero_in_nichols(B, elem)
         out.write(f"zero in Nichols algebra: {'yes' if zero else 'no'}\n")

@@ -93,36 +93,23 @@ def generated_subgraph(G: DynkinGraph, verts) -> DynkinGraph:
     return DynkinGraph(verts, edges, G.kind)
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # anchor on the smaller root so class representatives are stable
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 def components(G: DynkinGraph):
     """Walk-equivalence classes, each sorted, listed by least vertex."""
-    uf = _UnionFind(G.vertices)
+    adjacent = {v: set() for v in G.vertices}
     for i, j in G.edges:
-        uf.union(i, j)
-    classes = {}
+        adjacent[i].add(j)
+        adjacent[j].add(i)
+    classes, seen = [], set()
     for v in G.vertices:
-        classes.setdefault(uf.find(v), []).append(v)
-    return sorted(tuple(sorted(c)) for c in classes.values())
+        if v not in seen:
+            comp, stack = {v}, [v]
+            while stack:  # depth-first walk from v
+                for w in adjacent[stack.pop()] - comp:
+                    comp.add(w)
+                    stack.append(w)
+            seen |= comp
+            classes.append(tuple(sorted(comp)))
+    return sorted(classes)
 
 
 def support(word) -> tuple:

@@ -23,6 +23,7 @@ from .scalar import Scalar
 
 __all__ = [
     "MAX_TERMS_DEFAULT",
+    "MAX_DEGREE",
     "GuardrailExceeded",
     "NicholsVector",
     "skew_derivation",
@@ -34,6 +35,12 @@ __all__ = [
 
 MAX_TERMS_DEFAULT = 10**6
 
+# The pairing descent and the Lie-span construction nest once per letter,
+# and the counts the guards format grow factorially with the degree, so a
+# larger total degree is refused before either; under pytest the nesting
+# overflows Python's default stack from about 480 letters.
+MAX_DEGREE = 200
+
 
 class GuardrailExceeded(RuntimeError):
     """A computation would exceed the configured size cap.
@@ -42,8 +49,8 @@ class GuardrailExceeded(RuntimeError):
     beats an opaque multi-hour run.
     """
 
-    def __init__(self, what: str, needed: int, cap: int):
-        super().__init__(f"{what}: needs {needed} entries, cap is {cap}")
+    def __init__(self, what: str, needed: int, cap: int, unit: str = "entries"):
+        super().__init__(f"{what}: needs {needed} {unit}, cap is {cap}")
         self.what = what
         self.needed = needed
         self.cap = cap
@@ -59,11 +66,19 @@ def _guard(what: str, needed: int, max_terms) -> int:
     return cap
 
 
+def _bound_degree(alpha) -> tuple:
+    """alpha; GuardrailExceeded if its total degree exceeds MAX_DEGREE."""
+    total = sum(alpha)
+    if total > MAX_DEGREE:
+        raise GuardrailExceeded(f"total degree of {alpha}", total, MAX_DEGREE, "letters")
+    return alpha
+
+
 def _check_degree(B: BraidingMatrix, alpha) -> tuple:
     alpha = tuple(alpha)
     if len(alpha) != B.n or any(a < 0 for a in alpha):
         raise ValueError(f"bad multidegree {alpha} for rank {B.n}")
-    return alpha
+    return _bound_degree(alpha)
 
 
 @dataclass
@@ -148,23 +163,14 @@ def pairing_vector(B: BraidingMatrix, u: FreeElement, max_terms=None) -> Nichols
     deg = _homogeneous_degree(B, u)
     if deg is None:
         raise ValueError("the zero element has no well-defined pairing degree")
+    _bound_degree(deg)
     _guard(f"pairing vector at degree {deg}", multinomial(deg), max_terms)
     return NicholsVector(deg, tuple(_pairings(B, u, deg)))
 
 
 def word_pairing_vector(B: BraidingMatrix, word, max_terms=None) -> NicholsVector:
-    """pairing_vector of a single monomial, cached per matrix (monomials
-    are re-paired constantly by rank, membership, and support scans)."""
-    word = tuple(word)
-    cache = B._word_pairing_cache
-    hit = cache.get(word)
-    if hit is None:
-        hit = pairing_vector(B, FreeElement.from_word(B.n, B.order, word), max_terms)
-        cache[word] = hit
-    else:
-        # still honor a tighter explicit guardrail
-        _guard(f"pairing vector at degree {hit.degree}", multinomial(hit.degree), max_terms)
-    return hit
+    """pairing_vector of a single monomial."""
+    return pairing_vector(B, FreeElement.from_word(B.n, B.order, word), max_terms)
 
 
 def is_zero_in_nichols(B: BraidingMatrix, u: FreeElement) -> bool:

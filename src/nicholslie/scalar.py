@@ -138,6 +138,13 @@ def _to_ints(coeffs):
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+def _check_order(order) -> None:
+    """ValueError unless the cyclotomic order is an int >= 1; a bool is
+    not one, though the lru_caches below would read True as 1."""
+    if type(order) is not int or order < 1:
+        raise ValueError(f"cyclotomic order must be an integer >= 1, got {order!r}")
+
+
 _new = object.__new__
 
 
@@ -170,6 +177,7 @@ class Scalar:
 
     def __init__(self, order: int, coeffs):
         """The scalar with the given phi(N) int/Fraction coefficients."""
+        _check_order(order)
         num, den = _to_ints(coeffs)  # den > 0: an lcm of denominators
         if len(num) != euler_phi(order):
             raise ValueError(
@@ -191,15 +199,18 @@ class Scalar:
     @classmethod
     def from_poly(cls, order: int, coeffs) -> "Scalar":
         """Build from an arbitrary-length polynomial in zeta_N, reducing."""
+        _check_order(order)
         num, den = _to_ints(coeffs)
         return _canonical(order, _fold(order, num), den)
 
     @classmethod
     def zero(cls, order: int) -> "Scalar":
+        _check_order(order)
         return _cached_zero(order)
 
     @classmethod
     def one(cls, order: int) -> "Scalar":
+        _check_order(order)
         return _cached_one(order)
 
     @classmethod
@@ -209,6 +220,7 @@ class Scalar:
     @classmethod
     def root_power(cls, order: int, k: int) -> "Scalar":
         """zeta_N ** k (k any integer)."""
+        _check_order(order)
         return _canonical(order, _root_table(order)[k % order], 1)
 
     # -- predicates ---------------------------------------------------
@@ -501,7 +513,8 @@ class _ScalarParser:
 
 
 def parse_scalar(text: str, order: int) -> Scalar:
-    """Parse a scalar literal like "1/2*z^3 - z + 2" in Q(zeta_order)."""
+    """Parse a scalar literal like "1/2*z^3 - z + 2" in Q(zeta_order);
+    every term is built by from_rational or root_power, which check the order."""
     tokens = _tokenize(text)
     if not tokens:
         raise ScalarParseError("empty scalar literal")

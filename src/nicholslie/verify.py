@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
+from functools import cache
 
 from .braiding import BraidingMatrix
 from .freealg import (
@@ -44,7 +45,7 @@ from .freealg import (
 )
 from .graphs import AUGMENTED, PURE, build_graph, components, is_connected_monomial, support
 from .lie import MEMBER, max_supports, monomial_membership
-from .nichols import GuardrailExceeded, _guard, is_zero_in_nichols
+from .nichols import GuardrailExceeded, _bound_degree, _guard, is_zero_in_nichols
 from .scalar import parse_scalar
 
 __all__ = [
@@ -120,6 +121,7 @@ def check_theorem_equivalences(B: BraidingMatrix, d_max=None, max_terms=None) ->
     try:
         a = len(components(build_graph(B, PURE))) == 1
 
+        @cache  # (b) and (c) are asked again by the scan for (d)
         def member(word):
             return monomial_membership(B, word, BRAIDED, max_terms).status == MEMBER
 
@@ -204,6 +206,7 @@ def check_prop_disconnected_pair(B: BraidingMatrix, u_word, v_word, max_terms=No
                 )
     deg = word_degree(u_word + v_word, B.n)
     try:
+        _bound_degree(deg)
         _guard(f"pairing descent at degree {deg}", multinomial(deg), max_terms)
     except GuardrailExceeded as exc:
         return VerificationReport(claim, instance, digest, INCONCLUSIVE, {"guardrail": str(exc)})
@@ -239,9 +242,10 @@ def check_prop_all_bracketings(B: BraidingMatrix, word, max_terms=None) -> Verif
             {"reason": "augmented support subgraph is connected", "support": list(sup)},
         )
     deg = word_degree(word, B.n)
-    n_trees = catalan(len(word) - 1)
-    m = multinomial(deg)
     try:
+        _bound_degree(deg)
+        n_trees = catalan(len(word) - 1)
+        m = multinomial(deg)
         _guard(f"bracketing descent at degree {deg} ({n_trees} bracketings x {m} dual words)",
                n_trees * m, max_terms)
     except GuardrailExceeded as exc:

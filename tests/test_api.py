@@ -42,6 +42,8 @@ def test_top_level_names_are_module_exports():
         ("freealg", "FreeElement.canonical_key"),
         ("braiding", "BraidingMatrix.p"),
         ("braiding", "BraidingMatrix.entry_inv"),
+        ("braiding", "BraidingMatrix._word_pairing_cache"),
+        ("graphs", "_UnionFind"),
         ("nichols", "NicholsVector.row"),
         ("lie", "_check_kind"),
         ("cli", "eval_bracket_expr"),

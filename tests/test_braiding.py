@@ -158,6 +158,12 @@ def test_from_json_rejects_bad_documents():
             BraidingMatrix.from_json(text)
 
 
+def test_from_strings_rejects_boolean_order():
+    # to_json would write "cyclotomic_order": true, which from_json rejects
+    with pytest.raises(ValueError, match="cyclotomic order must be an integer >= 1, got True"):
+        BraidingMatrix.from_strings([["2"]], True)
+
+
 @pytest.mark.parametrize(
     "text",
     [

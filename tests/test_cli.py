@@ -18,6 +18,7 @@ from nicholslie.cli import (
 )
 from nicholslie.freealg import format_bracketing
 from nicholslie.graphs import AUGMENTED, PURE, build_graph, generated_subgraph
+from nicholslie.nichols import MAX_DEGREE
 from nicholslie.scalar import Scalar
 
 from conftest import assert_witness_lines_rebuild, rational_matrix
@@ -277,6 +278,39 @@ def test_cmd_ismember_long_word_refused_before_enumeration(matrix_file, capsys):
         "inconclusive: Lie span at degree (14,) (742900 bracketings x 1 words): "
         "needs 742900 entries, cap is 5\n"
     )
+
+
+OVERSIZED = '{"n":2,"cyclotomic_order":3,"q":[["2","z"],["z","2"]]}'
+
+
+@pytest.mark.parametrize("argv, degree", [
+    (["dim", "--degree", "99999999999999999999,1"], (99999999999999999999, 1)),
+    (["dim", "--degree", "20000,20000"], (20000, 20000)),
+    (["dim", "--degree", "200000,200000"], (200000, 200000)),
+    (["dim", "--degree", "5000,0"], (5000, 0)),
+    (["verify", "--claim", "prop-brackets", "--json", "--monomial", " ".join(["x1"] * 20000)],
+     (20000, 0)),
+], ids=["factorial-overflow", "count-too-long-to-print", "slow-factorials", "deep-descent",
+        "prop-brackets-long-word"])
+def test_oversized_degree_is_inconclusive(matrix_file, capsys, argv, degree):
+    # refused by the total-degree bound before any count is computed
+    code, out = run(argv[:1] + ["--input", matrix_file(OVERSIZED)] + argv[1:])
+    assert code == 3
+    message = f"total degree of {degree}: needs {sum(degree)} letters, cap is {MAX_DEGREE}"
+    assert message in out + capsys.readouterr().err
+
+
+def test_degree_bound_sits_below_the_stack_depth(matrix_file):
+    ones = matrix_file('{"n":2,"cyclotomic_order":1,"q":[["1","1"],["1","1"]]}')
+    one = matrix_file('{"n":1,"cyclotomic_order":1,"q":[["1"]]}', name="one.json")
+    top = " ".join(["x1"] * MAX_DEGREE)
+    assert run(["dim", "--input", ones, "--degree", f"{MAX_DEGREE},0"]) == (0, "1\n")
+    assert run(["dim", "--input", ones, "--degree", f"{MAX_DEGREE + 1},0"]) == (3, "")
+    assert run(["ismember", "--input", one, "--monomial", top, "--lie", "minus",
+                "--max-terms", str(10**300)]) == (0, "NotMember\n")
+    code, out = run(["verify", "--input", ones, "--claim", "prop-pair",
+                     "--u", " ".join(["x1"] * (MAX_DEGREE - 1)), "--v", "x2"])
+    assert code == 0 and out.endswith("Confirmed\n")
 
 
 def test_cmd_ismember(matrix_file):

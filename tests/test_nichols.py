@@ -375,13 +375,24 @@ def test_pairing_guardrail():
         pairing_vector(B, word(B, (1, 2, 1, 2)), max_terms=3)
 
 
+def test_total_degree_bound_is_a_guardrail():
+    from nicholslie.nichols import MAX_DEGREE
+
+    B = rational_matrix([[1, 1], [1, 1]])
+    too_long = word(B, (1,) * (MAX_DEGREE + 1))
+    for call in (lambda: pairing_vector(B, too_long, max_terms=10**9),
+                 lambda: basis_of_degree(B, (MAX_DEGREE, 1)),
+                 lambda: symmetrizer_rank_oracle(B, (0, MAX_DEGREE + 1))):
+        with pytest.raises(GuardrailExceeded) as info:
+            call()
+        assert (info.value.needed, info.value.cap) == (MAX_DEGREE + 1, MAX_DEGREE)
+
+
 def test_word_pairing_cache_consistent():
     from nicholslie.nichols import word_pairing_vector
 
     B = rational_matrix([[2, 2], [2, 2]])
     first = word_pairing_vector(B, (1, 2))
-    second = word_pairing_vector(B, (1, 2))
-    assert first is second  # cached
     assert first.values == pairing_vector(B, word(B, (1, 2))).values
     with pytest.raises(GuardrailExceeded):
         word_pairing_vector(B, (1, 2), max_terms=1)

@@ -254,6 +254,33 @@ def test_mismatched_orders_raise():
         Scalar.one(4) * Scalar.one(8)
 
 
+def test_parse_scalar_order_zero_is_value_error():
+    with pytest.raises(ValueError, match="cyclotomic order must be an integer >= 1, got 0"):
+        parse_scalar("z", 0)
+
+
+def test_parse_scalar_negative_order_is_value_error():
+    with pytest.raises(ValueError, match="got -3"):
+        parse_scalar("z", -3)
+
+
+@pytest.mark.parametrize("order", [True, 0, -3, 2.0])
+@pytest.mark.parametrize("build", [
+    lambda order: parse_scalar("1", order),
+    lambda order: Scalar(order, [1]),
+    lambda order: Scalar.from_poly(order, [1]),
+    lambda order: Scalar.from_rational(order, 1),
+    lambda order: Scalar.root_power(order, 1),
+    lambda order: Scalar.zero(order),
+    lambda order: Scalar.one(order),
+], ids=["parse_scalar", "Scalar", "from_poly", "from_rational", "root_power", "zero", "one"])
+def test_every_order_entry_rejects_non_positive_int(build, order):
+    # True must fail even after Scalar.one(1) has filled the caches keyed by 1
+    Scalar.one(1)
+    with pytest.raises(ValueError, match="cyclotomic order must be an integer >= 1"):
+        build(order)
+
+
 def test_equality_requires_same_order():
     assert Scalar.from_rational(4, 2) != Scalar.from_rational(8, 2)
 
