@@ -18,7 +18,7 @@ from .braiding import BraidingMatrix, InvalidMatrixError
 from .freealg import BRAIDED, MINUS, apply_bracketing, format_bracketing, multinomial, word_degree
 from .graphs import AUGMENTED, PURE, DynkinGraph, build_graph, components
 from .lie import MEMBER, monomial_membership
-from .nichols import GuardrailExceeded, _bound_degree, _guard, basis_of_degree, is_zero_in_nichols
+from .nichols import GuardrailExceeded, _check_degree, _guard, basis_of_degree, is_zero_in_nichols
 from .verify import (
     CONFIRMED,
     INCONCLUSIVE,
@@ -85,28 +85,34 @@ def parse_bracket_expr(text: str):
         tokens.append(int(m.group(1)) if m.group(1) is not None else m.group(2))
         pos = m.end()
 
-    def parse(at):
+    # Left to right with an explicit stack, so nesting costs no recursion:
+    # each open bracket holds its left operand once that is read.
+    stack, at = [], 0
+    while True:
+        while tokens[at:at + 1] == ["["]:
+            stack.append([])
+            at += 1
         if at >= len(tokens):
             raise BracketParseError("unexpected end of bracket expression")
         tok = tokens[at]
-        if isinstance(tok, int):
-            if tok < 1:
-                raise BracketParseError(f"generator index must be >= 1, got x{tok}")
-            return None, (tok,), at + 1
-        if tok == "[":
-            left, left_word, at = parse(at + 1)
-            if at >= len(tokens) or tokens[at] != ",":
-                raise BracketParseError("expected ',' inside bracket")
-            right, right_word, at = parse(at + 1)
-            if at >= len(tokens) or tokens[at] != "]":
+        if not isinstance(tok, int):
+            raise BracketParseError(f"unexpected token {tok!r}")
+        if tok < 1:
+            raise BracketParseError(f"generator index must be >= 1, got x{tok}")
+        tree, at = None, at + 1
+        while stack and stack[-1]:
+            if tokens[at:at + 1] != ["]"]:
                 raise BracketParseError("expected ']' to close bracket")
-            return (left, right), left_word + right_word, at + 1
-        raise BracketParseError(f"unexpected token {tok!r}")
-
-    tree, word, at = parse(0)
+            tree, at = (stack.pop()[0], tree), at + 1
+        if not stack:
+            break
+        if tokens[at:at + 1] != [","]:
+            raise BracketParseError("expected ',' inside bracket")
+        stack[-1].append(tree)
+        at += 1
     if at != len(tokens):
         raise BracketParseError("trailing input after bracket expression")
-    return tree, word
+    return tree, tuple(tok for tok in tokens if isinstance(tok, int))
 
 
 def parse_monomial(text: str, n: int):
@@ -260,10 +266,10 @@ def _cmd_bracket(B, args, out):
     for i in word:
         if i > B.n:
             raise BracketParseError(f"generator x{i} out of range for rank {B.n}")
+    deg = _check_degree(B, word_degree(word, B.n))
     elem = apply_bracketing(B, tree, word, args.lie)
     out.write(str(elem) + "\n")
     if args.nichols:
-        deg = _bound_degree(word_degree(word, B.n))
         _guard(f"pairing descent at degree {deg}", multinomial(deg), args.max_terms)
         zero = is_zero_in_nichols(B, elem)
         out.write(f"zero in Nichols algebra: {'yes' if zero else 'no'}\n")

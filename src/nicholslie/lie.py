@@ -19,7 +19,6 @@ from .freealg import (
     FreeElement,
     _check_bracket_kind,
     braided_bracket,
-    catalan,
     minus_bracket,
     multinomial,
     words_of_total_degree,
@@ -84,20 +83,23 @@ def lie_span(B: BraidingMatrix, alpha, kind: str, max_terms=None) -> LieSpan:
     of basis entries of L_beta and L_gamma, beta + gamma = alpha (beta in
     itertools.product order, then b, then c), is formed from the two
     stored elements, paired, and kept when independent; its provenance
-    is the (tree, word) pair ((t_b, t_c), w_b + w_c).  Spans are cached
-    on B per (degree, kind), behind the guard at alpha, which dominates
-    every lower degree's.
+    is the (tree, word) pair ((t_b, t_c), w_b + w_c).
+
+    The guard sizes that build: it pairs sum dim L_beta * dim L_gamma
+    candidates, and dim L <= multinomial, so at most sum m(beta) * m(gamma)
+    = (d - 1) * m(alpha) of them (a pair of words is one word of alpha cut
+    at one of d - 1 places), each against m(alpha) dual words.  Spans are
+    cached on B per (degree, kind), behind the guard at alpha, which grows
+    with alpha and so dominates every lower degree's.
     """
     _check_bracket_kind(kind)
     alpha = _check_degree(B, alpha)
     d = sum(alpha)
     if d < 1:
         raise ValueError("Lie span needs total degree >= 1")
-    t = catalan(d - 1)
     m = multinomial(alpha)
-    cap = _guard(
-        f"Lie span at degree {alpha} ({t} bracketings x {m} words)", t * m * m, max_terms
-    )
+    c = max(d - 1, 1) * m
+    cap = _guard(f"Lie span at degree {alpha} ({c} candidates x {m} words)", c * m, max_terms)
     key = (alpha, kind)
     if key in B._lie_span_cache:
         return B._lie_span_cache[key]

@@ -66,19 +66,16 @@ def _guard(what: str, needed: int, max_terms) -> int:
     return cap
 
 
-def _bound_degree(alpha) -> tuple:
-    """alpha; GuardrailExceeded if its total degree exceeds MAX_DEGREE."""
+def _check_degree(B: BraidingMatrix, alpha) -> tuple:
+    """alpha as a tuple; ValueError if it is no multidegree of rank B.n,
+    GuardrailExceeded if its total degree exceeds MAX_DEGREE."""
+    alpha = tuple(alpha)
+    if len(alpha) != B.n or any(a < 0 for a in alpha):
+        raise ValueError(f"bad multidegree {alpha} for rank {B.n}")
     total = sum(alpha)
     if total > MAX_DEGREE:
         raise GuardrailExceeded(f"total degree of {alpha}", total, MAX_DEGREE, "letters")
     return alpha
-
-
-def _check_degree(B: BraidingMatrix, alpha) -> tuple:
-    alpha = tuple(alpha)
-    if len(alpha) != B.n or any(a < 0 for a in alpha):
-        raise ValueError(f"bad multidegree {alpha} for rank {B.n}")
-    return _bound_degree(alpha)
 
 
 @dataclass
@@ -163,7 +160,7 @@ def pairing_vector(B: BraidingMatrix, u: FreeElement, max_terms=None) -> Nichols
     deg = _homogeneous_degree(B, u)
     if deg is None:
         raise ValueError("the zero element has no well-defined pairing degree")
-    _bound_degree(deg)
+    _check_degree(B, deg)
     _guard(f"pairing vector at degree {deg}", multinomial(deg), max_terms)
     return NicholsVector(deg, tuple(_pairings(B, u, deg)))
 

@@ -59,28 +59,33 @@ def euler_phi(n: int) -> int:
 def cyclotomic_polynomial(n: int):
     """Coefficients of the N-th cyclotomic polynomial, little-endian.
 
-    Computed by dividing x^n - 1 by the d-th cyclotomic polynomials over
-    the proper divisors d of n; each divisor is monic with integer
-    coefficients, so every division stays in the integers.  It is the one
-    form of the modulus: euler_phi reads its degree, products fold with
-    its coefficients and the root table is reduced by it.
+    Built in one pass over the prime factors p of n from Phi_1 = x - 1:
+    Phi_mp(x) is Phi_m(x^p) when p divides m, else Phi_m(x^p) / Phi_m(x),
+    an exact division by a monic integer polynomial.  It is the one form
+    of the modulus: euler_phi reads its degree, products fold with its
+    coefficients and the root table is reduced by it.
     """
     if n < 1:
         raise ValueError(f"cyclotomic polynomial undefined for {n}")
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            divisor = cyclotomic_polynomial(d)
-            dd = len(divisor) - 1
-            quot = [0] * (len(poly) - dd)
-            for i in range(len(poly) - 1, dd - 1, -1):
-                c = poly[i]
-                if c:
+    poly, m, p = [-1, 1], 1, 2
+    while m < n:
+        if p * p > n // m:
+            p = n // m  # the cofactor left is prime
+        if (n // m) % p:
+            p += 1
+            continue
+        quot = [0] * (p * (len(poly) - 1) + 1)
+        quot[::p] = poly
+        if m % p:
+            rem, dd = quot, len(poly) - 1
+            quot = [0] * (len(rem) - dd)
+            for i in range(len(rem) - 1, dd - 1, -1):
+                if c := rem[i]:
                     quot[i - dd] = c
-                    for j, m in enumerate(divisor, i - dd):
-                        poly[j] -= c * m
-            assert not any(poly), f"inexact cyclotomic division at n={n}, d={d}"
-            poly = quot
+                    for j, k in enumerate(poly, i - dd):
+                        rem[j] -= c * k
+            assert not any(rem), f"inexact cyclotomic division at n={n}, p={p}"
+        poly, m = quot, m * p
     return tuple(poly)
 
 
@@ -322,8 +327,8 @@ class Scalar:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
         order, num = self.order, self.num
-        if len(num) == 1:
-            return _canonical(order, (self.den,), num[0])
+        if not any(num[1:]):  # a rational, at any order
+            return _canonical(order, (self.den,) + num[1:], num[0])
         table = _root_table(order)
         cofactor = None
         for k in range(2, order):
@@ -409,7 +414,7 @@ def _cached_zero(order: int) -> Scalar:
 
 @lru_cache(maxsize=None)
 def _cached_one(order: int) -> Scalar:
-    return Scalar.root_power(order, 0)
+    return _canonical(order, [1] + [0] * (euler_phi(order) - 1), 1)
 
 
 # -- literal parsing ---------------------------------------------------

@@ -45,7 +45,7 @@ from .freealg import (
 )
 from .graphs import AUGMENTED, PURE, build_graph, components, is_connected_monomial, support
 from .lie import MEMBER, max_supports, monomial_membership
-from .nichols import GuardrailExceeded, _bound_degree, _guard, is_zero_in_nichols
+from .nichols import GuardrailExceeded, _check_degree, _guard, is_zero_in_nichols
 from .scalar import parse_scalar
 
 __all__ = [
@@ -91,13 +91,23 @@ class VerificationReport:
         }
 
 
-def _digest(B: BraidingMatrix, claim: str, extra: str = "") -> str:
-    payload = f"{claim}|{B.to_json()}|{extra}".encode()
-    return hashlib.sha256(payload).hexdigest()[:12]
-
-
 def _word_str(word) -> str:
     return " ".join(f"x{i}" for i in word)
+
+
+def _report(B: BraidingMatrix, claim: str, extra: str, instance: str, check) -> VerificationReport:
+    """Run check() for its (verdict, evidence) and file the report.
+
+    A size guardrail hit anywhere inside the check makes the claim
+    Inconclusive; the digest hashes the claim, the matrix and the
+    claim-specific arguments in extra.
+    """
+    digest = hashlib.sha256(f"{claim}|{B.to_json()}|{extra}".encode()).hexdigest()[:12]
+    try:
+        verdict, evidence = check()
+    except GuardrailExceeded as exc:
+        verdict, evidence = INCONCLUSIVE, {"guardrail": str(exc)}
+    return VerificationReport(claim, instance, digest, verdict, evidence)
 
 
 def check_theorem_equivalences(B: BraidingMatrix, d_max=None, max_terms=None) -> VerificationReport:
@@ -115,44 +125,33 @@ def check_theorem_equivalences(B: BraidingMatrix, d_max=None, max_terms=None) ->
         d_max = n
     if d_max < n:
         raise ValueError(f"d_max must be at least n={n} (a full-support word has length >= n)")
-    claim = "thm-equiv"
-    digest = _digest(B, claim, f"d_max={d_max}")
-    instance = f"n={n} order={B.order} d_max={d_max}"
-    try:
+
+    def check():
         a = len(components(build_graph(B, PURE))) == 1
 
         @cache  # (b) and (c) are asked again by the scan for (d)
         def member(word):
             return monomial_membership(B, word, BRAIDED, max_terms).status == MEMBER
 
-        descending = tuple(range(n, 0, -1))
-        ascending = tuple(range(1, n + 1))
-        b = member(descending)
-        c = member(ascending)
-        d = False
-        witness = None
+        b = member(tuple(range(n, 0, -1)))
+        c = member(tuple(range(1, n + 1)))
         full = frozenset(range(1, n + 1))
-        for length in range(n, d_max + 1):
-            for word in words_of_total_degree(n, length):
-                if frozenset(word) != full:
-                    continue
-                if member(word):
-                    d = True
-                    witness = word
-                    break
-            if d:
-                break
-    except GuardrailExceeded as exc:
-        return VerificationReport(claim, instance, digest, INCONCLUSIVE, {"guardrail": str(exc)})
-    evidence = {
-        "graph_connected": a,
-        "descending_word_member": b,
-        "ascending_word_member": c,
-        "full_support_member": d,
-        "full_support_witness": _word_str(witness) if witness else None,
-    }
-    verdict = CONFIRMED if a == b == c == d else COUNTEREXAMPLE
-    return VerificationReport(claim, instance, digest, verdict, evidence)
+        witness = next(
+            (word for length in range(n, d_max + 1) for word in words_of_total_degree(n, length)
+             if frozenset(word) == full and member(word)),
+            None,
+        )
+        d = witness is not None
+        evidence = {
+            "graph_connected": a,
+            "descending_word_member": b,
+            "ascending_word_member": c,
+            "full_support_member": d,
+            "full_support_witness": _word_str(witness) if witness else None,
+        }
+        return (CONFIRMED if a == b == c == d else COUNTEREXAMPLE), evidence
+
+    return _report(B, "thm-equiv", f"d_max={d_max}", f"n={n} order={B.order} d_max={d_max}", check)
 
 
 def check_theorem_max_support(B: BraidingMatrix, d_max=None, max_terms=None) -> VerificationReport:
@@ -164,21 +163,19 @@ def check_theorem_max_support(B: BraidingMatrix, d_max=None, max_terms=None) -> 
         d_max = n + 1
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
-    claim = "thm-maxsupport"
-    digest = _digest(B, claim, f"d_max={d_max}")
-    instance = f"n={n} order={B.order} d_max={d_max}"
-    try:
+
+    def check():
         comps = components(build_graph(B, PURE))
         sups = max_supports(B, d_max, BRAIDED, max_terms)
-    except GuardrailExceeded as exc:
-        return VerificationReport(claim, instance, digest, INCONCLUSIVE, {"guardrail": str(exc)})
-    evidence = {
-        "components": [list(c) for c in comps],
-        "max_supports": [list(s) for s in sups],
-        "certified_to_degree": d_max,
-    }
-    verdict = CONFIRMED if comps == sups else COUNTEREXAMPLE
-    return VerificationReport(claim, instance, digest, verdict, evidence)
+        evidence = {
+            "components": [list(c) for c in comps],
+            "max_supports": [list(s) for s in sups],
+            "certified_to_degree": d_max,
+        }
+        return (CONFIRMED if comps == sups else COUNTEREXAMPLE), evidence
+
+    return _report(B, "thm-maxsupport", f"d_max={d_max}", f"n={n} order={B.order} d_max={d_max}",
+                   check)
 
 
 def check_prop_disconnected_pair(B: BraidingMatrix, u_word, v_word, max_terms=None) -> VerificationReport:
@@ -188,38 +185,28 @@ def check_prop_disconnected_pair(B: BraidingMatrix, u_word, v_word, max_terms=No
     v_word = tuple(v_word)
     if not u_word or not v_word:
         raise ValueError("both monomials must be nonempty")
-    claim = "prop-pair"
-    extra = f"u={u_word} v={v_word}"
-    digest = _digest(B, claim, extra)
-    instance = f"n={B.n} order={B.order} u={_word_str(u_word)} v={_word_str(v_word)}"
-    for i in support(u_word):
-        for j in support(v_word):
-            if i == j:
-                continue
-            if not B.entry(i, j).is_one() or not B.entry(j, i).is_one():
-                return VerificationReport(
-                    claim,
-                    instance,
-                    digest,
-                    PRECONDITION_NOT_MET,
-                    {"pair": [i, j], "q_ij": str(B.entry(i, j)), "q_ji": str(B.entry(j, i))},
-                )
-    deg = word_degree(u_word + v_word, B.n)
-    try:
-        _bound_degree(deg)
+
+    def check():
+        for i in support(u_word):
+            for j in support(v_word):
+                if i != j and not (B.entry(i, j).is_one() and B.entry(j, i).is_one()):
+                    return PRECONDITION_NOT_MET, {
+                        "pair": [i, j], "q_ij": str(B.entry(i, j)), "q_ji": str(B.entry(j, i)),
+                    }
+        deg = _check_degree(B, word_degree(u_word + v_word, B.n))
         _guard(f"pairing descent at degree {deg}", multinomial(deg), max_terms)
-    except GuardrailExceeded as exc:
-        return VerificationReport(claim, instance, digest, INCONCLUSIVE, {"guardrail": str(exc)})
-    bracket = minus_bracket(
-        FreeElement.from_word(B.n, B.order, u_word),
-        FreeElement.from_word(B.n, B.order, v_word),
-    )
-    if is_zero_in_nichols(B, bracket):
-        return VerificationReport(claim, instance, digest, CONFIRMED, {"bracket_vanishes": True})
-    return VerificationReport(
-        claim, instance, digest, COUNTEREXAMPLE,
-        {"bracket": f"[{_word_str(u_word)}, {_word_str(v_word)}]-", "element": str(bracket)},
-    )
+        bracket = minus_bracket(
+            FreeElement.from_word(B.n, B.order, u_word),
+            FreeElement.from_word(B.n, B.order, v_word),
+        )
+        if is_zero_in_nichols(B, bracket):
+            return CONFIRMED, {"bracket_vanishes": True}
+        return COUNTEREXAMPLE, {
+            "bracket": f"[{_word_str(u_word)}, {_word_str(v_word)}]-", "element": str(bracket),
+        }
+
+    instance = f"n={B.n} order={B.order} u={_word_str(u_word)} v={_word_str(v_word)}"
+    return _report(B, "prop-pair", f"u={u_word} v={v_word}", instance, check)
 
 
 def check_prop_all_bracketings(B: BraidingMatrix, word, max_terms=None) -> VerificationReport:
@@ -229,37 +216,28 @@ def check_prop_all_bracketings(B: BraidingMatrix, word, max_terms=None) -> Verif
     word = tuple(word)
     if len(word) < 2:
         raise ValueError("bracketing check needs a word of length >= 2")
-    claim = "prop-brackets"
-    digest = _digest(B, claim, f"w={word}")
-    instance = f"n={B.n} order={B.order} w={_word_str(word)}"
-    sup = support(word)
-    if len(sup) > 1 and is_connected_monomial(B, word, AUGMENTED):
-        return VerificationReport(
-            claim,
-            instance,
-            digest,
-            PRECONDITION_NOT_MET,
-            {"reason": "augmented support subgraph is connected", "support": list(sup)},
-        )
-    deg = word_degree(word, B.n)
-    try:
-        _bound_degree(deg)
+
+    def check():
+        sup = support(word)
+        if len(sup) > 1 and is_connected_monomial(B, word, AUGMENTED):
+            return PRECONDITION_NOT_MET, {
+                "reason": "augmented support subgraph is connected", "support": list(sup),
+            }
+        deg = _check_degree(B, word_degree(word, B.n))
         n_trees = catalan(len(word) - 1)
         m = multinomial(deg)
         _guard(f"bracketing descent at degree {deg} ({n_trees} bracketings x {m} dual words)",
                n_trees * m, max_terms)
-    except GuardrailExceeded as exc:
-        return VerificationReport(claim, instance, digest, INCONCLUSIVE, {"guardrail": str(exc)})
-    for tree in enumerate_bracketings(len(word)):
-        elem = apply_bracketing(B, tree, word, MINUS)
-        if not is_zero_in_nichols(B, elem):
-            return VerificationReport(
-                claim, instance, digest, COUNTEREXAMPLE,
-                {"bracketing": format_bracketing(tree, word), "element": str(elem)},
-            )
-    return VerificationReport(
-        claim, instance, digest, CONFIRMED, {"bracketings_checked": n_trees}
-    )
+        for tree in enumerate_bracketings(len(word)):
+            elem = apply_bracketing(B, tree, word, MINUS)
+            if not is_zero_in_nichols(B, elem):
+                return COUNTEREXAMPLE, {
+                    "bracketing": format_bracketing(tree, word), "element": str(elem),
+                }
+        return CONFIRMED, {"bracketings_checked": n_trees}
+
+    return _report(B, "prop-brackets", f"w={word}", f"n={B.n} order={B.order} w={_word_str(word)}",
+                   check)
 
 
 # -- matrix batteries ---------------------------------------------------

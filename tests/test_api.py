@@ -45,6 +45,7 @@ def test_top_level_names_are_module_exports():
         ("braiding", "BraidingMatrix._word_pairing_cache"),
         ("graphs", "_UnionFind"),
         ("nichols", "NicholsVector.row"),
+        ("nichols", "_bound_degree"),
         ("lie", "_check_kind"),
         ("cli", "eval_bracket_expr"),
         ("cli", "format_bracket_expr"),

@@ -267,17 +267,52 @@ def test_cmd_bracket_nichols_honors_max_terms(matrix_file, capsys):
     assert code == 0 and "zero in Nichols algebra" in out
 
 
-def test_cmd_ismember_long_word_refused_before_enumeration(matrix_file, capsys):
-    # catalan(13) = 742900 bracketings are compared with the cap, not built
+def test_cmd_ismember_long_word_refused_by_candidate_count(matrix_file, capsys):
+    # the recursive build pairs at most (14 - 1) * 1 candidates at (14,);
+    # that count is compared with the cap before any bracket is built
     code, out = run(
         ["ismember", "--input", matrix_file('{"n":1,"cyclotomic_order":1,"q":[["2"]]}'),
          "--monomial", " ".join(["x1"] * 14), "--lie", "braided", "--max-terms", "5"]
     )
     assert code == 3 and out == ""
     assert capsys.readouterr().err == (
-        "inconclusive: Lie span at degree (14,) (742900 bracketings x 1 words): "
-        "needs 742900 entries, cap is 5\n"
+        "inconclusive: Lie span at degree (14,) (13 candidates x 1 words): "
+        "needs 13 entries, cap is 5\n"
     )
+
+
+def test_cmd_ismember_fifteen_letters_member_at_default_cap(matrix_file, capsys):
+    # catalan(14) = 2674440 bracketings, but only 14 candidates are paired
+    code, out = run(
+        ["ismember", "--input", matrix_file('{"n":1,"cyclotomic_order":1,"q":[["2"]]}'),
+         "--monomial", " ".join(["x1"] * 15), "--lie", "braided"]
+    )
+    assert code == 0 and out.splitlines()[0] == "Member"
+    assert capsys.readouterr().err == ""
+
+
+def test_cmd_bracket_deeply_nested_expr_is_inconclusive(matrix_file, capsys):
+    expr = "[x1," * 1199 + "x1" + "]" * 1199
+    code, out = run(["bracket", "--input", matrix_file('{"n":1,"cyclotomic_order":1,"q":[["1"]]}'),
+                     "--expr", expr, "--lie", "minus"])
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == (
+        f"inconclusive: total degree of (1200,): needs 1200 letters, cap is {MAX_DEGREE}\n"
+    )
+
+
+def test_cmd_bracket_deeply_nested_malformed_expr_is_error(matrix_file, capsys):
+    code, out = run(["bracket", "--input", matrix_file('{"n":1,"cyclotomic_order":1,"q":[["1"]]}'),
+                     "--expr", "[" * 1200 + "x1", "--lie", "minus"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: expected ',' inside bracket\n"
+
+
+def test_cmd_dim_at_large_cyclotomic_order(matrix_file):
+    # a rational entry needs neither the root table nor a field norm
+    code, out = run(["dim", "--input", matrix_file('{"n":1,"cyclotomic_order":20000,"q":[["2"]]}'),
+                     "--degree", "3"])
+    assert (code, out) == (0, "1\n")
 
 
 OVERSIZED = '{"n":2,"cyclotomic_order":3,"q":[["2","z"],["z","2"]]}'

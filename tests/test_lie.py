@@ -12,6 +12,7 @@ from nicholslie.freealg import (
     FreeElement,
     apply_bracketing,
     enumerate_bracketings,
+    multinomial,
     words_of_multidegree,
 )
 from nicholslie.graphs import PURE, build_graph, components
@@ -134,7 +135,7 @@ def test_membership_cached_span_honors_tighter_cap():
     with pytest.raises(GuardrailExceeded) as info:
         monomial_membership(B, (1, 2, 1), BRAIDED, max_terms=5)
     assert str(info.value) == (
-        "Lie span at degree (2, 1) (2 bracketings x 3 words): needs 18 entries, cap is 5"
+        "Lie span at degree (2, 1) (6 candidates x 3 words): needs 18 entries, cap is 5"
     )
 
 
@@ -307,8 +308,8 @@ def test_lie_span_guardrail():
         lie_span(B, (3, 3), BRAIDED, max_terms=10)
 
 
-def test_lie_span_guard_precedes_bracketing_enumeration(monkeypatch):
-    # 14 letters have catalan(13) = 742900 bracketings; the cap must refuse
+def test_lie_span_guard_precedes_candidate_build(monkeypatch):
+    # 14 letters give at most (14 - 1) * 1 candidates; the cap must refuse
     # them from the count alone, without building a single bracket
     def refuse(*args):
         raise AssertionError(f"built a bracket of {args[-2:]}")
@@ -319,8 +320,34 @@ def test_lie_span_guard_precedes_bracketing_enumeration(monkeypatch):
     with pytest.raises(GuardrailExceeded) as info:
         lie_span(B, (14,), BRAIDED, max_terms=5)
     assert str(info.value) == (
-        "Lie span at degree (14,) (742900 bracketings x 1 words): needs 742900 entries, cap is 5"
+        "Lie span at degree (14,) (13 candidates x 1 words): needs 13 entries, cap is 5"
     )
+
+
+@pytest.mark.parametrize("rows, order", [
+    ([["2", "2"], ["2", "2"]], 1),
+    ([["-1", "1"], ["1", "3"]], 1),
+    ([["z", "z^2"], ["1", "-1"]], 3),
+    ([["-1", "z"], ["z^3", "z^2"]], 8),
+    ([["2", "2", "1"], ["2", "-1", "3"], ["1", "3", "2"]], 1),
+    ([["-1", "z", "1"], ["z", "-1", "z^2"], ["1", "z", "-1"]], 3),
+    ([["z", "z^3", "1"], ["z^5", "-1", "z"], ["1", "z^7", "z^2"]], 8),
+])
+@pytest.mark.parametrize("kind", [BRAIDED, MINUS])
+def test_lie_span_candidates_within_guard_bound(rows, order, kind):
+    # the candidates paired at alpha are sum over splits of dim L_beta *
+    # dim L_gamma; the guard sizes them by (d - 1) * multinomial(alpha)
+    B = matrix_from_strings(rows, order)
+    for d in range(2, 5):
+        for alpha in (a for a in product(range(d + 1), repeat=B.n) if sum(a) == d):
+            lie_span(B, alpha, kind)
+            dims = {deg: span.dimension for (deg, k), span in B._lie_span_cache.items()
+                    if k == kind}
+            paired = sum(
+                dims[beta] * dims[tuple(a - b for a, b in zip(alpha, beta))]
+                for beta in product(*(range(a + 1) for a in alpha)) if 0 < sum(beta) < d
+            )
+            assert paired <= (d - 1) * multinomial(alpha), alpha
 
 
 def test_lie_span_rejects_bad_kind():

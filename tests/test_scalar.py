@@ -77,6 +77,30 @@ def test_cyclotomic_matches_sympy():
         assert cyclotomic_polynomial(n) == tuple(int(c) for c in expected), n
 
 
+def test_cyclotomic_divisor_product_is_x_n_minus_1():
+    # x^n - 1 = prod over d | n of Phi_d, an identity the prime-factor
+    # construction does not use
+    for n in range(1, 150):
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                factor = cyclotomic_polynomial(d)
+                out = [0] * (len(prod) + len(factor) - 1)
+                for i, a in enumerate(prod):
+                    for j, b in enumerate(factor):
+                        out[i + j] += a * b
+                prod = out
+        assert prod == [-1] + [0] * (n - 1) + [1], n
+
+
+def test_cyclotomic_large_order_from_radical():
+    # Phi_N(x) = Phi_rad(N)(x^(N / rad(N))), here rad(20000) = 10
+    phi10 = cyclotomic_polynomial(10)
+    stretched = [0] * (2000 * (len(phi10) - 1) + 1)
+    stretched[::2000] = phi10
+    assert cyclotomic_polynomial(20000) == tuple(stretched)
+
+
 # -- multiplication / inversion --------------------------------------------
 
 def test_mul_roots_of_unity_order8():
