@@ -25,7 +25,9 @@ class InvalidMatrixError(ValueError):
 class BraidingMatrix:
     """Validated matrix of nonzero scalars; entries are 1-based."""
 
-    __slots__ = ("n", "order", "_rows", "_inv_rows", "_inv_is_one", "_lie_span_cache")
+    __slots__ = (
+        "n", "order", "_rows", "_inv_rows", "_inv_is_one", "_lie_span_cache", "_pairing_row_cache",
+    )
 
     def __init__(self, rows):
         rows = tuple(tuple(row) for row in rows)
@@ -54,6 +56,7 @@ class BraidingMatrix:
         object.__setattr__(self, "_inv_rows", None)
         object.__setattr__(self, "_inv_is_one", None)
         object.__setattr__(self, "_lie_span_cache", {})
+        object.__setattr__(self, "_pairing_row_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("BraidingMatrix is immutable")

@@ -267,10 +267,13 @@ def _cmd_bracket(B, args, out):
         if i > B.n:
             raise BracketParseError(f"generator x{i} out of range for rank {B.n}")
     deg = _check_degree(B, word_degree(word, B.n))
+    # the expansion has at most multinomial(deg) words, and the descent
+    # pairs as many dual words
+    what = "pairing descent" if args.nichols else "bracket expansion"
+    _guard(f"{what} at degree {deg}", multinomial(deg), args.max_terms)
     elem = apply_bracketing(B, tree, word, args.lie)
     out.write(str(elem) + "\n")
     if args.nichols:
-        _guard(f"pairing descent at degree {deg}", multinomial(deg), args.max_terms)
         zero = is_zero_in_nichols(B, elem)
         out.write(f"zero in Nichols algebra: {'yes' if zero else 'no'}\n")
     return EXIT_OK

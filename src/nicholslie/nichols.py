@@ -7,9 +7,12 @@ The dual generators y_i act on the tensor algebra as skew derivations
 and a homogeneous element is zero in B(V) exactly when every iterated
 derivation down to degree zero vanishes.  Collecting the values of all
 d-fold descents gives a faithful vector of pairing values per element
-(NicholsVector); exact Gaussian elimination on those vectors yields
-dim B(V)_alpha and membership tests.  A quantum-symmetrizer rank
-computation provides an independent cross-check of the dimensions.
+(NicholsVector).  The descent applies D_i down to three letters and
+there reads the pairing rows of the remaining words, built by the same
+rule and memoized on the matrix.  Exact Gaussian elimination on those
+vectors yields dim B(V)_alpha and membership tests.  A
+quantum-symmetrizer rank computation provides an independent
+cross-check of the dimensions.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from .braiding import BraidingMatrix
-from .freealg import FreeElement, multinomial, words_of_multidegree
+from .freealg import FreeElement, multinomial, word_degree, words_of_multidegree
 from .scalar import Scalar
 
 __all__ = [
@@ -40,6 +43,12 @@ MAX_TERMS_DEFAULT = 10**6
 # larger total degree is refused before either; under pytest the nesting
 # overflows Python's default stack from about 480 letters.
 MAX_DEGREE = 200
+
+# Descent nodes of at most this many letters read the pairing rows of
+# their words from B._pairing_row_cache (at most n + n^2 + n^3 rows of at
+# most 6 entries) instead of applying _skew; longer words are not memoized,
+# because their rows grow factorially and are seldom met twice.
+SHORT_ROW_LETTERS = 3
 
 
 class GuardrailExceeded(RuntimeError):
@@ -136,19 +145,52 @@ def skew_derivation(B: BraidingMatrix, i: int, u: FreeElement) -> FreeElement:
     return _skew(B, i, u)
 
 
+def _pairing_row(B: BraidingMatrix, word) -> tuple:
+    """The pairing vector of a monomial of at most SHORT_ROW_LETTERS
+    letters, as its nonzero (index, value) pairs; memoized per matrix.
+    Its block for dual words starting with i is D_i(word) paired with the
+    rows of the shorter words."""
+    rows = B._pairing_row_cache
+    row = rows.get(word)
+    if row is None:
+        if len(word) == 1:
+            row = ((0, Scalar.one(B.order)),)
+        else:
+            elem = FreeElement.from_word(B.n, B.order, word)
+            values = _derivations(B, elem, word_degree(word, B.n))
+            row = tuple((k, v) for k, v in enumerate(values) if v)
+        rows[word] = row
+    return row
+
+
 def _pairings(B: BraidingMatrix, elem: FreeElement, alpha):
     """Pairing values of elem against the dual words of alpha, in
     lexicographic dual-word order: D_{j_1} is applied first, then D_{j_2},
-    and so on.  A vanished branch yields its zeros without descending."""
+    and so on.  A vanished branch yields its zeros without descending; at
+    most SHORT_ROW_LETTERS letters from the bottom, the descent ends in
+    the memoized pairing rows of elem's words."""
     if not elem.terms:
         yield from repeat(Scalar.zero(B.order), multinomial(alpha))
-    elif not any(alpha):
-        yield elem.terms.get((), Scalar.zero(B.order))
+    elif sum(alpha) > SHORT_ROW_LETTERS:
+        yield from _derivations(B, elem, alpha)
     else:
-        for idx, count in enumerate(alpha):
-            if count:
-                reduced = alpha[:idx] + (count - 1,) + alpha[idx + 1:]
-                yield from _pairings(B, _skew(B, idx + 1, elem), reduced)
+        values = [None] * multinomial(alpha)
+        for word, coeff in elem.terms.items():
+            for idx, v in _pairing_row(B, word):
+                v = coeff * v
+                acc = values[idx]
+                values[idx] = v if acc is None else acc + v
+        zero = Scalar.zero(B.order)
+        yield from (zero if v is None else v for v in values)
+
+
+def _derivations(B: BraidingMatrix, elem: FreeElement, alpha):
+    """The pairings of elem, one block per generator i in alpha in
+    ascending order: D_i(elem) paired against the dual words after i."""
+    for idx, count in enumerate(alpha):
+        if count:
+            reduced = alpha[:idx] + (count - 1,) + alpha[idx + 1:]
+            yield from _pairings(B, _skew(B, idx + 1, elem), reduced)
 
 
 def pairing_vector(B: BraidingMatrix, u: FreeElement, max_terms=None) -> NicholsVector:

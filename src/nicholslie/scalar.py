@@ -124,10 +124,17 @@ def _product(order: int, a, b) -> list:
     return _fold(order, out)
 
 
+def _power(order: int, k: int) -> list:
+    """z^k mod Phi_N as ints (k any integer), folded on its own."""
+    return _fold(order, [0] * (k % order) + [1])
+
+
 @lru_cache(maxsize=None)
 def _root_table(order: int):
-    """z^e mod Phi_N as int tuples, for e = 0 .. N-1."""
-    return tuple(tuple(_fold(order, [0] * e + [1])) for e in range(order))
+    """z^e mod Phi_N as int tuples, for e = 0 .. N-1; only the norm
+    inverse of a scalar with two or more nonzero coefficients needs all
+    N of them."""
+    return tuple(tuple(_power(order, e)) for e in range(order))
 
 
 def _to_ints(coeffs):
@@ -226,7 +233,7 @@ class Scalar:
     def root_power(cls, order: int, k: int) -> "Scalar":
         """zeta_N ** k (k any integer)."""
         _check_order(order)
-        return _canonical(order, _root_table(order)[k % order], 1)
+        return _canonical(order, _power(order, k), 1)
 
     # -- predicates ---------------------------------------------------
 
@@ -320,7 +327,8 @@ class Scalar:
     __rmul__ = __mul__
 
     def inv(self) -> "Scalar":
-        """Multiplicative inverse through the field norm: with
+        """Multiplicative inverse.  A monomial c * z^e is z^(N - e) / c;
+        anything else goes through the field norm: with
         c = prod sigma_k(num) over the units k != 1 mod N (sigma_k: z -> z^k),
         num * c is the rational integer norm of num, so
         (num / den)^-1 = den * c / norm."""
@@ -329,6 +337,10 @@ class Scalar:
         order, num = self.order, self.num
         if not any(num[1:]):  # a rational, at any order
             return _canonical(order, (self.den,) + num[1:], num[0])
+        support = [e for e, c in enumerate(num) if c]
+        if len(support) == 1:
+            e = support[0]
+            return _canonical(order, [self.den * c for c in _power(order, order - e)], num[e])
         table = _root_table(order)
         cofactor = None
         for k in range(2, order):

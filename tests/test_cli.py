@@ -267,6 +267,20 @@ def test_cmd_bracket_nichols_honors_max_terms(matrix_file, capsys):
     assert code == 0 and "zero in Nichols algebra" in out
 
 
+def test_cmd_bracket_honors_max_terms_before_expansion(matrix_file, capsys):
+    # the alternating left comb [[[x1,x2],x1],...] of 18 letters expands
+    # to megabytes; its at most multinomial((9, 9)) words meet the cap first
+    expr = "x1"
+    for letter in ("x2", "x1") * 8 + ("x2",):
+        expr = f"[{expr},{letter}]"
+    code, out = run(["bracket", "--input", matrix_file('{"n":2,"cyclotomic_order":1,"q":[["2","3"],["5","7"]]}'),
+                     "--expr", expr, "--lie", "braided", "--max-terms", "1"])
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == (
+        "inconclusive: bracket expansion at degree (9, 9): needs 48620 entries, cap is 1\n"
+    )
+
+
 def test_cmd_ismember_long_word_refused_by_candidate_count(matrix_file, capsys):
     # the recursive build pairs at most (14 - 1) * 1 candidates at (14,);
     # that count is compared with the cap before any bracket is built

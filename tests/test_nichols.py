@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from nicholslie.freealg import FreeElement, braided_bracket, words_of_multidegree
+from nicholslie.freealg import FreeElement, braided_bracket, word_degree, words_of_multidegree
 from nicholslie.nichols import (
     GuardrailExceeded,
     NicholsVector,
@@ -19,6 +19,7 @@ from nicholslie.nichols import (
 from nicholslie.scalar import Scalar
 
 from conftest import matrix_from_strings, random_braiding_matrix, random_scalar, rational_matrix
+from descent_oracle import oracle_pairings
 
 
 def gen(B, i):
@@ -436,3 +437,19 @@ def test_root_of_unity_truncation():
     assert basis_of_degree(B, (3,))[1] == 0
     assert basis_of_degree(B, (4,))[1] == 0
     assert symmetrizer_rank_oracle(B, (3,)) == 0
+
+
+def test_pairing_row_memo_holds_only_short_words():
+    from nicholslie.nichols import SHORT_ROW_LETTERS
+
+    B = matrix_from_strings([["2", "z"], ["z^2", "-z"]], 3)
+    long_word = (1, 1, 2) * 4
+    values = word_pairing_vector(B, long_word).values
+    assert len(values) == 495 and any(values)
+    rows = B._pairing_row_cache
+    assert rows and all(1 <= len(w) <= SHORT_ROW_LETTERS for w in rows)
+    assert len(rows) <= B.n + B.n ** 2 + B.n ** 3
+    # a row is the pairing vector of its word, as (index, value) pairs
+    for w, row in rows.items():
+        dense = oracle_pairings(B, word(B, w), word_degree(w, B.n))
+        assert row == tuple((k, v) for k, v in enumerate(dense) if v)

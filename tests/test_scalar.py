@@ -139,6 +139,19 @@ def test_inv_one_plus_i():
     assert ((one + z) * got).is_one()
 
 
+def test_monomial_inverse_builds_no_root_table():
+    from nicholslie.scalar import _root_table
+
+    _root_table.cache_clear()
+    for order in (5, 8, 12, 24, 4000):
+        for e in (1, 2, euler_phi(order) - 1):  # c * z^e, one nonzero coefficient
+            s = Scalar.root_power(order, e) * Fraction(-3, 5)
+            inv = s.inv()
+            assert (s * inv).is_one()
+            assert inv == Scalar.root_power(order, -e) * Fraction(-5, 3)
+    assert _root_table.cache_info().currsize == 0
+
+
 def _random_operand(rng, order):
     phi = euler_phi(order)
     while True:
