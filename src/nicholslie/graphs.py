@@ -172,11 +172,14 @@ def abstract_graph_from_json(text: str):
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise InvalidMatrixError("graph document must be an object with 'n' and 'edges'")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    # type(), not isinstance(): JSON true/false load as bool, an int subclass
+    if type(n) is not int or n < 1:
         raise InvalidMatrixError(f"field 'n' must be a positive integer, got {n!r}")
+    if not isinstance(data["edges"], list):
+        raise InvalidMatrixError("field 'edges' must be a list of pairs [i, j]")
     edges = []
     for e in data["edges"]:
-        if not isinstance(e, list) or len(e) != 2:
-            raise InvalidMatrixError(f"edge {e!r} must be a pair [i, j]")
+        if not isinstance(e, list) or len(e) != 2 or any(type(v) is not int for v in e):
+            raise InvalidMatrixError(f"edge {e!r} must be a pair [i, j] of integers")
         edges.append((e[0], e[1]))
     return n, edges

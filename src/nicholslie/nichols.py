@@ -156,7 +156,7 @@ def _pairing_row(B: BraidingMatrix, word) -> tuple:
         if len(word) == 1:
             row = ((0, Scalar.one(B.order)),)
         else:
-            elem = FreeElement.from_word(B.n, B.order, word)
+            elem = FreeElement(B.n, B.order, {word: Scalar.one(B.order)})
             values = _derivations(B, elem, word_degree(word, B.n))
             row = tuple((k, v) for k, v in enumerate(values) if v)
         rows[word] = row

@@ -62,8 +62,8 @@ def cyclotomic_polynomial(n: int):
     Built in one pass over the prime factors p of n from Phi_1 = x - 1:
     Phi_mp(x) is Phi_m(x^p) when p divides m, else Phi_m(x^p) / Phi_m(x),
     an exact division by a monic integer polynomial.  It is the one form
-    of the modulus: euler_phi reads its degree, products fold with its
-    coefficients and the root table is reduced by it.
+    of the modulus: euler_phi reads its degree, and products, powers of z
+    and the conjugates of the norm inverse fold with its coefficients.
     """
     if n < 1:
         raise ValueError(f"cyclotomic polynomial undefined for {n}")
@@ -127,14 +127,6 @@ def _product(order: int, a, b) -> list:
 def _power(order: int, k: int) -> list:
     """z^k mod Phi_N as ints (k any integer), folded on its own."""
     return _fold(order, [0] * (k % order) + [1])
-
-
-@lru_cache(maxsize=None)
-def _root_table(order: int):
-    """z^e mod Phi_N as int tuples, for e = 0 .. N-1; only the norm
-    inverse of a scalar with two or more nonzero coefficients needs all
-    N of them."""
-    return tuple(tuple(_power(order, e)) for e in range(order))
 
 
 def _to_ints(coeffs):
@@ -327,29 +319,27 @@ class Scalar:
     __rmul__ = __mul__
 
     def inv(self) -> "Scalar":
-        """Multiplicative inverse.  A monomial c * z^e is z^(N - e) / c;
-        anything else goes through the field norm: with
-        c = prod sigma_k(num) over the units k != 1 mod N (sigma_k: z -> z^k),
-        num * c is the rational integer norm of num, so
+        """Multiplicative inverse.  A monomial c * z^e (a rational when
+        e = 0) is z^(N - e) / c; anything else goes through the field norm:
+        with c = prod sigma_k(num) over the units k != 1 mod N
+        (sigma_k: z -> z^k), num * c is the rational integer norm of num, so
         (num / den)^-1 = den * c / norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
         order, num = self.order, self.num
-        if not any(num[1:]):  # a rational, at any order
-            return _canonical(order, (self.den,) + num[1:], num[0])
         support = [e for e, c in enumerate(num) if c]
         if len(support) == 1:
             e = support[0]
             return _canonical(order, [self.den * c for c in _power(order, order - e)], num[e])
-        table = _root_table(order)
         cofactor = None
         for k in range(2, order):
             if gcd(k, order) == 1:
-                conj = [0] * len(num)
-                for e, c in enumerate(num):
-                    if c:
-                        for i, r in enumerate(table[k * e % order]):
-                            conj[i] += c * r
+                # k is a unit, so e -> k*e mod N sends the exponents of num
+                # to distinct places: scatter sigma_k(num), then fold once
+                conj = [0] * order
+                for e in support:
+                    conj[k * e % order] = num[e]
+                _fold(order, conj)
                 cofactor = conj if cofactor is None else _product(order, cofactor, conj)
         norm = _product(order, num, cofactor)
         # the norm of a nonzero element is a nonzero rational (Phi_N irreducible)
@@ -459,80 +449,61 @@ def _tokenize(text: str):
     return tokens
 
 
-class _ScalarParser:
-    def __init__(self, tokens, order):
-        self.tokens = tokens
-        self.order = order
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def take(self, kind=None):
-        if self.pos >= len(self.tokens):
-            raise ScalarParseError("unexpected end of scalar literal")
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise ScalarParseError(f"expected {kind!r}, got {tok[0]!r}")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Scalar:
-        negate = False
-        if self.peek() == "-":
-            self.take()
-            negate = True
-        value = self.term()
-        if negate:
-            value = -value
-        while self.peek() in ("+", "-"):
-            op = self.take()[0]
-            t = self.term()
-            value = value + t if op == "+" else value - t
-        if self.pos != len(self.tokens):
-            raise ScalarParseError(f"trailing input in scalar literal at token {self.pos}")
-        return value
-
-    def term(self) -> Scalar:
-        if self.peek() == "z":
-            return self.zpow()
-        coeff = self.coeff()
-        if self.peek() == "*":
-            self.take()
-            return self.zpow() * coeff
-        return Scalar.from_rational(self.order, coeff)
-
-    def coeff(self) -> int | Fraction:
-        sign = 1
-        if self.peek() == "-":
-            self.take()
-            sign = -1
-        num = self.take("num")[1]
-        if self.peek() == "/":
-            self.take()
-            den = self.take("num")[1]
-            if den == 0:
-                raise ScalarParseError("zero denominator in scalar literal")
-            return Fraction(sign * num, den)
-        return sign * num
-
-    def zpow(self) -> Scalar:
-        self.take("z")
-        exponent = 1
-        if self.peek() == "^":
-            self.take()
-            sign = 1
-            if self.peek() == "-":
-                self.take()
-                sign = -1
-            exponent = sign * self.take("num")[1]
-        return Scalar.root_power(self.order, exponent)
-
-
 def parse_scalar(text: str, order: int) -> Scalar:
-    """Parse a scalar literal like "1/2*z^3 - z + 2" in Q(zeta_order);
-    every term is built by from_rational or root_power, which check the order."""
+    """Parse a scalar literal like "1/2*z^3 - z + 2" in Q(zeta_order),
+    after checking the order: each term's coefficient is summed at its
+    exponent mod N, and the sum is reduced once."""
+    _check_order(order)
     tokens = _tokenize(text)
     if not tokens:
         raise ScalarParseError("empty scalar literal")
-    return _ScalarParser(tokens, order).parse()
+    pos = 0
+
+    def skip(kind) -> bool:
+        nonlocal pos
+        if pos < len(tokens) and tokens[pos][0] == kind:
+            pos += 1
+            return True
+        return False
+
+    def take(kind):
+        nonlocal pos
+        if pos >= len(tokens):
+            raise ScalarParseError("unexpected end of scalar literal")
+        tok, value = tokens[pos]
+        if tok != kind:
+            raise ScalarParseError(f"expected {kind!r}, got {tok!r}")
+        pos += 1
+        return value
+
+    poly = {}
+    sign = -1 if skip("-") else 1
+    while True:
+        has_z = skip("z")
+        coeff = 1
+        if not has_z:
+            coeff = -take("num") if skip("-") else take("num")
+            if skip("/"):
+                den = take("num")
+                if den == 0:
+                    raise ScalarParseError("zero denominator in scalar literal")
+                coeff = Fraction(coeff, den)
+            has_z = skip("*")
+            if has_z:
+                take("z")
+        exponent = 0
+        if has_z:
+            exponent = 1
+            if skip("^"):
+                exponent = -take("num") if skip("-") else take("num")
+        exponent %= order
+        poly[exponent] = poly.get(exponent, 0) + sign * coeff
+        if skip("+"):
+            sign = 1
+        elif skip("-"):
+            sign = -1
+        else:
+            break
+    if pos != len(tokens):
+        raise ScalarParseError(f"trailing input in scalar literal at token {pos}")
+    return Scalar.from_poly(order, [poly.get(e, 0) for e in range(max(poly) + 1)])

@@ -46,7 +46,6 @@ from .freealg import (
 from .graphs import AUGMENTED, PURE, build_graph, components, is_connected_monomial, support
 from .lie import MEMBER, max_supports, monomial_membership
 from .nichols import GuardrailExceeded, _check_degree, _guard, is_zero_in_nichols
-from .scalar import parse_scalar
 
 __all__ = [
     "CONFIRMED",
@@ -271,11 +270,8 @@ def grid_matrix_at(index: int, n: int, off_diag_values, diag_values, order: int)
         entries[pos] = diag_values[r]
     if index:
         raise IndexError("grid index out of range")
-    rows = [
-        [parse_scalar(entries[(i, j)], order) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    return BraidingMatrix(rows)
+    rows = [[entries[(i, j)] for j in range(1, n + 1)] for i in range(1, n + 1)]
+    return BraidingMatrix.from_strings(rows, order)
 
 
 def grid_matrices(n: int, off_diag_values, diag_values, order: int):

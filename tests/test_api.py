@@ -55,6 +55,8 @@ def test_top_level_names_are_module_exports():
         ("scalar", "_poly_mul"),
         ("scalar", "_poly_divmod"),
         ("scalar", "_reduce"),
+        ("scalar", "_ScalarParser"),
+        ("scalar", "_root_table"),
     ],
 )
 def test_removed_names_stay_removed(module, path):

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from nicholslie.braiding import InvalidMatrixError
 from nicholslie.graphs import (
     AUGMENTED,
     PURE,
@@ -271,3 +272,17 @@ def test_abstract_graph_json():
     assert n == 3 and edges == [(1, 2), (2, 3)]
     B = realize_graph(n, edges)
     assert build_graph(B, PURE).sorted_edges() == [(1, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("doc", [
+    '{"n": true, "edges": []}',
+    '{"n": 2, "edges": [[1.0, 2]]}',
+    '{"n": 2, "edges": [[true, 2]]}',
+    '{"n": 2, "edges": [[1, "2"]]}',
+    '{"n": 2, "edges": {}}',
+    '{"n": 2, "edges": 5}',
+], ids=["n-bool", "endpoint-float", "endpoint-bool", "endpoint-str",
+        "edges-object", "edges-int"])
+def test_abstract_graph_json_rejects_non_int(doc):
+    with pytest.raises(InvalidMatrixError):
+        abstract_graph_from_json(doc)

@@ -439,6 +439,36 @@ def test_root_of_unity_truncation():
     assert symmetrizer_rank_oracle(B, (3,)) == 0
 
 
+def _multiplicative_order(q, bound):
+    """The least m >= 1 with q^m = 1, by repeated multiplication; None
+    when there is none up to bound."""
+    power = q
+    for m in range(1, bound + 1):
+        if power.is_one():
+            return m
+        power = power * q
+    return None
+
+
+def test_rank_one_closed_form_battery():
+    # V = span(x) with x braided by q: x^k is zero in B(V) exactly when
+    # (k)_q! = 0, so dim B(V)_k is 1 when q = 1, when q is no root of
+    # unity, or when k < ord(q), and 0 otherwise (criterion 3 is q = -1)
+    cases = 0
+    for order in range(1, 13):
+        literals = [sign + f"z^{j}" for j in range(order) for sign in ("", "-")]
+        for text in literals + (["2"] if order == 1 else []):
+            B = matrix_from_strings([[text]], order)
+            q = B.entry(1, 1)
+            m = _multiplicative_order(q, 2 * order)
+            for k in range(1, 14):
+                expected = int(q.is_one() or m is None or k < m)
+                assert basis_of_degree(B, (k,))[1] == expected, (text, order, k)
+                assert symmetrizer_rank_oracle(B, (k,)) == expected, (text, order, k)
+                cases += 1
+    assert cases == 13 * (2 * 78 + 1)
+
+
 def test_pairing_row_memo_holds_only_short_words():
     from nicholslie.nichols import SHORT_ROW_LETTERS
 

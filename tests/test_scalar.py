@@ -139,17 +139,13 @@ def test_inv_one_plus_i():
     assert ((one + z) * got).is_one()
 
 
-def test_monomial_inverse_builds_no_root_table():
-    from nicholslie.scalar import _root_table
-
-    _root_table.cache_clear()
+def test_monomial_inverse_values():
     for order in (5, 8, 12, 24, 4000):
         for e in (1, 2, euler_phi(order) - 1):  # c * z^e, one nonzero coefficient
             s = Scalar.root_power(order, e) * Fraction(-3, 5)
             inv = s.inv()
             assert (s * inv).is_one()
             assert inv == Scalar.root_power(order, -e) * Fraction(-5, 3)
-    assert _root_table.cache_info().currsize == 0
 
 
 def _random_operand(rng, order):
@@ -316,6 +312,13 @@ def test_every_order_entry_rejects_non_positive_int(build, order):
     Scalar.one(1)
     with pytest.raises(ValueError, match="cyclotomic order must be an integer >= 1"):
         build(order)
+
+
+@pytest.mark.parametrize("order", [True, 0, -3, 2.0])
+@pytest.mark.parametrize("text", ["", "   ", "z^", "1/", "3/0", "x1", "1 2", "2*z"])
+def test_parse_scalar_reports_bad_order_before_literal(text, order):
+    with pytest.raises(ValueError, match="cyclotomic order must be an integer >= 1"):
+        parse_scalar(text, order)
 
 
 def test_equality_requires_same_order():
