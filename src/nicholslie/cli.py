@@ -3,7 +3,7 @@
 Subcommands: graph, components, bracket, ismember, dim, verify.  All
 output is deterministic; exit status is 0 for success, 1 for a
 counterexample or failed precondition, 2 for usage errors, 3 when a
-guardrail made the computation inconclusive.
+guardrail made the computation inconclusive, 4 for bad input.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INPUT = 4
 
 
 class BracketParseError(ValueError):
@@ -351,7 +352,7 @@ def main(argv=None, out=None) -> int:
         return EXIT_USAGE
     except (InvalidMatrixError, BracketParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        return EXIT_INPUT
 
 
 def console_main():

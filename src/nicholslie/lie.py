@@ -10,7 +10,6 @@ membership is an exact linear solve against that span.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import product
 
 from .braiding import BraidingMatrix
@@ -18,16 +17,16 @@ from .freealg import (
     BRAIDED,
     FreeElement,
     _check_bracket_kind,
-    braided_bracket,
-    minus_bracket,
+    _commutator,
     multinomial,
     words_of_total_degree,
 )
 from .nichols import (
+    NicholsVector,
     _RowReducer,
     _check_degree,
     _guard,
-    pairing_vector,
+    _pairings,
     word_pairing_vector,
 )
 from .scalar import Scalar
@@ -85,26 +84,28 @@ def lie_span(B: BraidingMatrix, alpha, kind: str, max_terms=None) -> LieSpan:
     stored elements, paired, and kept when independent; its provenance
     is the (tree, word) pair ((t_b, t_c), w_b + w_c).
 
-    The guard sizes that build: it pairs sum dim L_beta * dim L_gamma
-    candidates, and dim L <= multinomial, so at most sum m(beta) * m(gamma)
-    = (d - 1) * m(alpha) of them (a pair of words is one word of alpha cut
-    at one of d - 1 places), each against m(alpha) dual words.  Spans are
-    cached on B per (degree, kind), behind the guard at alpha, which grows
-    with alpha and so dominates every lower degree's.
+    The guard is checked here, once, and sizes the whole build: it pairs
+    sum dim L_beta * dim L_gamma candidates, and dim L <= multinomial, so
+    at most sum m(beta) * m(gamma) = (d - 1) * m(alpha) of them (a pair of
+    words is one word of alpha cut at one of d - 1 places), each against
+    m(alpha) dual words.  That grows with alpha, so it dominates every
+    lower degree's, and the recursion (_span) checks nothing.  Spans are
+    cached on B per (degree, kind), behind the guard at alpha.
     """
     _check_bracket_kind(kind)
     alpha = _check_degree(B, alpha)
-    d = sum(alpha)
-    if d < 1:
-        raise ValueError("Lie span needs total degree >= 1")
     m = multinomial(alpha)
-    c = max(d - 1, 1) * m
-    cap = _guard(f"Lie span at degree {alpha} ({c} candidates x {m} words)", c * m, max_terms)
+    c = max(sum(alpha) - 1, 1) * m
+    _guard(f"Lie span at degree {alpha} ({c} candidates x {m} words)", c * m, max_terms)
+    return _span(B, alpha, kind)
+
+
+def _span(B: BraidingMatrix, alpha: tuple, kind: str) -> LieSpan:
+    """L_alpha from B's span cache, or built from the spans below it."""
     key = (alpha, kind)
     if key in B._lie_span_cache:
         return B._lie_span_cache[key]
-
-    bracket = partial(braided_bracket, B) if kind == BRAIDED else minus_bracket
+    d = sum(alpha)
 
     def candidates():
         if d == 1:
@@ -113,19 +114,21 @@ def lie_span(B: BraidingMatrix, alpha, kind: str, max_terms=None) -> LieSpan:
         for beta in product(*(range(a + 1) for a in alpha)):
             if 0 < sum(beta) < d:
                 gamma = tuple(a - b for a, b in zip(alpha, beta))
-                left, right = lie_span(B, beta, kind, cap), lie_span(B, gamma, kind, cap)
-                for (tb, wb), eb in zip(left.generators_used, left.elements):
-                    for (tc, wc), ec in zip(right.generators_used, right.elements):
-                        yield ((tb, tc), wb + wc), bracket(eb, ec)
+                left, right = _span(B, beta, kind), _span(B, gamma, kind)
+                if left.elements and right.elements:
+                    p = B.chi(gamma, beta) if kind == BRAIDED else Scalar.one(B.order)
+                    for (tb, wb), eb in zip(left.generators_used, left.elements):
+                        for (tc, wc), ec in zip(right.generators_used, right.elements):
+                            yield ((tb, tc), wb + wc), _commutator(eb, ec, p)
 
     reducer = _RowReducer()
     basis, provenance, elements = [], [], []
     for source, elem in candidates():
         if not elem.terms:
             continue
-        nv = pairing_vector(B, elem, cap)
-        if reducer.insert(nv.values):
-            basis.append(nv)
+        values = tuple(_pairings(B, elem, alpha))
+        if reducer.insert(values):
+            basis.append(NicholsVector(alpha, values))
             provenance.append(source)
             elements.append(elem)
     span = B._lie_span_cache[key] = LieSpan(alpha, kind, basis, provenance, elements, reducer)

@@ -65,23 +65,25 @@ class GuardrailExceeded(RuntimeError):
         self.cap = cap
 
 
-def _guard(what: str, needed: int, max_terms) -> int:
-    """The effective cap; ValueError if negative, GuardrailExceeded if needed exceeds it."""
+def _guard(what: str, needed: int, max_terms) -> None:
+    """GuardrailExceeded if needed exceeds the cap (ValueError if negative); entry points only."""
     cap = MAX_TERMS_DEFAULT if max_terms is None else int(max_terms)
     if cap < 0:
         raise ValueError(f"max_terms must be >= 0, got {cap}")
     if needed > cap:
         raise GuardrailExceeded(what, needed, cap)
-    return cap
 
 
 def _check_degree(B: BraidingMatrix, alpha) -> tuple:
-    """alpha as a tuple; ValueError if it is no multidegree of rank B.n,
+    """alpha as a tuple, checked once where it enters the library:
+    ValueError if it is no multidegree of rank B.n or has total degree 0,
     GuardrailExceeded if its total degree exceeds MAX_DEGREE."""
     alpha = tuple(alpha)
-    if len(alpha) != B.n or any(a < 0 for a in alpha):
+    if len(alpha) != B.n or min(alpha) < 0:  # B.n >= 1, so alpha is nonempty
         raise ValueError(f"bad multidegree {alpha} for rank {B.n}")
     total = sum(alpha)
+    if total == 0:
+        raise ValueError("operation needs degree >= 1, got a degree-0 element")
     if total > MAX_DEGREE:
         raise GuardrailExceeded(f"total degree of {alpha}", total, MAX_DEGREE, "letters")
     return alpha
@@ -106,11 +108,7 @@ def _homogeneous_degree(B: BraidingMatrix, u: FreeElement):
     if B.n != u.n or B.order != u.order:
         raise ValueError("braiding matrix and element have different ambients")
     deg = u.degree()  # raises NonHomogeneousError on mixed input
-    if deg is None:
-        return None
-    if sum(deg) == 0:
-        raise ValueError("operation needs degree >= 1, got a degree-0 element")
-    return deg
+    return None if deg is None else _check_degree(B, deg)
 
 
 def _skew(B: BraidingMatrix, i: int, u: FreeElement) -> FreeElement:
@@ -202,7 +200,6 @@ def pairing_vector(B: BraidingMatrix, u: FreeElement, max_terms=None) -> Nichols
     deg = _homogeneous_degree(B, u)
     if deg is None:
         raise ValueError("the zero element has no well-defined pairing degree")
-    _check_degree(B, deg)
     _guard(f"pairing vector at degree {deg}", multinomial(deg), max_terms)
     return NicholsVector(deg, tuple(_pairings(B, u, deg)))
 
@@ -227,7 +224,8 @@ class _RowReducer:
     basis).
 
     Pivot rows are normalized to a leading 1 and indexed by their lead
-    column; insertion order is the deterministic pivot choice.
+    column; insertion order is the deterministic pivot choice, and reduce
+    walks them in it (each is zero at the leads inserted before it).
     """
 
     def __init__(self):
@@ -241,10 +239,9 @@ class _RowReducer:
         """The residue of a row after elimination by every pivot; it is
         all zero exactly when the row lies in the span."""
         row = list(row)
-        for lead in sorted(self._by_lead):
+        for lead, (prow, support) in self._by_lead.items():
             c = row[lead]
             if c:
-                prow, support = self._by_lead[lead]
                 for idx in support:
                     row[idx] = row[idx] - c * prow[idx]
         return row
@@ -271,12 +268,12 @@ def basis_of_degree(B: BraidingMatrix, alpha, max_terms=None):
     """
     alpha = _check_degree(B, alpha)
     m = multinomial(alpha)
-    cap = _guard(f"elimination at degree {alpha}", m * m, max_terms)
+    _guard(f"elimination at degree {alpha}", m * m, max_terms)
+    one = Scalar.one(B.order)
     reducer = _RowReducer()
     pivot_words = []
     for word in words_of_multidegree(alpha):
-        nv = word_pairing_vector(B, word, max_terms=cap)
-        if reducer.insert(nv.values):
+        if reducer.insert(_pairings(B, FreeElement(B.n, B.order, {word: one}), alpha)):
             pivot_words.append(word)
     return tuple(pivot_words), reducer.rank
 
@@ -329,8 +326,6 @@ def symmetrizer_rank_oracle(B: BraidingMatrix, alpha, max_terms=None) -> int:
     """
     alpha = _check_degree(B, alpha)
     d = sum(alpha)
-    if d == 0:
-        raise ValueError("degree-0 component is the base field; rank query needs degree >= 1")
     m = multinomial(alpha)
     _guard(f"symmetrizer at degree {alpha}", m * m, max_terms)
     words = list(words_of_multidegree(alpha))

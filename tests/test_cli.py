@@ -16,9 +16,10 @@ from nicholslie.cli import (
     parse_matrix_file,
     parse_monomial,
 )
-from nicholslie.freealg import format_bracketing
+from nicholslie.freealg import BRAIDED, MINUS, FreeElement, format_bracketing
 from nicholslie.graphs import AUGMENTED, PURE, build_graph, generated_subgraph
-from nicholslie.nichols import MAX_DEGREE
+from nicholslie.lie import lie_span
+from nicholslie.nichols import MAX_DEGREE, basis_of_degree, pairing_vector, symmetrizer_rank_oracle
 from nicholslie.scalar import Scalar
 
 from conftest import assert_witness_lines_rebuild, rational_matrix
@@ -251,7 +252,7 @@ def test_cmd_bracket_generator_out_of_range(matrix_file, capsys):
     code, out = run(
         ["bracket", "--input", matrix_file(CONNECTED), "--expr", "[x1,x9]", "--lie", "minus"]
     )
-    assert code == 1 and out == ""
+    assert code == 4 and out == ""
     assert capsys.readouterr().err == "error: generator x9 out of range for rank 2\n"
 
 
@@ -318,7 +319,7 @@ def test_cmd_bracket_deeply_nested_expr_is_inconclusive(matrix_file, capsys):
 def test_cmd_bracket_deeply_nested_malformed_expr_is_error(matrix_file, capsys):
     code, out = run(["bracket", "--input", matrix_file('{"n":1,"cyclotomic_order":1,"q":[["1"]]}'),
                      "--expr", "[" * 1200 + "x1", "--lie", "minus"])
-    assert code == 1 and out == ""
+    assert code == 4 and out == ""
     assert capsys.readouterr().err == "error: expected ',' inside bracket\n"
 
 
@@ -503,16 +504,47 @@ def test_guardrail_exit_three(matrix_file):
     assert code == 3 and "Inconclusive" in out
 
 
-def test_bad_file_exit_one(tmp_path):
+def test_bad_file_exit_four(tmp_path):
+    # input errors exit 4; 1 is left to Counterexample and PreconditionNotMet
     code, _ = run(["dim", "--input", str(tmp_path / "missing.json"), "--degree", "1"])
-    assert code == 1
+    assert code == 4
 
 
-def test_boolean_fields_exit_one(matrix_file):
+def test_boolean_fields_exit_four(matrix_file):
     path = matrix_file('{"n": true, "cyclotomic_order": true, "q": [["2"]]}')
     for argv in (["dim", "--input", path, "--degree", "1"],
                  ["graph", "--input", path, "--kind", "pure"]):
-        assert run(argv) == (1, "")
+        assert run(argv) == (4, "")
+
+
+@pytest.mark.parametrize("doc, argv, message", [
+    ('{"n":1,"cyclotomic_order":1,"q":[["2x"]]}', ["dim", "--degree", "1"],
+     "entry (1,1): unexpected character 'x' in scalar literal"),
+    (CONNECTED, ["ismember", "--monomial", "x1 y2", "--lie", "minus"],
+     "bad monomial token 'y2' (expected x<digits>)"),
+    (CONNECTED, ["dim", "--degree", "1,a"], "bad degree '1,a' (expected comma-separated integers)"),
+    (CONNECTED, ["bracket", "--expr", "[x1,x2", "--lie", "minus"], "expected ']' to close bracket"),
+], ids=["literal", "monomial", "degree", "bracket"])
+def test_input_errors_exit_four(matrix_file, capsys, doc, argv, message):
+    code, out = run(argv[:1] + ["--input", matrix_file(doc)] + argv[1:])
+    assert (code, out) == (4, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_degree_zero_has_one_message(matrix_file, capsys):
+    message = "operation needs degree >= 1, got a degree-0 element"
+    B = rational_matrix([[2, 2], [2, 2]])
+    for call in (lambda: basis_of_degree(B, (0, 0)),
+                 lambda: symmetrizer_rank_oracle(B, (0, 0)),
+                 lambda: lie_span(B, (0, 0), BRAIDED),
+                 lambda: lie_span(B, (0, 0), MINUS),
+                 lambda: pairing_vector(B, FreeElement.unit(2, 1))):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+    code, out = run(["dim", "--input", matrix_file(CONNECTED), "--degree", "0,0"])
+    assert (code, out) == (4, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_stdout_byte_identical(matrix_file):

@@ -312,10 +312,9 @@ def test_lie_span_guard_precedes_candidate_build(monkeypatch):
     # 14 letters give at most (14 - 1) * 1 candidates; the cap must refuse
     # them from the count alone, without building a single bracket
     def refuse(*args):
-        raise AssertionError(f"built a bracket of {args[-2:]}")
+        raise AssertionError(f"built a bracket of {args[:2]}")
 
-    monkeypatch.setattr("nicholslie.lie.braided_bracket", refuse)
-    monkeypatch.setattr("nicholslie.lie.minus_bracket", refuse)
+    monkeypatch.setattr("nicholslie.lie._commutator", refuse)
     B = rational_matrix([[2]])
     with pytest.raises(GuardrailExceeded) as info:
         lie_span(B, (14,), BRAIDED, max_terms=5)

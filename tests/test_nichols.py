@@ -382,6 +382,8 @@ def test_total_degree_bound_is_a_guardrail():
     B = rational_matrix([[1, 1], [1, 1]])
     too_long = word(B, (1,) * (MAX_DEGREE + 1))
     for call in (lambda: pairing_vector(B, too_long, max_terms=10**9),
+                 lambda: is_zero_in_nichols(B, too_long),
+                 lambda: skew_derivation(B, 1, too_long),
                  lambda: basis_of_degree(B, (MAX_DEGREE, 1)),
                  lambda: symmetrizer_rank_oracle(B, (0, MAX_DEGREE + 1))):
         with pytest.raises(GuardrailExceeded) as info:
