@@ -5,6 +5,19 @@ of multidegree alpha.  The bracket is bilinear and ker(T(V) -> B(V)) is
 a graded two-sided ideal, so L_alpha = span{[b, c] : b in L_beta, c in
 L_gamma, beta + gamma = alpha}, which is how it is built.  Monomial
 membership is an exact linear solve against that span.
+
+The build works on pairing vectors alone.  That of a product u*v, u of
+degree beta, is the quantum shuffle of f_u and f_v (M. Rosso, Invent.
+Math. 133, 1998): summing over the position sets S of the dual word j
+that spell a word of degree beta,
+
+    f_uv(j) = sum_S f_u(j_S) * f_v(j_not_S) * prod q_{j_k, j_l}^-1
+              (over k not in S, l in S, l > k),
+
+so a candidate [b, c] = c*b - p*b*c is paired from the stored vectors
+of b and c through one table of interleaving weights per ordered split
+(beta, gamma), with at most m(alpha) * min(prod C(alpha_i, beta_i),
+m(beta) * m(gamma)) entries (m counts the words of a degree).
 """
 
 from __future__ import annotations
@@ -17,8 +30,9 @@ from .freealg import (
     BRAIDED,
     FreeElement,
     _check_bracket_kind,
-    _commutator,
+    _multidegree_words,
     multinomial,
+    word_degree,
     words_of_total_degree,
 )
 from .nichols import (
@@ -27,7 +41,6 @@ from .nichols import (
     _check_degree,
     _guard,
     _pairings,
-    word_pairing_vector,
 )
 from .scalar import Scalar
 
@@ -51,15 +64,16 @@ NOT_MEMBER = "NotMember"
 class LieSpan:
     """A maximal independent set of bracketing images at one multidegree.
 
-    solver is the row reducer that selected the basis; solver.reduce(v)
-    is all zero exactly when v lies in the span.
+    The basis vectors are all the spans above read: they shuffle them into
+    the pairing vectors of their candidates.  solver is the row reducer
+    that selected the basis; solver.reduce(v) is all zero exactly when v
+    lies in the span.
     """
 
     degree: tuple
     kind: str
     basis: list = field(repr=False)           # NicholsVector, linearly independent
     generators_used: list = field(repr=False)  # (tree, word) provenance per basis entry
-    elements: list = field(repr=False, compare=False)  # FreeElement per basis entry
     solver: _RowReducer = field(repr=False, compare=False)
 
     @property
@@ -80,17 +94,18 @@ def lie_span(B: BraidingMatrix, alpha, kind: str, max_terms=None) -> LieSpan:
 
     Degree 1 is spanned by its generator.  Above it, each bracket [b, c]
     of basis entries of L_beta and L_gamma, beta + gamma = alpha (beta in
-    itertools.product order, then b, then c), is formed from the two
-    stored elements, paired, and kept when independent; its provenance
-    is the (tree, word) pair ((t_b, t_c), w_b + w_c).
+    itertools.product order, then b, then c), is paired by shuffling the
+    stored vectors of b and c, and kept when nonzero and independent; its
+    provenance is the (tree, word) pair ((t_b, t_c), w_b + w_c).
 
     The guard is checked here, once, and sizes the whole build: it pairs
     sum dim L_beta * dim L_gamma candidates, and dim L <= multinomial, so
     at most sum m(beta) * m(gamma) = (d - 1) * m(alpha) of them (a pair of
     words is one word of alpha cut at one of d - 1 places), each against
-    m(alpha) dual words.  That grows with alpha, so it dominates every
-    lower degree's, and the recursion (_span) checks nothing.  Spans are
-    cached on B per (degree, kind), behind the guard at alpha.
+    m(alpha) dual words; the shuffle tables hold at most as many entries.
+    That grows with alpha, so it dominates every lower degree's, and the
+    recursion (_span) checks nothing.  Spans are cached on B per (degree,
+    kind), behind the guard at alpha.
     """
     _check_bracket_kind(kind)
     alpha = _check_degree(B, alpha)
@@ -105,34 +120,102 @@ def _span(B: BraidingMatrix, alpha: tuple, kind: str) -> LieSpan:
     key = (alpha, kind)
     if key in B._lie_span_cache:
         return B._lie_span_cache[key]
-    d = sum(alpha)
+    d, m = sum(alpha), multinomial(alpha)
+    zero, one = Scalar.zero(B.order), Scalar.one(B.order)
 
     def candidates():
         if d == 1:
-            letter = alpha.index(1) + 1
-            yield (None, (letter,)), FreeElement.generator(B.n, B.order, letter)
+            yield (None, (alpha.index(1) + 1,)), (one,)
+            return
+        table = _ShuffleTables(B, alpha)
         for beta in product(*(range(a + 1) for a in alpha)):
             if 0 < sum(beta) < d:
                 gamma = tuple(a - b for a, b in zip(alpha, beta))
                 left, right = _span(B, beta, kind), _span(B, gamma, kind)
-                if left.elements and right.elements:
-                    p = B.chi(gamma, beta) if kind == BRAIDED else Scalar.one(B.order)
-                    for (tb, wb), eb in zip(left.generators_used, left.elements):
-                        for (tc, wc), ec in zip(right.generators_used, right.elements):
-                            yield ((tb, tc), wb + wc), _commutator(eb, ec, p)
+                if left.basis and right.basis:
+                    p = B.chi(gamma, beta) if kind == BRAIDED else one
+                    bc, cb = table(beta, gamma), table(gamma, beta)
+                    fcs = [[(k, v) for k, v in enumerate(nv.values) if v] for nv in right.basis]
+                    for (tb, wb), nv in zip(left.generators_used, left.basis):
+                        fb = [(k, v) for k, v in enumerate(nv.values) if v]
+                        neg_pfb = [(k, -(v * p)) for k, v in fb]  # -p folded into f_b once
+                        for (tc, wc), fc in zip(right.generators_used, fcs):
+                            acc = [None] * m
+                            _shuffle_into(acc, cb, fc, fb, one)
+                            _shuffle_into(acc, bc, neg_pfb, fc, one)
+                            yield ((tb, tc), wb + wc), tuple(zero if v is None else v for v in acc)
 
     reducer = _RowReducer()
-    basis, provenance, elements = [], [], []
-    for source, elem in candidates():
-        if not elem.terms:
-            continue
-        values = tuple(_pairings(B, elem, alpha))
-        if reducer.insert(values):
+    basis, provenance = [], []
+    for source, values in candidates():
+        if any(values) and reducer.insert(values):
             basis.append(NicholsVector(alpha, values))
             provenance.append(source)
-            elements.append(elem)
-    span = B._lie_span_cache[key] = LieSpan(alpha, kind, basis, provenance, elements, reducer)
+    span = B._lie_span_cache[key] = LieSpan(alpha, kind, basis, provenance, reducer)
     return span
+
+
+class _ShuffleTables:
+    """Called as table(beta, gamma) in one span build at alpha: entry [i][j]
+    lists the (k, w), w != 0, where w sums the weights prod q_{x,y}^-1 (x of v
+    placed before y of u) of the interleavings of the i-th word u of beta
+    and the j-th word v of gamma that spell the k-th dual word of alpha.
+    They are built from the shuffles of suffix pairs, memoized for the
+    whole build (the c*b table at beta is the b*c table at gamma), and
+    never enumerated: with repeated letters there are exponentially many."""
+
+    def __init__(self, B: BraidingMatrix, alpha: tuple):
+        self.B, self.one = B, Scalar.one(B.order)
+        self.index = {word: k for k, word in enumerate(_multidegree_words(alpha))}
+        self.tables, self.memo, self.factors = {}, {}, {}
+
+    def __call__(self, beta, gamma):
+        key, index = (beta, gamma), self.index
+        if key not in self.tables:
+            vs = _multidegree_words(gamma)
+            self.tables[key] = [[tuple((index[j], w) for j, w in self.shuffles(u, v)) for v in vs]
+                                for u in _multidegree_words(beta)]
+        return self.tables[key]
+
+    def factor(self, c, u):
+        # prod q_{c,y}^-1 over the letters y of u: the weight of placing c before all of u
+        if (c, u) not in self.factors:
+            inv_row, inv_is_one = self.B.inverse_row(c)
+            f = self.factor(c, u[1:]) if u else self.one
+            self.factors[(c, u)] = f if not u or inv_is_one[u[0] - 1] else f * inv_row[u[0] - 1]
+        return self.factors[(c, u)]
+
+    def shuffles(self, u, v):
+        # (dual word, weight) pairs: the dual word starts with u's first
+        # letter, or with v's placed before all of u
+        out = self.memo.get((u, v))
+        if out is None:
+            one = self.one
+            if not u or not v:
+                out = ((u + v, one),)
+            else:
+                acc = {(u[0],) + j: w for j, w in self.shuffles(u[1:], v)}
+                f = self.factor(v[0], u)
+                for j, w in self.shuffles(u, v[1:]):
+                    j, w = (v[0],) + j, w if f is one else w * f
+                    acc[j] = acc[j] + w if j in acc else w
+                out = tuple((j, w) for j, w in acc.items() if w)
+            self.memo[(u, v)] = out
+        return out
+
+
+def _shuffle_into(acc: list, table, fu, fv, one: Scalar) -> None:
+    """Add f_u * f_v, the pairing vector of u*v, into acc (None marks an
+    untouched entry), from the nonzero (index, value) pairs of f_u and f_v
+    and the table of their degrees; unit weights are not multiplied."""
+    for i, x in fu:
+        row = table[i]
+        for j, y in fv:
+            xy = x * y
+            for k, w in row[j]:
+                w = xy if w is one else xy * w
+                prev = acc[k]
+                acc[k] = w if prev is None else prev + w
 
 
 def monomial_membership(B: BraidingMatrix, word, kind: str, max_terms=None) -> MembershipReport:
@@ -147,11 +230,16 @@ def monomial_membership(B: BraidingMatrix, word, kind: str, max_terms=None) -> M
     word = tuple(word)
     if not word:
         raise ValueError("membership of the empty word is undefined")
-    target = word_pairing_vector(B, word, max_terms)
-    if target.is_zero():
+    for letter in word:
+        if not 1 <= letter <= B.n:
+            raise ValueError(f"letter {letter} out of range 1..{B.n}")
+    alpha = _check_degree(B, word_degree(word, B.n))
+    _guard(f"pairing vector at degree {alpha}", multinomial(alpha), max_terms)
+    target = tuple(_pairings(B, FreeElement(B.n, B.order, {word: Scalar.one(B.order)}), alpha))
+    if not any(target):
         return MembershipReport(word, ZERO_IN_NICHOLS)
-    span = lie_span(B, target.degree, kind, max_terms)
-    if any(span.solver.reduce(target.values)):
+    span = lie_span(B, alpha, kind, max_terms)
+    if any(span.solver.reduce(target)):
         return MembershipReport(word, NOT_MEMBER, span=span)
     # The basis is independent, so the witness is unique: reducing
     # (target | 0) by the rows (basis[k] | e_k) leaves (0 | -witness).
@@ -160,7 +248,7 @@ def monomial_membership(B: BraidingMatrix, word, kind: str, max_terms=None) -> M
     augmented = _RowReducer()
     for k, nv in enumerate(span.basis):
         augmented.insert(nv.values + (zero,) * k + (one,) + (zero,) * (r - 1 - k))
-    tail = augmented.reduce(target.values + (zero,) * r)[-r:]
+    tail = augmented.reduce(target + (zero,) * r)[-r:]
     return MembershipReport(word, MEMBER, witness=[-v for v in tail], span=span)
 
 

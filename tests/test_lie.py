@@ -1,5 +1,6 @@
 """Lie spans per multidegree, monomial membership, maximal supports."""
 
+import dataclasses
 import random
 from itertools import product
 
@@ -20,6 +21,9 @@ from nicholslie.lie import (
     MEMBER,
     NOT_MEMBER,
     ZERO_IN_NICHOLS,
+    LieSpan,
+    _shuffle_into,
+    _ShuffleTables,
     lie_span,
     max_supports,
     monomial_membership,
@@ -27,7 +31,7 @@ from nicholslie.lie import (
 from nicholslie.nichols import GuardrailExceeded, _RowReducer, basis_of_degree, pairing_vector
 from nicholslie.scalar import Scalar
 
-from conftest import matrix_from_strings, random_braiding_matrix, rational_matrix
+from conftest import matrix_from_strings, random_braiding_matrix, random_scalar, rational_matrix
 
 
 CONNECTED = [["2", "z"], ["z", "2"]]        # q12 q21 = z^2 != 1
@@ -62,17 +66,104 @@ def test_span_basis_is_independent_and_sourced(rng):
 
 
 @pytest.mark.parametrize("kind", [BRAIDED, MINUS])
-def test_span_elements_are_their_bracketings(rng, kind):
-    # spans one degree up bracket these stored elements, so each must be
-    # exactly the free-algebra value of its recorded bracketing
-    B = random_braiding_matrix(rng, 2, 3)
-    lie_span(B, (2, 2), kind)
-    spans = [span for (alpha, k), span in B._lie_span_cache.items() if k == kind]
-    assert len(spans) == 8  # every 0 < beta <= (2, 2)
-    for span in spans:
-        assert len(span.elements) == span.dimension
-        for elem, (tree, word) in zip(span.elements, span.generators_used):
-            assert elem == apply_bracketing(B, tree, word, kind)
+def test_span_basis_vectors_are_paired_bracketings(rng, kind):
+    # spans one degree up shuffle these stored vectors, so each must be
+    # exactly the descent's pairing of its recorded bracketing
+    for order in (3, 8):
+        B = random_braiding_matrix(rng, 2, order)
+        lie_span(B, (2, 2), kind)
+        spans = [span for (alpha, k), span in B._lie_span_cache.items() if k == kind]
+        assert len(spans) == 8  # every 0 < beta <= (2, 2)
+        for span in spans:
+            for nv, (tree, word) in zip(span.basis, span.generators_used):
+                assert nv.values == pairing_vector(B, apply_bracketing(B, tree, word, kind)).values
+
+
+def test_lie_span_has_no_free_algebra_elements():
+    assert "elements" not in {f.name for f in dataclasses.fields(LieSpan)}
+
+
+def test_lie_span_builds_without_bracket_or_descent(monkeypatch):
+    # candidates are paired by shuffling the stored basis vectors: no
+    # free-algebra bracket and no skew-derivation descent
+    rows = [["-1", "z"], ["z^3", "z^2"]]
+    expected = {kind: lie_span(matrix_from_strings(rows, 8), (2, 2), kind) for kind in (BRAIDED, MINUS)}
+
+    def refuse(*args):
+        raise AssertionError("the span build left the pairing vectors")
+
+    for name in ("_commutator", "braided_bracket", "minus_bracket"):
+        monkeypatch.setattr(f"nicholslie.freealg.{name}", refuse)
+    for name in ("_pairings", "_skew"):
+        monkeypatch.setattr(f"nicholslie.nichols.{name}", refuse)
+    monkeypatch.setattr("nicholslie.lie._pairings", refuse)
+    B = matrix_from_strings(rows, 8)
+    for kind, span in expected.items():
+        assert lie_span(B, (2, 2), kind) == span
+
+
+def _random_homogeneous(rng, B, degree):
+    words = list(words_of_multidegree(degree))
+    terms = {tuple(rng.choice(words)): random_scalar(rng, B.order) for _ in range(rng.randint(1, 3))}
+    return FreeElement(B.n, B.order, terms)
+
+
+def test_shuffle_of_pairing_vectors_is_pairing_of_product():
+    # the descent is the oracle: f_u shuffled with f_v must be f_{u*v}
+    rng = random.Random(13)
+    B = matrix_from_strings([["-1", "z", "z^5"], ["z^2", "z^3", "1"], ["-1", "z^7", "-1"]], 8)
+    one = Scalar.one(B.order)
+    compared = 0
+    for _ in range(40):
+        beta, gamma = (
+            tuple(rng.choice([c for c in product(range(4), repeat=3) if 0 < sum(c) <= 3]))
+            for _ in range(2)
+        )
+        alpha = tuple(b + c for b, c in zip(beta, gamma))
+        u, v = _random_homogeneous(rng, B, beta), _random_homogeneous(rng, B, gamma)
+        if not (u and v):
+            continue
+        fu, fv = (
+            [(k, x) for k, x in enumerate(pairing_vector(B, e).values) if x] for e in (u, v)
+        )
+        acc = [None] * multinomial(alpha)
+        _shuffle_into(acc, _ShuffleTables(B, alpha)(beta, gamma), fu, fv, one)
+        shuffled = tuple(Scalar.zero(B.order) if x is None else x for x in acc)
+        assert shuffled == pairing_vector(B, u * v).values, (beta, gamma)
+        compared += 1
+    assert compared >= 30
+
+
+def _gaussian_binomials(q, d_max):
+    # [d, k] at x = q^-1 by the q-Pascal rule [d, k] = [d-1, k-1] + x^k [d-1, k]
+    x, one, zero = q.inv(), Scalar.one(q.order), Scalar.zero(q.order)
+    rows = [[one]]
+    for d in range(1, d_max + 1):
+        prev = rows[-1] + [zero]
+        rows.append([one] + [prev[k - 1] + x ** k * prev[k] for k in range(1, d + 1)])
+    return rows
+
+
+@pytest.mark.parametrize("entry, order, d_max, vanishing", [
+    ("2", 1, 30, None),
+    ("-1", 1, 12, (2, 1)),   # 1 + (-1) = 0
+    ("z", 3, 12, (3, 1)),    # 1 + z^-1 + z^-2 = 0
+])
+def test_rank_one_shuffle_weight_is_gaussian_binomial(entry, order, d_max, vanishing):
+    # over [[q]] the words of (k) and (d - k) interleave to the one word of
+    # (d), and the weights q^-(inversions) sum to [d choose k] at q^-1;
+    # a vanishing binomial leaves no entry
+    B = matrix_from_strings([[entry]], order)
+    binomials = _gaussian_binomials(B.entry(1, 1), d_max)
+    for d in range(2, d_max + 1):
+        table = _ShuffleTables(B, (d,))
+        for k in range(1, d):
+            weight = binomials[d][k]
+            assert table((k,), (d - k,)) == [[((0, weight),) if weight else ()]], (d, k)
+    if vanishing:
+        d, k = vanishing
+        assert not binomials[d][k]
+        assert _ShuffleTables(B, (d,))((k,), (d - k,)) == [[()]]
 
 
 def assert_witness_rebuilds(B, letters, report):
@@ -314,7 +405,7 @@ def test_lie_span_guard_precedes_candidate_build(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"built a bracket of {args[:2]}")
 
-    monkeypatch.setattr("nicholslie.lie._commutator", refuse)
+    monkeypatch.setattr("nicholslie.lie._ShuffleTables", refuse)
     B = rational_matrix([[2]])
     with pytest.raises(GuardrailExceeded) as info:
         lie_span(B, (14,), BRAIDED, max_terms=5)
