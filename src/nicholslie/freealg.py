@@ -47,9 +47,11 @@ class NonHomogeneousError(ValueError):
 
 
 def word_degree(word, n: int) -> tuple:
-    """Multidegree of a word as an n-tuple of letter counts."""
+    """Multidegree of a word as n letter counts: the library's one letter check."""
     deg = [0] * n
     for letter in word:
+        if not 0 < letter <= n:
+            raise ValueError(f"letter {letter} out of range 1..{n}")
         deg[letter - 1] += 1
     return tuple(deg)
 
@@ -130,16 +132,12 @@ class FreeElement:
 
     @classmethod
     def generator(cls, n: int, order: int, i: int) -> "FreeElement":
-        if not 1 <= i <= n:
-            raise ValueError(f"generator index {i} out of range 1..{n}")
-        return cls(n, order, {(i,): Scalar.one(order)})
+        return cls.from_word(n, order, (i,))
 
     @classmethod
     def from_word(cls, n: int, order: int, word, coeff=1) -> "FreeElement":
         word = tuple(word)
-        for letter in word:
-            if not 1 <= letter <= n:
-                raise ValueError(f"letter {letter} out of range 1..{n}")
+        word_degree(word, n)  # the letter check
         if isinstance(coeff, (int, Fraction)):
             coeff = Scalar.from_rational(order, coeff)
         return cls(n, order, {word: coeff})

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .braiding import BraidingMatrix, InvalidMatrixError
+from .freealg import word_degree
 from .scalar import Scalar
 
 __all__ = [
@@ -128,11 +129,8 @@ def is_connected_monomial(B: BraidingMatrix, word, kind: str) -> bool:
 def monomials_connected(B: BraidingMatrix, u, v) -> bool:
     """True when some i in support(u), j in support(v) have q_ij * q_ji != 1."""
     su, sv = support(u), support(v)
-    for i in su:
-        for j in sv:
-            if not B.p_tilde(i, j).is_one():
-                return True
-    return False
+    word_degree(su + sv, B.n)  # the letter check
+    return any(not B.p_tilde(i, j).is_one() for i in su for j in sv)
 
 
 def realize_graph(n: int, edges) -> BraidingMatrix:

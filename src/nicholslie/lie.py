@@ -230,9 +230,6 @@ def monomial_membership(B: BraidingMatrix, word, kind: str, max_terms=None) -> M
     word = tuple(word)
     if not word:
         raise ValueError("membership of the empty word is undefined")
-    for letter in word:
-        if not 1 <= letter <= B.n:
-            raise ValueError(f"letter {letter} out of range 1..{B.n}")
     alpha = _check_degree(B, word_degree(word, B.n))
     _guard(f"pairing vector at degree {alpha}", multinomial(alpha), max_terms)
     target = tuple(_pairings(B, FreeElement(B.n, B.order, {word: Scalar.one(B.order)}), alpha))

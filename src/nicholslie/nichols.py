@@ -66,8 +66,10 @@ class GuardrailExceeded(RuntimeError):
 
 
 def _guard(what: str, needed: int, max_terms) -> None:
-    """GuardrailExceeded if needed exceeds the cap (ValueError if negative); entry points only."""
-    cap = MAX_TERMS_DEFAULT if max_terms is None else int(max_terms)
+    """GuardrailExceeded if needed exceeds the cap (ValueError unless an int >= 0); entry points only."""
+    cap = MAX_TERMS_DEFAULT if max_terms is None else max_terms
+    if type(cap) is not int:  # not isinstance(): a bool is no cap
+        raise ValueError(f"max_terms must be an int >= 0, got {cap!r}")
     if cap < 0:
         raise ValueError(f"max_terms must be >= 0, got {cap}")
     if needed > cap:

@@ -32,20 +32,20 @@ from functools import cache
 from .braiding import BraidingMatrix
 from .freealg import (
     BRAIDED,
-    MINUS,
     FreeElement,
-    apply_bracketing,
+    _commutator,
+    _fold_bracketing,
     catalan,
     enumerate_bracketings,
     format_bracketing,
-    minus_bracket,
     multinomial,
     word_degree,
     words_of_total_degree,
 )
 from .graphs import AUGMENTED, PURE, build_graph, components, is_connected_monomial, support
 from .lie import MEMBER, max_supports, monomial_membership
-from .nichols import GuardrailExceeded, _check_degree, _guard, is_zero_in_nichols
+from .nichols import GuardrailExceeded, _check_degree, _guard, _pairings
+from .scalar import Scalar
 
 __all__ = [
     "CONFIRMED",
@@ -184,6 +184,7 @@ def check_prop_disconnected_pair(B: BraidingMatrix, u_word, v_word, max_terms=No
     v_word = tuple(v_word)
     if not u_word or not v_word:
         raise ValueError("both monomials must be nonempty")
+    deg = word_degree(u_word + v_word, B.n)
 
     def check():
         for i in support(u_word):
@@ -192,13 +193,12 @@ def check_prop_disconnected_pair(B: BraidingMatrix, u_word, v_word, max_terms=No
                     return PRECONDITION_NOT_MET, {
                         "pair": [i, j], "q_ij": str(B.entry(i, j)), "q_ji": str(B.entry(j, i)),
                     }
-        deg = _check_degree(B, word_degree(u_word + v_word, B.n))
+        _check_degree(B, deg)
         _guard(f"pairing descent at degree {deg}", multinomial(deg), max_terms)
-        bracket = minus_bracket(
-            FreeElement.from_word(B.n, B.order, u_word),
-            FreeElement.from_word(B.n, B.order, v_word),
-        )
-        if is_zero_in_nichols(B, bracket):
+        one = Scalar.one(B.order)
+        u, v = (FreeElement(B.n, B.order, {w: one}) for w in (u_word, v_word))
+        bracket = _commutator(u, v, one)  # [u, v]-
+        if not any(_pairings(B, bracket, deg)):
             return CONFIRMED, {"bracket_vanishes": True}
         return COUNTEREXAMPLE, {
             "bracket": f"[{_word_str(u_word)}, {_word_str(v_word)}]-", "element": str(bracket),
@@ -215,6 +215,7 @@ def check_prop_all_bracketings(B: BraidingMatrix, word, max_terms=None) -> Verif
     word = tuple(word)
     if len(word) < 2:
         raise ValueError("bracketing check needs a word of length >= 2")
+    deg = word_degree(word, B.n)
 
     def check():
         sup = support(word)
@@ -222,14 +223,17 @@ def check_prop_all_bracketings(B: BraidingMatrix, word, max_terms=None) -> Verif
             return PRECONDITION_NOT_MET, {
                 "reason": "augmented support subgraph is connected", "support": list(sup),
             }
-        deg = _check_degree(B, word_degree(word, B.n))
+        _check_degree(B, deg)
         n_trees = catalan(len(word) - 1)
         m = multinomial(deg)
         _guard(f"bracketing descent at degree {deg} ({n_trees} bracketings x {m} dual words)",
                n_trees * m, max_terms)
+        one = Scalar.one(B.order)
+        gens = {i: FreeElement(B.n, B.order, {(i,): one}) for i in sup}
         for tree in enumerate_bracketings(len(word)):
-            elem = apply_bracketing(B, tree, word, MINUS)
-            if not is_zero_in_nichols(B, elem):
+            # the classical bracket [x, y]- at every node
+            elem = _fold_bracketing(tree, word, gens.__getitem__, lambda x, y: _commutator(x, y, one))
+            if any(_pairings(B, elem, deg)):
                 return COUNTEREXAMPLE, {
                     "bracketing": format_bracketing(tree, word), "element": str(elem),
                 }

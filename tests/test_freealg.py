@@ -20,7 +20,11 @@ from nicholslie.freealg import (
     words_of_multidegree,
     words_of_total_degree,
 )
+from nicholslie.graphs import monomials_connected
+from nicholslie.lie import monomial_membership
+from nicholslie.nichols import is_zero_in_nichols, pairing_vector, skew_derivation
 from nicholslie.scalar import FieldMismatchError, Scalar
+from nicholslie.verify import check_prop_all_bracketings, check_prop_disconnected_pair
 
 from conftest import matrix_from_strings, random_braiding_matrix, random_scalar, rational_matrix
 
@@ -38,6 +42,33 @@ def word(B, letters, coeff=1):
 def test_word_degree():
     assert word_degree((1, 2, 1), 3) == (2, 1, 0)
     assert word_degree((), 2) == (0, 0)
+
+
+@pytest.mark.parametrize("letter", [0, -1, 3])
+def test_letters_out_of_range_raise_one_error(letter):
+    # word_degree is the one letter check: every path that takes a word's
+    # degree refuses a letter outside 1..n with the same ValueError, where
+    # letter 0 used to count as x_n and n + 1 to raise IndexError
+    B = matrix_from_strings([["2", "1"], ["1", "-1"]], 1)
+    one = Scalar.one(1)
+    raw = FreeElement(2, 1, {(letter,): one})
+    calls = [
+        lambda: word_degree((1, letter), 2),
+        lambda: FreeElement.from_word(2, 1, (1, letter)),
+        lambda: pairing_vector(B, raw),
+        lambda: is_zero_in_nichols(B, raw),
+        lambda: is_zero_in_nichols(B, FreeElement(2, 1, {(1, letter): one, (letter, 1): one})),
+        lambda: skew_derivation(B, 1, raw),
+        lambda: monomial_membership(B, (letter,), BRAIDED),
+        lambda: monomials_connected(B, (letter,), (1,)),
+        lambda: check_prop_disconnected_pair(B, (letter,), (1,)),
+        lambda: check_prop_disconnected_pair(B, (2,), (1, letter)),
+        lambda: check_prop_all_bracketings(B, (1, letter)),
+        lambda: check_prop_all_bracketings(B, (letter, 2, 2)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^letter {letter} out of range 1\.\.2$"):
+            call()
 
 
 def test_words_of_multidegree_lex():

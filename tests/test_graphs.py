@@ -218,6 +218,14 @@ def test_monomials_connected_examples():
     assert monomials_connected(B_path, (1, 2), (3,))  # via the pair (2, 3)
 
 
+@pytest.mark.parametrize("u, v, letter", [((3,), (1,), 3), ((1,), (2, 0), 0), ((-1, 1), (2,), -1)])
+def test_monomials_connected_rejects_out_of_range_letter(u, v, letter):
+    # the letters go through word_degree, not into B.entry's IndexError
+    B = rational_matrix([[2, 2], [2, 2]])
+    with pytest.raises(ValueError, match=rf"^letter {letter} out of range 1\.\.2$"):
+        monomials_connected(B, u, v)
+
+
 # -- realize_graph ------------------------------------------------------------------
 
 def test_realize_single_edge():

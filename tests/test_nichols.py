@@ -2,6 +2,7 @@
 rank computations for dim B(V)_alpha."""
 
 import random
+import re
 
 import pytest
 
@@ -219,6 +220,17 @@ def test_negative_cap_rejected():
     # zero is a valid cap that refuses any work
     with pytest.raises(GuardrailExceeded):
         basis_of_degree(B, (1, 1), max_terms=0)
+
+
+@pytest.mark.parametrize("cap", [True, False, "5", 2.9, -0.5, 4.0])
+def test_non_int_cap_rejected(cap):
+    # a cap is an int, never coerced: True is not cap 1 and -0.5 not cap 0
+    B = rational_matrix([[2, 2], [2, 2]])
+    message = rf"^max_terms must be an int >= 0, got {re.escape(repr(cap))}$"
+    with pytest.raises(ValueError, match=message):
+        basis_of_degree(B, (1, 1), max_terms=cap)
+    with pytest.raises(ValueError, match=message):
+        word_pairing_vector(B, (1, 2), max_terms=cap)
 
 
 def test_basis_deterministic(rng):

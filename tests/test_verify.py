@@ -2,7 +2,17 @@
 
 import pytest
 
+from nicholslie import verify
+from nicholslie.freealg import (
+    MINUS,
+    FreeElement,
+    apply_bracketing,
+    enumerate_bracketings,
+    format_bracketing,
+    minus_bracket,
+)
 from nicholslie.graphs import realize_graph
+from nicholslie.scalar import Scalar
 from nicholslie.verify import (
     CONFIRMED,
     COUNTEREXAMPLE,
@@ -146,6 +156,79 @@ def test_prop_brackets_needs_length_two():
     B = rational_matrix([[2]])
     with pytest.raises(ValueError):
         check_prop_all_bracketings(B, (1,))
+
+
+def _nonzero_for(monkeypatch, chosen):
+    """Make the checks' zero test report the chosen free-algebra elements,
+    and only them, as nonzero in B(V)."""
+    pairings = verify._pairings
+
+    def patched(B, elem, alpha):
+        if any(elem == c for c in chosen):
+            return iter([Scalar.one(B.order)])
+        return pairings(B, elem, alpha)
+
+    monkeypatch.setattr(verify, "_pairings", patched)
+
+
+# trees 0, 1, 3 and 4 of x1 x2 x1 x2 give one element, tree 2 gives 0; trees
+# 1 and 3 of x1 x2 x3 x1 give one element
+@pytest.mark.parametrize("word, picks", [((1, 2, 1, 2), (4,)), ((2, 1, 1), (1,)), ((1, 2, 3, 1), (4, 3))])
+def test_prop_brackets_counterexample_names_first_nonvanishing_tree(monkeypatch, word, picks):
+    B = rational_matrix([[2, 1, 1], [1, 2, 1], [1, 1, -1]])
+    trees = enumerate_bracketings(len(word))
+    elems = [apply_bracketing(B, tree, word, MINUS) for tree in trees]
+    chosen = [elems[k] for k in picks]
+    assert all(chosen)  # nonzero in the free algebra
+    first = next(k for k, e in enumerate(elems) if e in chosen)
+    assert check_prop_all_bracketings(B, word).verdict == CONFIRMED
+    _nonzero_for(monkeypatch, chosen)
+    report = check_prop_all_bracketings(B, word)
+    assert report.verdict == COUNTEREXAMPLE
+    assert report.evidence == {
+        "bracketing": format_bracketing(trees[first], word), "element": str(elems[first]),
+    }
+
+
+def test_prop_pair_counterexample_names_the_bracket(monkeypatch):
+    B = rational_matrix([[2, 1, 1], [1, 2, 1], [1, 1, -1]])
+    u, v = (1, 2), (3, 1)
+    bracket = minus_bracket(FreeElement.from_word(3, 1, u), FreeElement.from_word(3, 1, v))
+    assert bracket and check_prop_disconnected_pair(B, u, v).verdict == CONFIRMED
+    _nonzero_for(monkeypatch, [bracket])
+    report = check_prop_disconnected_pair(B, u, v)
+    assert report.verdict == COUNTEREXAMPLE
+    assert report.evidence == {"bracket": "[x1 x2, x3 x1]-", "element": str(bracket)}
+    assert check_prop_disconnected_pair(B, v, u).verdict == CONFIRMED  # another bracket
+
+
+def test_prop_checks_run_without_bracket_or_zeroness_api(monkeypatch):
+    # the prop checks validate their words once and run on the kernels:
+    # the public brackets and zero test would validate them again
+    grid = list(sample_grid_matrices(3, OFF, DIAG, 8, 6, seed=14))
+    words = [(1, 2), (1, 1, 2), (2, 1, 3, 1), (3, 3, 3), (1, 2, 3)]
+    pairs = [((1,), (2,)), ((1, 1), (3, 2)), ((2, 3), (2,)), ((3, 1, 3), (2, 1))]
+
+    def reports():
+        out = []
+        for B in grid:
+            out += [check_prop_all_bracketings(B, w).to_dict() for w in words]
+            out += [check_prop_disconnected_pair(B, u, v).to_dict() for u, v in pairs]
+            out.append(check_prop_all_bracketings(B, (3, 3, 3, 3), max_terms=4).to_dict())
+        return out
+
+    expected = reports()
+    assert {r["verdict"] for r in expected} >= {CONFIRMED, PRECONDITION_NOT_MET, INCONCLUSIVE}
+
+    def refuse(*args):
+        raise AssertionError("a prop check left the kernels")
+
+    for name in ("apply_bracketing", "minus_bracket", "braided_bracket"):
+        monkeypatch.setattr(f"nicholslie.freealg.{name}", refuse)
+    monkeypatch.setattr("nicholslie.nichols.is_zero_in_nichols", refuse)
+    for name in ("apply_bracketing", "minus_bracket", "braided_bracket", "is_zero_in_nichols"):
+        assert not hasattr(verify, name)
+    assert reports() == expected
 
 
 # -- report determinism -------------------------------------------------------------
