@@ -90,9 +90,11 @@ def catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
 
 
-def _collect(n: int, order: int, pairs) -> "FreeElement":
-    """Sum (word, coeff) pairs into an element, dropping cancelled words."""
-    out = {}
+def _collect(pairs, out=None) -> dict:
+    """Sum (word, coeff) pairs into a word -> scalar map (out when given),
+    dropping cancelled words: the one accumulate loop; _skew inlines a copy."""
+    if out is None:
+        out = {}
     for word, coeff in pairs:
         acc = out.get(word)
         acc = coeff if acc is None else acc + coeff
@@ -100,9 +102,7 @@ def _collect(n: int, order: int, pairs) -> "FreeElement":
             out[word] = acc
         elif word in out:
             del out[word]
-    elem = FreeElement(n, order)
-    elem.terms = out
-    return elem
+    return out
 
 
 class FreeElement:
@@ -121,6 +121,13 @@ class FreeElement:
                     self.terms[word] = coeff
 
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def _of(cls, n: int, order: int, terms: dict) -> "FreeElement":
+        """Wrap a word -> scalar map the library built, uncopied and unchecked."""
+        elem = cls(n, order)
+        elem.terms = terms
+        return elem
 
     @classmethod
     def zero(cls, n: int, order: int) -> "FreeElement":
@@ -155,7 +162,8 @@ class FreeElement:
         if not isinstance(other, FreeElement):
             return NotImplemented
         self._check_ambient(other)
-        return _collect(self.n, self.order, chain(self.terms.items(), other.terms.items()))
+        terms = _collect(chain(self.terms.items(), other.terms.items()))
+        return FreeElement._of(self.n, self.order, terms)
 
     def __sub__(self, other):
         if not isinstance(other, FreeElement):
@@ -163,18 +171,14 @@ class FreeElement:
         return self + (-other)
 
     def __neg__(self):
-        out = FreeElement(self.n, self.order)
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
+        return FreeElement._of(self.n, self.order, {w: -c for w, c in self.terms.items()})
 
     def scale(self, coeff) -> "FreeElement":
         if isinstance(coeff, (int, Fraction)):
             coeff = Scalar.from_rational(self.order, coeff)
         if not coeff:
             return FreeElement.zero(self.n, self.order)
-        out = FreeElement(self.n, self.order)
-        out.terms = {w: c * coeff for w, c in self.terms.items()}
-        return out
+        return FreeElement._of(self.n, self.order, {w: c * coeff for w, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -182,7 +186,7 @@ class FreeElement:
         if not isinstance(other, FreeElement):
             return NotImplemented
         self._check_ambient(other)
-        return _collect(self.n, self.order, (
+        return FreeElement._of(self.n, self.order, _collect(
             (w1 + w2, c1 * c2)
             for w1, c1 in self.terms.items()
             for w2, c2 in other.terms.items()
@@ -256,20 +260,20 @@ def braided_bracket(B: BraidingMatrix, x: FreeElement, y: FreeElement) -> FreeEl
     dy = y.degree()
     if dx is None or dy is None:
         return FreeElement.zero(x.n, x.order)
-    return _commutator(x, y, B.chi(dy, dx))
+    return FreeElement._of(x.n, x.order, _commutator(x.terms, y.terms, B.chi(dy, dx)))
 
 
 def minus_bracket(x: FreeElement, y: FreeElement) -> FreeElement:
     """[x, y]- = y*x - x*y (the classical commutator, reversed)."""
     x._check_ambient(y)
-    return _commutator(x, y, Scalar.one(x.order))
+    return FreeElement._of(x.n, x.order, _commutator(x.terms, y.terms, Scalar.one(x.order)))
 
 
-def _commutator(x: FreeElement, y: FreeElement, p: Scalar) -> FreeElement:
-    """y*x - p * x*y, accumulated in one pass over the term pairs."""
-    xs, ys = x.terms.items(), y.terms.items()
+def _commutator(x: dict, y: dict, p: Scalar) -> dict:
+    """y*x - p * x*y on word -> scalar maps, in one pass over the term pairs."""
+    xs, ys = x.items(), y.items()
     scaled = [(wx, -(cx * p)) for wx, cx in xs]  # -p folded into x once
-    return _collect(x.n, x.order, chain(
+    return _collect(chain(
         ((wy + wx, cy * cx) for wy, cy in ys for wx, cx in xs),
         ((wx + wy, cx * cy) for wx, cx in scaled for wy, cy in ys),
     ))

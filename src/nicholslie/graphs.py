@@ -122,6 +122,7 @@ def support(word) -> tuple:
 
 def is_connected_monomial(B: BraidingMatrix, word, kind: str) -> bool:
     """True when the support of the word generates a connected subgraph."""
+    word_degree(word, B.n)  # the letter check
     sub = generated_subgraph(build_graph(B, kind), support(word))
     return len(components(sub)) == 1
 

@@ -28,7 +28,6 @@ from itertools import product
 from .braiding import BraidingMatrix
 from .freealg import (
     BRAIDED,
-    FreeElement,
     _check_bracket_kind,
     _multidegree_words,
     multinomial,
@@ -232,7 +231,7 @@ def monomial_membership(B: BraidingMatrix, word, kind: str, max_terms=None) -> M
         raise ValueError("membership of the empty word is undefined")
     alpha = _check_degree(B, word_degree(word, B.n))
     _guard(f"pairing vector at degree {alpha}", multinomial(alpha), max_terms)
-    target = tuple(_pairings(B, FreeElement(B.n, B.order, {word: Scalar.one(B.order)}), alpha))
+    target = tuple(_pairings(B, {word: Scalar.one(B.order)}, alpha))
     if not any(target):
         return MembershipReport(word, ZERO_IN_NICHOLS)
     span = lie_span(B, alpha, kind, max_terms)

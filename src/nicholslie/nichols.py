@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from .braiding import BraidingMatrix
-from .freealg import FreeElement, multinomial, word_degree, words_of_multidegree
+from .freealg import FreeElement, _collect, multinomial, word_degree, words_of_multidegree
 from .scalar import Scalar
 
 __all__ = [
@@ -113,13 +113,13 @@ def _homogeneous_degree(B: BraidingMatrix, u: FreeElement):
     return None if deg is None else _check_degree(B, deg)
 
 
-def _skew(B: BraidingMatrix, i: int, u: FreeElement) -> FreeElement:
-    # single left-to-right pass per word, keeping the running product
-    # of q_{i, w_l}^{-1} over the prefix; unit factors are skipped.  The
-    # accumulation is inlined: this is the innermost loop of every descent.
+def _skew(B: BraidingMatrix, i: int, terms: dict) -> dict:
+    # D_i on a word -> scalar map: one pass per word, keeping the running
+    # product of q_{i, w_l}^{-1} over the prefix; unit factors are skipped.
+    # The accumulation is inlined: this is the innermost loop of every descent.
     inv_row, inv_is_one = B.inverse_row(i)
     out = {}
-    for word, coeff in u.terms.items():
+    for word, coeff in terms.items():
         running = coeff
         for k, letter in enumerate(word):
             if letter == i:
@@ -132,17 +132,14 @@ def _skew(B: BraidingMatrix, i: int, u: FreeElement) -> FreeElement:
                     del out[reduced]
             if not inv_is_one[letter - 1]:
                 running = running * inv_row[letter - 1]
-    elem = FreeElement(u.n, u.order)
-    elem.terms = out
-    return elem
+    return out
 
 
 def skew_derivation(B: BraidingMatrix, i: int, u: FreeElement) -> FreeElement:
     """D_i(u): lowers the multidegree by e_i; zero when u contains no x_i."""
-    if not 1 <= i <= B.n:
-        raise IndexError(f"generator index {i} out of range 1..{B.n}")
+    word_degree((i,), B.n)  # the letter check
     _homogeneous_degree(B, u)
-    return _skew(B, i, u)
+    return FreeElement._of(u.n, u.order, _skew(B, i, u.terms))
 
 
 def _pairing_row(B: BraidingMatrix, word) -> tuple:
@@ -156,26 +153,25 @@ def _pairing_row(B: BraidingMatrix, word) -> tuple:
         if len(word) == 1:
             row = ((0, Scalar.one(B.order)),)
         else:
-            elem = FreeElement(B.n, B.order, {word: Scalar.one(B.order)})
-            values = _derivations(B, elem, word_degree(word, B.n))
+            values = _derivations(B, {word: Scalar.one(B.order)}, word_degree(word, B.n))
             row = tuple((k, v) for k, v in enumerate(values) if v)
         rows[word] = row
     return row
 
 
-def _pairings(B: BraidingMatrix, elem: FreeElement, alpha):
-    """Pairing values of elem against the dual words of alpha, in
-    lexicographic dual-word order: D_{j_1} is applied first, then D_{j_2},
-    and so on.  A vanished branch yields its zeros without descending; at
-    most SHORT_ROW_LETTERS letters from the bottom, the descent ends in
-    the memoized pairing rows of elem's words."""
-    if not elem.terms:
+def _pairings(B: BraidingMatrix, terms: dict, alpha):
+    """Pairing values of a word -> scalar map against the dual words of
+    alpha, in lexicographic dual-word order: D_{j_1} is applied first, then
+    D_{j_2}, and so on.  A vanished branch yields its zeros without
+    descending; at most SHORT_ROW_LETTERS letters from the bottom, the
+    descent ends in the memoized pairing rows of its words."""
+    if not terms:
         yield from repeat(Scalar.zero(B.order), multinomial(alpha))
     elif sum(alpha) > SHORT_ROW_LETTERS:
-        yield from _derivations(B, elem, alpha)
+        yield from _derivations(B, terms, alpha)
     else:
         values = [None] * multinomial(alpha)
-        for word, coeff in elem.terms.items():
+        for word, coeff in terms.items():
             for idx, v in _pairing_row(B, word):
                 v = coeff * v
                 acc = values[idx]
@@ -184,13 +180,13 @@ def _pairings(B: BraidingMatrix, elem: FreeElement, alpha):
         yield from (zero if v is None else v for v in values)
 
 
-def _derivations(B: BraidingMatrix, elem: FreeElement, alpha):
-    """The pairings of elem, one block per generator i in alpha in
-    ascending order: D_i(elem) paired against the dual words after i."""
+def _derivations(B: BraidingMatrix, terms: dict, alpha):
+    """The pairings of a word -> scalar map, one block per generator i in
+    alpha in ascending order: its D_i paired against the dual words after i."""
     for idx, count in enumerate(alpha):
         if count:
             reduced = alpha[:idx] + (count - 1,) + alpha[idx + 1:]
-            yield from _pairings(B, _skew(B, idx + 1, elem), reduced)
+            yield from _pairings(B, _skew(B, idx + 1, terms), reduced)
 
 
 def pairing_vector(B: BraidingMatrix, u: FreeElement, max_terms=None) -> NicholsVector:
@@ -203,7 +199,7 @@ def pairing_vector(B: BraidingMatrix, u: FreeElement, max_terms=None) -> Nichols
     if deg is None:
         raise ValueError("the zero element has no well-defined pairing degree")
     _guard(f"pairing vector at degree {deg}", multinomial(deg), max_terms)
-    return NicholsVector(deg, tuple(_pairings(B, u, deg)))
+    return NicholsVector(deg, tuple(_pairings(B, u.terms, deg)))
 
 
 def word_pairing_vector(B: BraidingMatrix, word, max_terms=None) -> NicholsVector:
@@ -218,7 +214,7 @@ def is_zero_in_nichols(B: BraidingMatrix, u: FreeElement) -> bool:
     for every generator i occurring in its degree.
     """
     deg = _homogeneous_degree(B, u)
-    return deg is None or not any(_pairings(B, u, deg))
+    return deg is None or not any(_pairings(B, u.terms, deg))
 
 
 class _RowReducer:
@@ -275,7 +271,7 @@ def basis_of_degree(B: BraidingMatrix, alpha, max_terms=None):
     reducer = _RowReducer()
     pivot_words = []
     for word in words_of_multidegree(alpha):
-        if reducer.insert(_pairings(B, FreeElement(B.n, B.order, {word: one}), alpha)):
+        if reducer.insert(_pairings(B, {word: one}, alpha)):
             pivot_words.append(word)
     return tuple(pivot_words), reducer.rank
 
@@ -283,41 +279,24 @@ def basis_of_degree(B: BraidingMatrix, alpha, max_terms=None):
 # -- quantum symmetrizer oracle ---------------------------------------------
 
 
-def _apply_braid_transposition(B: BraidingMatrix, terms: dict, k: int) -> dict:
-    """C_k on a word combination: swap letters k, k+1 (1-based) and scale
-    by q_{ab} where (a, b) were the letters in positions (k, k+1)."""
-    out = {}
-    for word, coeff in terms.items():
-        a, b = word[k - 1], word[k]
-        swapped = word[: k - 1] + (b, a) + word[k + 1:]
-        c = coeff * B.entry(a, b)
-        acc = out.get(swapped)
-        acc = c if acc is None else acc + c
-        if acc:
-            out[swapped] = acc
-        elif swapped in out:
-            del out[swapped]
-    return out
-
-
 def _symmetrize(B: BraidingMatrix, terms: dict, d: int) -> dict:
-    """Quantum symmetrizer S_d on the first d tensor positions:
-    S_d = (S_{d-1} ox id) o (1 + C_{d-1} + C_{d-1}C_{d-2} + ... + C_{d-1}...C_1)."""
+    """Quantum symmetrizer S_d on the first d places of a word -> scalar map:
+    S_d = (S_{d-1} ox id) o (1 + C_{d-1} + C_{d-1}C_{d-2} + ... + C_{d-1}...C_1),
+    C_k swapping the letters a, b at places k, k+1 with the factor q_ab.  So
+    C_{d-1}...C_j moves letter w_j to place d with the factor prod q_{w_j w_l}
+    over j < l <= d, in increasing l: a bijection on words, one pass per word."""
     if d <= 1:
         return terms
-    acc = dict(terms)
-    for j in range(d - 1, 0, -1):
-        t = terms
-        for k in range(j, d):
-            t = _apply_braid_transposition(B, t, k)
-        for word, coeff in t.items():
-            cur = acc.get(word)
-            cur = coeff if cur is None else cur + coeff
-            if cur:
-                acc[word] = cur
-            elif word in acc:
-                del acc[word]
-    return _symmetrize(B, acc, d - 1)
+
+    def moved():
+        for j in range(d - 1, 0, -1):
+            for word, coeff in terms.items():
+                a = word[j - 1]
+                for b in word[j:d]:
+                    coeff = coeff * B.entry(a, b)
+                yield word[:j - 1] + word[j:d] + (a,) + word[d:], coeff
+
+    return _symmetrize(B, _collect(moved(), dict(terms)), d - 1)
 
 
 def symmetrizer_rank_oracle(B: BraidingMatrix, alpha, max_terms=None) -> int:

@@ -196,12 +196,12 @@ def check_prop_disconnected_pair(B: BraidingMatrix, u_word, v_word, max_terms=No
         _check_degree(B, deg)
         _guard(f"pairing descent at degree {deg}", multinomial(deg), max_terms)
         one = Scalar.one(B.order)
-        u, v = (FreeElement(B.n, B.order, {w: one}) for w in (u_word, v_word))
-        bracket = _commutator(u, v, one)  # [u, v]-
+        bracket = _commutator({u_word: one}, {v_word: one}, one)  # [u, v]-
         if not any(_pairings(B, bracket, deg)):
             return CONFIRMED, {"bracket_vanishes": True}
         return COUNTEREXAMPLE, {
-            "bracket": f"[{_word_str(u_word)}, {_word_str(v_word)}]-", "element": str(bracket),
+            "bracket": f"[{_word_str(u_word)}, {_word_str(v_word)}]-",
+            "element": str(FreeElement._of(B.n, B.order, bracket)),
         }
 
     instance = f"n={B.n} order={B.order} u={_word_str(u_word)} v={_word_str(v_word)}"
@@ -229,13 +229,14 @@ def check_prop_all_bracketings(B: BraidingMatrix, word, max_terms=None) -> Verif
         _guard(f"bracketing descent at degree {deg} ({n_trees} bracketings x {m} dual words)",
                n_trees * m, max_terms)
         one = Scalar.one(B.order)
-        gens = {i: FreeElement(B.n, B.order, {(i,): one}) for i in sup}
+        gens = {i: {(i,): one} for i in sup}
         for tree in enumerate_bracketings(len(word)):
             # the classical bracket [x, y]- at every node
-            elem = _fold_bracketing(tree, word, gens.__getitem__, lambda x, y: _commutator(x, y, one))
-            if any(_pairings(B, elem, deg)):
+            terms = _fold_bracketing(tree, word, gens.__getitem__, lambda x, y: _commutator(x, y, one))
+            if any(_pairings(B, terms, deg)):
                 return COUNTEREXAMPLE, {
-                    "bracketing": format_bracketing(tree, word), "element": str(elem),
+                    "bracketing": format_bracketing(tree, word),
+                    "element": str(FreeElement._of(B.n, B.order, terms)),
                 }
         return CONFIRMED, {"bracketings_checked": n_trees}
 

@@ -46,6 +46,7 @@ def test_top_level_names_are_module_exports():
         ("graphs", "_UnionFind"),
         ("nichols", "NicholsVector.row"),
         ("nichols", "_bound_degree"),
+        ("nichols", "_apply_braid_transposition"),
         ("lie", "_check_kind"),
         ("cli", "eval_bracket_expr"),
         ("cli", "format_bracket_expr"),

@@ -59,6 +59,7 @@ def test_letters_out_of_range_raise_one_error(letter):
         lambda: is_zero_in_nichols(B, raw),
         lambda: is_zero_in_nichols(B, FreeElement(2, 1, {(1, letter): one, (letter, 1): one})),
         lambda: skew_derivation(B, 1, raw),
+        lambda: skew_derivation(B, letter, FreeElement.from_word(2, 1, (1,))),  # the index
         lambda: monomial_membership(B, (letter,), BRAIDED),
         lambda: monomials_connected(B, (letter,), (1,)),
         lambda: check_prop_disconnected_pair(B, (letter,), (1,)),

@@ -226,6 +226,15 @@ def test_monomials_connected_rejects_out_of_range_letter(u, v, letter):
         monomials_connected(B, u, v)
 
 
+@pytest.mark.parametrize("word, letter", [((3, 1), 3), ((1, 0), 0)])
+def test_is_connected_monomial_rejects_out_of_range_letter(word, letter):
+    # the word goes through word_degree, not into generated_subgraph's vertex check
+    B = rational_matrix([[2, 2], [2, 2]])
+    for kind in (PURE, AUGMENTED):
+        with pytest.raises(ValueError, match=rf"^letter {letter} out of range 1\.\.2$"):
+            is_connected_monomial(B, word, kind)
+
+
 # -- realize_graph ------------------------------------------------------------------
 
 def test_realize_single_edge():

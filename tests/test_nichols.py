@@ -295,7 +295,10 @@ def test_pairing_matrix_equals_symmetrizer_of_inverse_transpose(order):
     from nicholslie.nichols import _symmetrize
 
     rng = random.Random(order)
-    degrees_by_n = {2: [(1, 1), (2, 1), (2, 2), (3, 1)], 3: [(1, 1, 1), (2, 1, 1), (1, 0, 2)]}
+    degrees_by_n = {
+        2: [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)],
+        3: [(1, 1, 1), (2, 1, 1), (1, 0, 2), (2, 2, 1)],
+    }
     checked = 0
     for n, degrees in degrees_by_n.items():
         B = random_braiding_matrix(rng, n, order)
@@ -309,7 +312,7 @@ def test_pairing_matrix_equals_symmetrizer_of_inverse_transpose(order):
                 image = _symmetrize(B_dual, {w: Scalar.one(order)}, sum(alpha))
                 assert list(values) == [image.get(v, Scalar.zero(order)) for v in words]
                 checked += len(words)
-    assert checked == 4 + 9 + 36 + 16 + 36 + 144 + 9
+    assert checked == 4 + 9 + 36 + 16 + 100 + 36 + 144 + 9 + 900
 
 
 def test_nichols_vector_values_align_with_words():
@@ -378,8 +381,31 @@ def test_is_zero_agrees_with_pairing_vector(rng):
 
 def test_skew_derivation_index_range():
     B = rational_matrix([[2]])
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match=r"^letter 2 out of range 1\.\.1$"):
         skew_derivation(B, 2, FreeElement.from_word(1, 1, (1,)))
+
+
+def test_zero_test_exits_before_the_full_descent(monkeypatch):
+    # is_zero_in_nichols stops at the first nonzero pairing value, so on a
+    # nonzero element it applies D_i fewer times than pairing_vector does
+    from nicholslie import nichols
+
+    rows = [["2", "z"], ["z^3", "-1"]]
+    skew, calls = nichols._skew, []
+
+    def counted(*args):
+        calls.append(args)
+        return skew(*args)
+
+    monkeypatch.setattr(nichols, "_skew", counted)
+    counts = []
+    for run in (is_zero_in_nichols, pairing_vector):
+        B = matrix_from_strings(rows, 8)  # a fresh pairing-row memo
+        u = word(B, (1, 2, 1, 2)) + word(B, (2, 2, 1, 1), 3)
+        calls.clear()
+        counts.append((run(B, u), len(calls)))
+    (zero, zero_calls), (_, vector_calls) = counts
+    assert not zero and 0 < zero_calls < vector_calls
 
 
 def test_pairing_guardrail():

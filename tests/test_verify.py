@@ -163,10 +163,10 @@ def _nonzero_for(monkeypatch, chosen):
     and only them, as nonzero in B(V)."""
     pairings = verify._pairings
 
-    def patched(B, elem, alpha):
-        if any(elem == c for c in chosen):
+    def patched(B, terms, alpha):
+        if any(terms == c.terms for c in chosen):
             return iter([Scalar.one(B.order)])
-        return pairings(B, elem, alpha)
+        return pairings(B, terms, alpha)
 
     monkeypatch.setattr(verify, "_pairings", patched)
 
