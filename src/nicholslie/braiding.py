@@ -26,7 +26,8 @@ class BraidingMatrix:
     """Validated matrix of nonzero scalars; entries are 1-based."""
 
     __slots__ = (
-        "n", "order", "_rows", "_inv_rows", "_inv_is_one", "_lie_span_cache", "_pairing_row_cache",
+        "n", "order", "_rows", "_inv_rows", "_inv_is_one", "_json", "_lie_span_cache",
+        "_pairing_row_cache",
     )
 
     def __init__(self, rows):
@@ -55,6 +56,7 @@ class BraidingMatrix:
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_inv_rows", None)
         object.__setattr__(self, "_inv_is_one", None)
+        object.__setattr__(self, "_json", None)
         object.__setattr__(self, "_lie_span_cache", {})
         object.__setattr__(self, "_pairing_row_cache", {})
 
@@ -116,13 +118,16 @@ class BraidingMatrix:
             return cls.from_json(handle.read())
 
     def to_json(self) -> str:
-        """Canonical document form (stable across runs, usable as a digest key)."""
-        doc = {
-            "n": self.n,
-            "cyclotomic_order": self.order,
-            "q": [[str(self._rows[i][j]) for j in range(self.n)] for i in range(self.n)],
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        """Canonical document form (stable across runs, usable as a digest
+        key); built on first use and kept."""
+        if self._json is None:
+            doc = {
+                "n": self.n,
+                "cyclotomic_order": self.order,
+                "q": [[str(self._rows[i][j]) for j in range(self.n)] for i in range(self.n)],
+            }
+            object.__setattr__(self, "_json", json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        return self._json
 
     # -- entry access ----------------------------------------------------
 

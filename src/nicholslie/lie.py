@@ -35,6 +35,7 @@ from .freealg import (
     words_of_total_degree,
 )
 from .nichols import (
+    GuardrailExceeded,
     NicholsVector,
     _RowReducer,
     _check_degree,
@@ -248,14 +249,34 @@ def monomial_membership(B: BraidingMatrix, word, kind: str, max_terms=None) -> M
     return MembershipReport(word, MEMBER, witness=[-v for v in tail], span=span)
 
 
+def _is_member(B: BraidingMatrix, word: tuple, kind: str, max_terms) -> bool:
+    """monomial_membership(B, word, kind, max_terms).status == MEMBER for a
+    word of valid letters, without pairing the word when the span of its
+    degree is empty: nothing is a member of an empty span.
+
+    lie_span's guard, max(d - 1, 1) * m^2, is stricter than the target's,
+    m, so when the span lookup refuses, monomial_membership answers in its
+    own order: a zero word is still ZeroInNichols, and a refusal raises
+    with the same text.
+    """
+    try:
+        if not lie_span(B, word_degree(word, B.n), kind, max_terms).basis:
+            return False
+    except GuardrailExceeded:
+        pass
+    return monomial_membership(B, word, kind, max_terms).status == MEMBER
+
+
 def max_supports(B: BraidingMatrix, d_max: int, kind: str, max_terms=None):
     """Inclusion-maximal supports of member monomials of total degree <= d_max.
 
     Words are scanned in increasing total degree, lexicographically
     within a degree.  A word whose support is contained in an
     already-established member support cannot change the maximal set and
-    is skipped; each Lie span, and each lower span it is built from, is
-    built once per multidegree and kept in B's span cache (see lie_span).
+    is skipped.  A word is paired only when the Lie span of its degree is
+    nonempty (see _is_member); each Lie span, and each lower span it is
+    built from, is built once per multidegree and kept in B's span cache
+    (see lie_span).
     """
     _check_bracket_kind(kind)
     if d_max < 1:
@@ -266,7 +287,7 @@ def max_supports(B: BraidingMatrix, d_max: int, kind: str, max_terms=None):
             s = frozenset(word)
             if any(s <= t for t in member_supports):
                 continue
-            if monomial_membership(B, word, kind, max_terms).status == MEMBER:
+            if _is_member(B, word, kind, max_terms):
                 member_supports.append(s)
     maximal = [
         s for s in member_supports

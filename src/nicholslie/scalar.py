@@ -133,6 +133,8 @@ def _to_ints(coeffs):
     """(int numerators, common denominator) of int/Fraction coefficients;
     anything inexact, such as a float, is a TypeError."""
     coeffs = tuple(coeffs)
+    if all(type(c) is int for c in coeffs):  # not isinstance(): a bool takes the general path
+        return list(coeffs), 1
     for c in coeffs:
         if not isinstance(c, (int, Fraction)):
             raise TypeError(

@@ -43,7 +43,7 @@ from .freealg import (
     words_of_total_degree,
 )
 from .graphs import AUGMENTED, PURE, build_graph, components, is_connected_monomial, support
-from .lie import MEMBER, max_supports, monomial_membership
+from .lie import _is_member, max_supports
 from .nichols import GuardrailExceeded, _check_degree, _guard, _pairings
 from .scalar import Scalar
 
@@ -130,7 +130,7 @@ def check_theorem_equivalences(B: BraidingMatrix, d_max=None, max_terms=None) ->
 
         @cache  # (b) and (c) are asked again by the scan for (d)
         def member(word):
-            return monomial_membership(B, word, BRAIDED, max_terms).status == MEMBER
+            return _is_member(B, word, BRAIDED, max_terms)
 
         b = member(tuple(range(n, 0, -1)))
         c = member(tuple(range(1, n + 1)))

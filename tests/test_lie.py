@@ -2,7 +2,7 @@
 
 import dataclasses
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -16,7 +16,8 @@ from nicholslie.freealg import (
     multinomial,
     words_of_multidegree,
 )
-from nicholslie.graphs import PURE, build_graph, components
+from nicholslie import verify
+from nicholslie.graphs import PURE, build_graph, components, realize_graph
 from nicholslie.lie import (
     MEMBER,
     NOT_MEMBER,
@@ -32,6 +33,7 @@ from nicholslie.nichols import GuardrailExceeded, _RowReducer, basis_of_degree, 
 from nicholslie.scalar import Scalar
 
 from conftest import matrix_from_strings, random_braiding_matrix, random_scalar, rational_matrix
+from max_supports_oracle import oracle_is_member, oracle_max_supports
 
 
 CONNECTED = [["2", "z"], ["z", "2"]]        # q12 q21 = z^2 != 1
@@ -359,6 +361,96 @@ def test_max_supports_match_components_small_battery():
         B = matrix_from_strings(rows, 24)
         comps = components(build_graph(B, PURE))
         assert max_supports(B, 3, BRAIDED) == comps
+
+
+def _graph_classes():
+    """One (n, edges) per isomorphism class of simple graphs on 3 and on 4 vertices."""
+    seen, classes = set(), []
+    for n in (3, 4):
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        for mask in range(2 ** len(pairs)):
+            edges = [e for k, e in enumerate(pairs) if mask >> k & 1]
+            canon = min(
+                tuple(sorted(tuple(sorted((perm[i - 1], perm[j - 1]))) for i, j in edges))
+                for perm in permutations(range(1, n + 1))
+            )
+            if (n, canon) not in seen:
+                seen.add((n, canon))
+                classes.append((n, edges))
+    return classes
+
+
+GRAPH_CLASSES = _graph_classes()
+
+# Diagonal entries -1, zeta_3 = z (order 3), i = z^2 and -1 = z^4 (order 8)
+# make x_i^2, x_i^3, x_i^4 zero in B(V), so the scan meets ZeroInNichols words.
+ZERO_WORD_MATRICES = [
+    (["-1", "z"], ["z^2", "z"]),
+    (["z", "1"], ["1", "-1"]),
+    (["z", "z", "1"], ["z^2", "-1", "1"], ["1", "1", "z^2"]),
+    (["-1", "z^2", "1"], ["z", "z", "z"], ["1", "z", "-1"]),
+]
+ZERO_WORD_MATRICES_ORDER_8 = [
+    (["z^4", "z"], ["z^-1", "z^2"]),
+    (["z^2", "z^3"], ["z", "z^4"]),
+    (["z^4", "1", "z"], ["1", "z^2", "z^2"], ["z^3", "1", "z^4"]),
+    (["z^2", "1", "1"], ["1", "z^4", "z"], ["1", "z^-1", "z^4"]),
+]
+
+
+# (id, builder) pairs; a builder makes a fresh matrix with empty caches
+SCAN_MATRICES = [
+    (f"graph-{n}-{edges}", lambda n=n, edges=edges: realize_graph(n, edges))
+    for n, edges in GRAPH_CLASSES
+] + [
+    (f"order-{order}-{rows}", lambda rows=rows, order=order: matrix_from_strings(rows, order))
+    for order, batch in ((3, ZERO_WORD_MATRICES), (8, ZERO_WORD_MATRICES_ORDER_8))
+    for rows in batch
+]
+scan_matrices = pytest.mark.parametrize(
+    "build", [build for _, build in SCAN_MATRICES], ids=[name for name, _ in SCAN_MATRICES]
+)
+
+
+def test_graph_classes_are_the_fifteen():
+    assert len(GRAPH_CLASSES) == 15
+
+
+def test_zero_word_matrices_meet_zero_words():
+    for _, build in SCAN_MATRICES[len(GRAPH_CLASSES):]:
+        B = build()
+        statuses = {monomial_membership(B, (i,) * k, BRAIDED).status
+                    for i in range(1, B.n + 1) for k in (2, 3, 4)}
+        assert ZERO_IN_NICHOLS in statuses
+
+
+@scan_matrices
+def test_max_supports_match_word_by_word_loop(build):
+    # separate matrices, so neither scan reads spans the other built
+    expected = oracle_max_supports(build(), 4, BRAIDED)
+    assert max_supports(build(), 4, BRAIDED) == expected
+    B = build()
+    if B.order == 1:
+        assert expected == components(build_graph(B, PURE))
+
+
+@scan_matrices
+def test_theorem_equivalences_evidence_matches_word_by_word_loop(build, monkeypatch):
+    B = build()
+    got = verify.check_theorem_equivalences(B, d_max=B.n + 1).to_dict()
+    monkeypatch.setattr(verify, "_is_member", oracle_is_member)
+    assert verify.check_theorem_equivalences(build(), d_max=B.n + 1).to_dict() == got
+
+
+def test_max_supports_skips_zero_words_beyond_the_span_guard():
+    # x1^2 = x2^2 = 0 and q12 q21 = 1: every word at (2, 1) and (1, 2) is
+    # zero, and the span guard there needs 2 * 3 * 3 = 18 > 10 entries
+    B = BraidingMatrix.from_strings([["-1", "1"], ["1", "-1"]], 1)
+    assert max_supports(B, 3, BRAIDED, max_terms=10) == [(1,), (2,)]
+    with pytest.raises(GuardrailExceeded) as exc:
+        max_supports(BraidingMatrix.from_strings([["-1", "1"], ["1", "-1"]], 1), 3, BRAIDED,
+                     max_terms=2)
+    assert str(exc.value) == "Lie span at degree (1, 1) (2 candidates x 2 words): needs 4 entries, cap is 2"
 
 
 def test_equivalence_booleans_small_battery():
