@@ -251,20 +251,23 @@ def monomial_membership(B: BraidingMatrix, word, kind: str, max_terms=None) -> M
 
 def _is_member(B: BraidingMatrix, word: tuple, kind: str, max_terms) -> bool:
     """monomial_membership(B, word, kind, max_terms).status == MEMBER for a
-    word of valid letters, without pairing the word when the span of its
-    degree is empty: nothing is a member of an empty span.
+    word of valid letters, decided from the span lie_span looks up: nothing
+    is a member of an empty span, and otherwise the word is paired once and
+    reduced by the span's solver.  No witness is solved for.
 
-    lie_span's guard, max(d - 1, 1) * m^2, is stricter than the target's,
-    m, so when the span lookup refuses, monomial_membership answers in its
-    own order: a zero word is still ZeroInNichols, and a refusal raises
-    with the same text.
+    lie_span has checked the degree, and its guard, max(d - 1, 1) * m^2,
+    covers the target's, m.  Where it refuses, monomial_membership answers
+    in its own order: a zero word is still ZeroInNichols, and a refusal
+    raises with the same text.
     """
     try:
-        if not lie_span(B, word_degree(word, B.n), kind, max_terms).basis:
-            return False
+        span = lie_span(B, word_degree(word, B.n), kind, max_terms)
     except GuardrailExceeded:
-        pass
-    return monomial_membership(B, word, kind, max_terms).status == MEMBER
+        return monomial_membership(B, word, kind, max_terms).status == MEMBER
+    if not span.basis:
+        return False
+    target = tuple(_pairings(B, {word: Scalar.one(B.order)}, span.degree))
+    return any(target) and not any(span.solver.reduce(target))
 
 
 def max_supports(B: BraidingMatrix, d_max: int, kind: str, max_terms=None):
@@ -273,10 +276,10 @@ def max_supports(B: BraidingMatrix, d_max: int, kind: str, max_terms=None):
     Words are scanned in increasing total degree, lexicographically
     within a degree.  A word whose support is contained in an
     already-established member support cannot change the maximal set and
-    is skipped.  A word is paired only when the Lie span of its degree is
-    nonempty (see _is_member); each Lie span, and each lower span it is
-    built from, is built once per multidegree and kept in B's span cache
-    (see lie_span).
+    is skipped, so the scan ends once the full support is a member.  A
+    word is paired only when the Lie span of its degree is nonempty (see
+    _is_member); each Lie span, and each lower span it is built from, is
+    built once per multidegree and kept in B's span cache (see lie_span).
     """
     _check_bracket_kind(kind)
     if d_max < 1:
@@ -289,6 +292,8 @@ def max_supports(B: BraidingMatrix, d_max: int, kind: str, max_terms=None):
                 continue
             if _is_member(B, word, kind, max_terms):
                 member_supports.append(s)
+                if len(s) == B.n:  # it covers every later word
+                    return [tuple(range(1, B.n + 1))]
     maximal = [
         s for s in member_supports
         if not any(s < t for t in member_supports)

@@ -156,15 +156,18 @@ def check_theorem_equivalences(B: BraidingMatrix, d_max=None, max_terms=None) ->
 def check_theorem_max_support(B: BraidingMatrix, d_max=None, max_terms=None) -> VerificationReport:
     """Maximal member supports up to d_max must coincide with the pure
     graph's components (a component of size k is witnessed at degree k,
-    so the default bound n + 1 leaves headroom)."""
+    so the default bound n + 1 leaves headroom; below the largest k the
+    check could only fail, so such a d_max is rejected)."""
     n = B.n
     if d_max is None:
         d_max = n + 1
-    if d_max < 1:
-        raise ValueError("d_max must be at least 1")
+    comps = components(build_graph(B, PURE))
+    k = max(len(c) for c in comps)
+    if d_max < k:
+        raise ValueError(f"d_max must be at least k={k}, the size of the largest pure component "
+                         "(a word with k distinct generators has length >= k)")
 
     def check():
-        comps = components(build_graph(B, PURE))
         sups = max_supports(B, d_max, BRAIDED, max_terms)
         evidence = {
             "components": [list(c) for c in comps],

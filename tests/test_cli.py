@@ -547,6 +547,17 @@ def test_degree_zero_has_one_message(matrix_file, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_verify_max_support_bound_floor(matrix_file, capsys):
+    # CONNECTED is one pure component of size 2: degree 1 is an input error,
+    # and a bound of 60 ends once x1 x2 is a member
+    path = matrix_file(CONNECTED)
+    code, out = run(["verify", "--input", path, "--claim", "thm-maxsupport", "--max-degree", "1"])
+    assert (code, out) == (4, "")
+    assert capsys.readouterr().err.startswith("error: d_max must be at least k=2")
+    code, out = run(["verify", "--input", path, "--claim", "thm-maxsupport", "--max-degree", "60"])
+    assert code == 0 and out.endswith(" Confirmed\n")
+
+
 def test_stdout_byte_identical(matrix_file):
     path = matrix_file(DISCONNECTED)
     for argv in (

@@ -442,6 +442,53 @@ def test_theorem_equivalences_evidence_matches_word_by_word_loop(build, monkeypa
     assert verify.check_theorem_equivalences(build(), d_max=B.n + 1).to_dict() == got
 
 
+@pytest.mark.parametrize("n, edges", [(2, [(1, 2)]), (3, [(1, 2), (2, 3)])])
+def test_max_supports_stops_at_the_full_support(n, edges):
+    # once {1..n} is a member every later word is covered; without the
+    # stop a bound of 60 enumerates n^d words at every degree d <= 60
+    full = [tuple(range(1, n + 1))]
+    assert max_supports(realize_graph(n, edges), 60, BRAIDED) == full
+    for d_max in range(n, n + 3):
+        assert max_supports(realize_graph(n, edges), d_max, BRAIDED) == full
+        assert oracle_max_supports(realize_graph(n, edges), d_max, BRAIDED) == full
+
+
+CACHED_SCAN_GRAPHS = [
+    (3, [(1, 2)]), (3, [(1, 2), (2, 3)]), (4, [(1, 2), (3, 4)]), (4, [(1, 3), (2, 3), (3, 4)]),
+]
+
+
+def _scans(B):
+    return max_supports(B, B.n + 1, BRAIDED), verify.check_theorem_equivalences(B).to_dict()
+
+
+def test_scans_decide_membership_from_the_cached_span(monkeypatch):
+    # once every span the scans need is cached, a member word is paired and
+    # reduced by its span's solver: no row reducer is built for a witness
+    matrices = [realize_graph(n, edges) for n, edges in CACHED_SCAN_GRAPHS]
+    expected = [_scans(B) for B in matrices]
+
+    def refuse(*args):
+        raise AssertionError("built a row reducer")
+
+    monkeypatch.setattr("nicholslie.lie._RowReducer", refuse)
+    assert [_scans(B) for B in matrices] == expected
+
+
+def test_scans_enter_monomial_membership_only_on_a_span_refusal(monkeypatch):
+    # no span guard refuses at the default cap, so the scans never fall back
+    asked = []
+
+    def counted(B, word, *args):
+        asked.append(word)
+        return monomial_membership(B, word, *args)
+
+    monkeypatch.setattr("nicholslie.lie.monomial_membership", counted)
+    for n, edges in CACHED_SCAN_GRAPHS:
+        _scans(realize_graph(n, edges))
+    assert asked == []
+
+
 def test_max_supports_skips_zero_words_beyond_the_span_guard():
     # x1^2 = x2^2 = 0 and q12 q21 = 1: every word at (2, 1) and (1, 2) is
     # zero, and the span guard there needs 2 * 3 * 3 = 18 > 10 entries

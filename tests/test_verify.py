@@ -98,6 +98,22 @@ def test_max_support_disconnected_pair():
     assert report.evidence["max_supports"] == [[1], [2]]
 
 
+@pytest.mark.parametrize("n, edges, k", [(2, [(1, 2)], 2), (3, [(1, 2), (2, 3)], 3), (3, [(1, 2)], 2)])
+def test_max_support_rejects_a_bound_below_the_largest_component(n, edges, k):
+    # a word with k distinct generators has length >= k, so the check
+    # could only fail below k
+    with pytest.raises(ValueError) as info:
+        check_theorem_max_support(realize_graph(n, edges), d_max=k - 1)
+    assert str(info.value).startswith(f"d_max must be at least k={k}")
+
+
+def test_max_support_bound_may_sit_below_n():
+    # the largest component, {1, 2}, sets the floor, not n = 3
+    report = check_theorem_max_support(realize_graph(3, [(1, 2)]), d_max=2)
+    assert report.verdict == CONFIRMED
+    assert report.evidence["max_supports"] == [[1, 2], [3]]
+
+
 # -- proposition checkers ----------------------------------------------------------
 
 def test_prop_pair_generators():
