@@ -40,11 +40,11 @@ class BraidingMatrix:
                 raise InvalidMatrixError(
                     f"row {i} has {len(row)} entries, expected {n} (matrix must be square)"
                 )
-        order = rows[0][0].order
         for i, row in enumerate(rows, start=1):
             for j, entry in enumerate(row, start=1):
                 if not isinstance(entry, Scalar):
                     raise InvalidMatrixError(f"entry ({i},{j}) is not a scalar")
+                order = rows[0][0].order  # a Scalar: entry (1,1) was checked first
                 if entry.order != order:
                     raise InvalidMatrixError(
                         f"entry ({i},{j}) has cyclotomic order {entry.order}, expected {order}"

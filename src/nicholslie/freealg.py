@@ -14,12 +14,11 @@ positionally to the word's letters).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
 
 from .braiding import BraidingMatrix
-from .scalar import FieldMismatchError, Scalar
+from .scalar import FieldMismatchError, Scalar, _lift
 
 __all__ = [
     "NonHomogeneousError",
@@ -112,13 +111,20 @@ class FreeElement:
     __slots__ = ("n", "order", "terms")
 
     def __init__(self, n: int, order: int, terms=None):
+        """The one checked entry: letters go through word_degree, and each
+        coefficient is lifted as a Scalar lifts an operand, anything but a
+        Scalar, int or Fraction being a TypeError; zeros are dropped."""
         self.n = n
         self.order = order
         self.terms = {}
-        if terms:
-            for word, coeff in terms.items():
-                if coeff:
-                    self.terms[word] = coeff
+        for word, coeff in (terms or {}).items():
+            word_degree(word, n)
+            scalar = _lift(order, coeff)
+            if scalar is None:
+                raise TypeError(f"coefficients must be Scalar, int or Fraction, "
+                                f"got {type(coeff).__name__} {coeff!r}")
+            if scalar:
+                self.terms[word] = scalar
 
     # -- constructors ---------------------------------------------------
 
@@ -143,11 +149,7 @@ class FreeElement:
 
     @classmethod
     def from_word(cls, n: int, order: int, word, coeff=1) -> "FreeElement":
-        word = tuple(word)
-        word_degree(word, n)  # the letter check
-        if isinstance(coeff, (int, Fraction)):
-            coeff = Scalar.from_rational(order, coeff)
-        return cls(n, order, {word: coeff})
+        return cls(n, order, {tuple(word): coeff})
 
     def _check_ambient(self, other: "FreeElement"):
         if self.n != other.n or self.order != other.order:
@@ -174,28 +176,20 @@ class FreeElement:
         return FreeElement._of(self.n, self.order, {w: -c for w, c in self.terms.items()})
 
     def scale(self, coeff) -> "FreeElement":
-        if isinstance(coeff, (int, Fraction)):
-            coeff = Scalar.from_rational(self.order, coeff)
-        if not coeff:
-            return FreeElement.zero(self.n, self.order)
-        return FreeElement._of(self.n, self.order, {w: c * coeff for w, c in self.terms.items()})
+        """coeff * self, the coefficient lifted by the constructor."""
+        return FreeElement(self.n, self.order, {(): coeff}) * self
+
+    __rmul__ = scale
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(other)
         if not isinstance(other, FreeElement):
-            return NotImplemented
+            return self.scale(other)
         self._check_ambient(other)
         return FreeElement._of(self.n, self.order, _collect(
             (w1 + w2, c1 * c2)
             for w1, c1 in self.terms.items()
             for w2, c2 in other.terms.items()
         ))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(other)
-        return NotImplemented
 
     # -- grading ----------------------------------------------------------
 
@@ -326,17 +320,28 @@ def _fold_bracketing(tree, word, leaf, node):
     return out
 
 
+def _bracketing_terms(B: BraidingMatrix, tree, word: tuple, kind: str) -> dict:
+    """Word -> scalar map of a bracketing of a checked word: _commutator
+    at each node, with p = 1 (minus) or chi(deg y, deg x) read off one
+    word of each side (braided; a zero side gives zero)."""
+    one = Scalar.one(B.order)
+
+    def braided(x, y):
+        if not x or not y:
+            return {}
+        p = B.chi(word_degree(next(iter(y)), B.n), word_degree(next(iter(x)), B.n))
+        return _commutator(x, y, p)
+
+    node = braided if kind == BRAIDED else lambda x, y: _commutator(x, y, one)
+    return _fold_bracketing(tree, word, lambda letter: {(letter,): one}, node)
+
+
 def apply_bracketing(B: BraidingMatrix, tree, word, kind: str) -> FreeElement:
     """Evaluate a full bracketing of a word with the chosen bracket."""
     _check_bracket_kind(kind)
     word = tuple(word)
-    if not word:
-        raise ValueError("cannot bracket the empty word")
-
-    def node(left, right):
-        return braided_bracket(B, left, right) if kind == BRAIDED else minus_bracket(left, right)
-
-    return _fold_bracketing(tree, word, lambda i: FreeElement.generator(B.n, B.order, i), node)
+    word_degree(word, B.n)
+    return FreeElement._of(B.n, B.order, _bracketing_terms(B, tree, word, kind))
 
 
 def format_bracketing(tree, word) -> str:

@@ -270,6 +270,15 @@ def _is_member(B: BraidingMatrix, word: tuple, kind: str, max_terms) -> bool:
     return any(target) and not any(span.solver.reduce(target))
 
 
+def _check_d_max(d_max, least: int, bound: str) -> None:
+    """ValueError unless the degree bound d_max is an int >= least (a bool
+    is not one, as for max_terms); bound names least in the message."""
+    if type(d_max) is not int:
+        raise ValueError(f"d_max must be an int, got {d_max!r}")
+    if d_max < least:
+        raise ValueError(f"d_max must be at least {bound}")
+
+
 def max_supports(B: BraidingMatrix, d_max: int, kind: str, max_terms=None):
     """Inclusion-maximal supports of member monomials of total degree <= d_max.
 
@@ -282,8 +291,7 @@ def max_supports(B: BraidingMatrix, d_max: int, kind: str, max_terms=None):
     built once per multidegree and kept in B's span cache (see lie_span).
     """
     _check_bracket_kind(kind)
-    if d_max < 1:
-        raise ValueError("d_max must be at least 1")
+    _check_d_max(d_max, 1, "1")
     member_supports = []
     for d in range(1, d_max + 1):
         for word in words_of_total_degree(B.n, d):

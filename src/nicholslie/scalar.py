@@ -144,6 +144,20 @@ def _to_ints(coeffs):
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+def _lift(order: int, value):
+    """value as a Scalar of the given order, the one lift of an operand or
+    coefficient: an int or Fraction becomes a rational Scalar, a Scalar of
+    another order is a FieldMismatchError, and anything else is None (an
+    operator then returns NotImplemented)."""
+    if isinstance(value, Scalar):
+        if value.order != order:
+            raise FieldMismatchError(f"cannot combine scalars of orders {order} and {value.order}")
+        return value
+    if isinstance(value, (int, Fraction)):
+        return Scalar.from_rational(order, value)
+    return None
+
+
 def _check_order(order) -> None:
     """ValueError unless the cyclotomic order is an int >= 1; a bool is
     not one, though the lru_caches below would read True as 1."""
@@ -242,23 +256,9 @@ class Scalar:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _coerce(self, other):
-        """other as a Scalar of this order; None (so the operator returns
-        NotImplemented and Python raises TypeError) for anything that is
-        not a Scalar, int or Fraction."""
-        if isinstance(other, Scalar):
-            if other.order != self.order:
-                raise FieldMismatchError(
-                    f"cannot combine scalars of orders {self.order} and {other.order}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Scalar.from_rational(self.order, other)
-        return None
-
     def __add__(self, other):
         if other.__class__ is not Scalar or other.order != self.order:
-            other = self._coerce(other)
+            other = _lift(self.order, other)
             if other is None:
                 return NotImplemented
         a, b = self.den, other.den
@@ -272,7 +272,7 @@ class Scalar:
 
     def __sub__(self, other):
         if other.__class__ is not Scalar or other.order != self.order:
-            other = self._coerce(other)
+            other = _lift(self.order, other)
             if other is None:
                 return NotImplemented
         a, b = self.den, other.den
@@ -283,7 +283,7 @@ class Scalar:
         )
 
     def __rsub__(self, other):
-        other = self._coerce(other)
+        other = _lift(self.order, other)
         if other is None:
             return NotImplemented
         return other - self
@@ -297,7 +297,7 @@ class Scalar:
 
     def __mul__(self, other):
         if other.__class__ is not Scalar or other.order != self.order:
-            other = self._coerce(other)
+            other = _lift(self.order, other)
             if other is None:
                 return NotImplemented
         a, b = self.num, other.num
@@ -349,7 +349,7 @@ class Scalar:
         return _canonical(order, [self.den * c for c in cofactor], norm[0])
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = _lift(self.order, other)
         if other is None:
             return NotImplemented
         return self * other.inv()

@@ -32,9 +32,10 @@ from functools import cache
 from .braiding import BraidingMatrix
 from .freealg import (
     BRAIDED,
+    MINUS,
     FreeElement,
+    _bracketing_terms,
     _commutator,
-    _fold_bracketing,
     catalan,
     enumerate_bracketings,
     format_bracketing,
@@ -43,7 +44,7 @@ from .freealg import (
     words_of_total_degree,
 )
 from .graphs import AUGMENTED, PURE, build_graph, components, is_connected_monomial, support
-from .lie import _is_member, max_supports
+from .lie import _check_d_max, _is_member, max_supports
 from .nichols import GuardrailExceeded, _check_degree, _guard, _pairings
 from .scalar import Scalar
 
@@ -122,8 +123,7 @@ def check_theorem_equivalences(B: BraidingMatrix, d_max=None, max_terms=None) ->
     n = B.n
     if d_max is None:
         d_max = n
-    if d_max < n:
-        raise ValueError(f"d_max must be at least n={n} (a full-support word has length >= n)")
+    _check_d_max(d_max, n, f"n={n} (a full-support word has length >= n)")
 
     def check():
         a = len(components(build_graph(B, PURE))) == 1
@@ -163,9 +163,8 @@ def check_theorem_max_support(B: BraidingMatrix, d_max=None, max_terms=None) -> 
         d_max = n + 1
     comps = components(build_graph(B, PURE))
     k = max(len(c) for c in comps)
-    if d_max < k:
-        raise ValueError(f"d_max must be at least k={k}, the size of the largest pure component "
-                         "(a word with k distinct generators has length >= k)")
+    _check_d_max(d_max, k, f"k={k}, the size of the largest pure component "
+                 "(a word with k distinct generators has length >= k)")
 
     def check():
         sups = max_supports(B, d_max, BRAIDED, max_terms)
@@ -231,11 +230,8 @@ def check_prop_all_bracketings(B: BraidingMatrix, word, max_terms=None) -> Verif
         m = multinomial(deg)
         _guard(f"bracketing descent at degree {deg} ({n_trees} bracketings x {m} dual words)",
                n_trees * m, max_terms)
-        one = Scalar.one(B.order)
-        gens = {i: {(i,): one} for i in sup}
         for tree in enumerate_bracketings(len(word)):
-            # the classical bracket [x, y]- at every node
-            terms = _fold_bracketing(tree, word, gens.__getitem__, lambda x, y: _commutator(x, y, one))
+            terms = _bracketing_terms(B, tree, word, MINUS)
             if any(_pairings(B, terms, deg)):
                 return COUNTEREXAMPLE, {
                     "bracketing": format_bracketing(tree, word),

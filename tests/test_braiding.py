@@ -30,6 +30,15 @@ def test_non_square_rejected():
         rational_matrix([[1, 1], [1]])
 
 
+@pytest.mark.parametrize("entry", [1, "2", 2.0, None])
+def test_entries_checked_as_scalars_first(entry):
+    # entry (1,1) is checked before its order is read
+    with pytest.raises(InvalidMatrixError, match=r"^entry \(1,1\) is not a scalar$"):
+        BraidingMatrix([[entry]])
+    with pytest.raises(InvalidMatrixError, match=r"^entry \(1,1\) is not a scalar$"):
+        BraidingMatrix([[entry, Scalar.one(3)], [Scalar.one(3), Scalar.one(3)]])
+
+
 def test_mixed_orders_rejected():
     with pytest.raises(InvalidMatrixError):
         BraidingMatrix([[Scalar.one(4), Scalar.one(8)], [Scalar.one(4), Scalar.one(4)]])

@@ -1,9 +1,11 @@
 """Free algebra: product, both brackets, bracketing trees, identities."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
+from nicholslie import freealg
 from nicholslie.freealg import (
     BRAIDED,
     MINUS,
@@ -26,6 +28,7 @@ from nicholslie.nichols import is_zero_in_nichols, pairing_vector, skew_derivati
 from nicholslie.scalar import FieldMismatchError, Scalar
 from nicholslie.verify import check_prop_all_bracketings, check_prop_disconnected_pair
 
+from bracket_oracle import oracle_bracketing
 from conftest import matrix_from_strings, random_braiding_matrix, random_scalar, rational_matrix
 
 
@@ -51,13 +54,14 @@ def test_letters_out_of_range_raise_one_error(letter):
     # letter 0 used to count as x_n and n + 1 to raise IndexError
     B = matrix_from_strings([["2", "1"], ["1", "-1"]], 1)
     one = Scalar.one(1)
-    raw = FreeElement(2, 1, {(letter,): one})
+    raw = FreeElement._of(2, 1, {(letter,): one})  # the constructor itself refuses the letter
     calls = [
         lambda: word_degree((1, letter), 2),
+        lambda: FreeElement(2, 1, {(letter,): one}),
         lambda: FreeElement.from_word(2, 1, (1, letter)),
         lambda: pairing_vector(B, raw),
         lambda: is_zero_in_nichols(B, raw),
-        lambda: is_zero_in_nichols(B, FreeElement(2, 1, {(1, letter): one, (letter, 1): one})),
+        lambda: is_zero_in_nichols(B, FreeElement._of(2, 1, {(1, letter): one, (letter, 1): one})),
         lambda: skew_derivation(B, 1, raw),
         lambda: skew_derivation(B, letter, FreeElement.from_word(2, 1, (1,))),  # the index
         lambda: monomial_membership(B, (letter,), BRAIDED),
@@ -69,6 +73,50 @@ def test_letters_out_of_range_raise_one_error(letter):
     ]
     for call in calls:
         with pytest.raises(ValueError, match=rf"^letter {letter} out of range 1\.\.2$"):
+            call()
+
+
+# -- the checked constructor ---------------------------------------------------
+
+def test_constructor_lifts_rational_coefficients():
+    e = FreeElement(2, 3, {(1,): 2, (2, 1): Fraction(1, 2), (2,): 0, (1, 2): Scalar.zero(3)})
+    half = Fraction(1, 2)
+    assert e.terms == {(1,): Scalar.from_rational(3, 2), (2, 1): Scalar.from_rational(3, half)}
+    assert e == FreeElement.from_word(2, 3, (1,), 2) + FreeElement.from_word(2, 3, [2, 1], half)
+    product = FreeElement(2, 1, {(1,): Fraction(1, 10)}) * FreeElement(2, 1, {(2,): Fraction(1, 5)})
+    assert str(product) == "1/50 * x1 x2"
+
+
+@pytest.mark.parametrize("coeff", [0.1, 0.0, "xy", None, 1j])
+def test_constructor_refuses_inexact_and_foreign_coefficients(coeff):
+    # no float, str or other non-scalar reaches an element's terms, through
+    # the constructor, from_word, scale or the scalar operators
+    x1 = FreeElement.from_word(2, 1, (1,))
+    calls = [
+        lambda: FreeElement(2, 1, {(1,): coeff}),
+        lambda: FreeElement.from_word(2, 1, (1,), coeff),
+        lambda: x1.scale(coeff),
+        lambda: FreeElement.zero(2, 1).scale(coeff),
+        lambda: x1 * coeff,
+        lambda: coeff * x1,
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_constructor_refuses_scalars_of_another_order():
+    z3 = Scalar.root_power(3, 1)
+    x1 = FreeElement.from_word(2, 8, (1,))
+    calls = [
+        lambda: FreeElement(2, 8, {(1,): z3}),
+        lambda: FreeElement.from_word(2, 8, (1,), z3),
+        lambda: x1.scale(z3),
+        lambda: x1 * z3,
+        lambda: z3 * x1,
+    ]
+    for call in calls:
+        with pytest.raises(FieldMismatchError, match="orders 8 and 3"):
             call()
 
 
@@ -359,12 +407,70 @@ def test_apply_bracketing_matches_nested_bracket():
     assert got == nested_braided_oracle(B)
 
 
+@pytest.mark.parametrize("order", [1, 3, 8, 24])
+@pytest.mark.parametrize("kind", [BRAIDED, MINUS])
+def test_apply_bracketing_matches_per_node_oracle(rng, order, kind):
+    # every tree of up to 5 leaves on random words, against one public
+    # bracket and one FreeElement per node
+    B = random_braiding_matrix(rng, 3, order)
+    for k in range(1, 6):
+        for tree in enumerate_bracketings(k):
+            w = tuple(rng.randint(1, 3) for _ in range(k))
+            expected = oracle_bracketing(B, tree, w, kind)
+            assert apply_bracketing(B, tree, w, kind) == expected, (tree, w)
+
+
+def test_apply_bracketing_through_vanishing_nodes():
+    # [x1,x1] is zero where q11 = 1, and so is every braided bracket above it
+    B = rational_matrix([[1, 2], [3, -1]])
+    for k in range(2, 6):
+        for tree in enumerate_bracketings(k):
+            for w in itertools.product((1, 2), repeat=k):
+                for kind in (BRAIDED, MINUS):
+                    assert apply_bracketing(B, tree, w, kind) == oracle_bracketing(B, tree, w, kind)
+    comb = ((None, None), None)
+    assert not apply_bracketing(B, comb, (1, 1, 2), BRAIDED)
+
+
+def test_apply_bracketing_builds_one_element(monkeypatch):
+    # one FreeElement for the whole tree, where one per leaf and one per node
+    # made 23 for a 12-letter comb; no public bracket or generator is called
+    B = matrix_from_strings([["-1", "z"], ["1", "z^2"]], 3)
+    comb = None
+    for _ in range(11):
+        comb = (comb, None)
+    w = (1, 2) * 6
+    expected = {kind: oracle_bracketing(B, comb, w, kind) for kind in (BRAIDED, MINUS)}
+    built = []
+    init = FreeElement.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def forbidden(*args):
+        raise AssertionError("apply_bracketing must not build elements per node or leaf")
+
+    monkeypatch.setattr(FreeElement, "__init__", counting_init)
+    monkeypatch.setattr(freealg, "braided_bracket", forbidden)
+    monkeypatch.setattr(freealg, "minus_bracket", forbidden)
+    monkeypatch.setattr(FreeElement, "generator", forbidden)
+    for kind in (BRAIDED, MINUS):
+        built.clear()
+        assert apply_bracketing(B, comb, w, kind) == expected[kind]
+        assert len(built) == 1
+
+
 def test_apply_bracketing_validates():
     B = rational_matrix([[2, 2], [2, 2]])
     with pytest.raises(ValueError):
         apply_bracketing(B, (None, None), (1, 2, 1), MINUS)
     with pytest.raises(ValueError):
         apply_bracketing(B, (None, None), (1, 2), "super")
+    with pytest.raises(ValueError, match="more leaves than the word's 0 letters"):
+        apply_bracketing(B, None, (), MINUS)
+    with pytest.raises(ValueError, match=r"^letter 3 out of range 1\.\.2$"):
+        apply_bracketing(B, (None, None), (1, 3), BRAIDED)
 
 
 def test_apply_bracketing_generator_permutation_equivariance(rng):

@@ -346,6 +346,13 @@ def test_max_supports_single_generator():
     assert max_supports(B, 2, BRAIDED) == [(1,)]
 
 
+@pytest.mark.parametrize("d_max", [True, 2.0, "3", None])
+def test_max_supports_refuses_a_non_int_bound(d_max):
+    # True would run as degree 1 and a float end in range()'s TypeError
+    with pytest.raises(ValueError, match="^d_max must be an int, got "):
+        max_supports(rational_matrix([[2, 1], [1, -1]]), d_max, BRAIDED)
+
+
 def test_max_supports_match_components_small_battery():
     rng = random.Random(5150)
     values = ["1", "-1", "2", "z^8"]

@@ -68,6 +68,14 @@ def test_equivalences_rejects_too_small_bound():
         check_theorem_equivalences(rational_matrix([[2, 2], [2, 2]]), d_max=1)
 
 
+@pytest.mark.parametrize("check", [check_theorem_equivalences, check_theorem_max_support])
+@pytest.mark.parametrize("d_max", [True, 3.0, "3"])
+def test_theorem_checks_refuse_a_non_int_bound(check, d_max):
+    # a bool would read as degree 1 and be reported as "certified_to_degree": true
+    with pytest.raises(ValueError, match="^d_max must be an int, got "):
+        check(rational_matrix([[2, 1], [1, -1]]), d_max=d_max)
+
+
 def test_equivalences_guardrail_inconclusive():
     B = rational_matrix([[2, 2], [2, 2]])
     report = check_theorem_equivalences(B, max_terms=1)
