@@ -3,13 +3,15 @@
 Subcommands: graph, components, bracket, ismember, dim, verify.  All
 output is deterministic; exit status is 0 for success, 1 for a
 counterexample or failed precondition, 2 for usage errors, 3 when a
-guardrail made the computation inconclusive, 4 for bad input.
+guardrail made the computation inconclusive, 4 for bad input; 141 (the
+console script only) when stdout is a closed pipe.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from functools import lru_cache
@@ -44,6 +46,7 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_INPUT = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 
 class BracketParseError(ValueError):
@@ -356,7 +359,14 @@ def main(argv=None, out=None) -> int:
 
 
 def console_main():
-    raise SystemExit(main())
+    """main() on sys.stdout; a closed stdout exits EXIT_BROKEN_PIPE quietly."""
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # on os.devnull, the interpreter's last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = EXIT_BROKEN_PIPE
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

@@ -46,11 +46,11 @@ class NonHomogeneousError(ValueError):
 
 
 def word_degree(word, n: int) -> tuple:
-    """Multidegree of a word as n letter counts: the library's one letter check."""
+    """Multidegree of a word as n letter counts: the library's one letter check (ints only)."""
     deg = [0] * n
     for letter in word:
-        if not 0 < letter <= n:
-            raise ValueError(f"letter {letter} out of range 1..{n}")
+        if type(letter) is not int or not 0 < letter <= n:
+            raise ValueError(f"letter {letter!r} out of range 1..{n}")
         deg[letter - 1] += 1
     return tuple(deg)
 
@@ -158,6 +158,10 @@ class FreeElement:
                 f"(n={other.n}, order={other.order})"
             )
 
+    def _check_matrix(self, B: BraidingMatrix):
+        if B.n != self.n or B.order != self.order:
+            raise FieldMismatchError("braiding matrix and element have different ambients")
+
     # -- vector space structure -------------------------------------------
 
     def __add__(self, other):
@@ -248,8 +252,7 @@ def braided_bracket(B: BraidingMatrix, x: FreeElement, y: FreeElement) -> FreeEl
     otherwise); a zero operand gives the zero bracket.
     """
     x._check_ambient(y)
-    if B.n != x.n or B.order != x.order:
-        raise FieldMismatchError("braiding matrix and elements have different ambients")
+    x._check_matrix(B)
     dx = x.degree()
     dy = y.degree()
     if dx is None or dy is None:

@@ -3,21 +3,10 @@
 L_alpha is spanned by the images of all full bracketings of the words
 of multidegree alpha.  The bracket is bilinear and ker(T(V) -> B(V)) is
 a graded two-sided ideal, so L_alpha = span{[b, c] : b in L_beta, c in
-L_gamma, beta + gamma = alpha}, which is how it is built.  Monomial
-membership is an exact linear solve against that span.
-
-The build works on pairing vectors alone.  That of a product u*v, u of
-degree beta, is the quantum shuffle of f_u and f_v (M. Rosso, Invent.
-Math. 133, 1998): summing over the position sets S of the dual word j
-that spell a word of degree beta,
-
-    f_uv(j) = sum_S f_u(j_S) * f_v(j_not_S) * prod q_{j_k, j_l}^-1
-              (over k not in S, l in S, l > k),
-
-so a candidate [b, c] = c*b - p*b*c is paired from the stored vectors
-of b and c through one table of interleaving weights per ordered split
-(beta, gamma), with at most m(alpha) * min(prod C(alpha_i, beta_i),
-m(beta) * m(gamma)) entries (m counts the words of a degree).
+L_gamma, beta + gamma = alpha}, which is how it is built, each [b, c]
+paired from the stored pairing vectors of b and c by the quantum
+shuffle of nichols.  Monomial membership is an exact linear solve
+against that span.
 """
 
 from __future__ import annotations
@@ -29,7 +18,6 @@ from .braiding import BraidingMatrix
 from .freealg import (
     BRAIDED,
     _check_bracket_kind,
-    _multidegree_words,
     multinomial,
     word_degree,
     words_of_total_degree,
@@ -38,9 +26,11 @@ from .nichols import (
     GuardrailExceeded,
     NicholsVector,
     _RowReducer,
+    _ShuffleTables,
     _check_degree,
     _guard,
     _pairings,
+    _shuffle_into,
 )
 from .scalar import Scalar
 
@@ -153,69 +143,6 @@ def _span(B: BraidingMatrix, alpha: tuple, kind: str) -> LieSpan:
             provenance.append(source)
     span = B._lie_span_cache[key] = LieSpan(alpha, kind, basis, provenance, reducer)
     return span
-
-
-class _ShuffleTables:
-    """Called as table(beta, gamma) in one span build at alpha: entry [i][j]
-    lists the (k, w), w != 0, where w sums the weights prod q_{x,y}^-1 (x of v
-    placed before y of u) of the interleavings of the i-th word u of beta
-    and the j-th word v of gamma that spell the k-th dual word of alpha.
-    They are built from the shuffles of suffix pairs, memoized for the
-    whole build (the c*b table at beta is the b*c table at gamma), and
-    never enumerated: with repeated letters there are exponentially many."""
-
-    def __init__(self, B: BraidingMatrix, alpha: tuple):
-        self.B, self.one = B, Scalar.one(B.order)
-        self.index = {word: k for k, word in enumerate(_multidegree_words(alpha))}
-        self.tables, self.memo, self.factors = {}, {}, {}
-
-    def __call__(self, beta, gamma):
-        key, index = (beta, gamma), self.index
-        if key not in self.tables:
-            vs = _multidegree_words(gamma)
-            self.tables[key] = [[tuple((index[j], w) for j, w in self.shuffles(u, v)) for v in vs]
-                                for u in _multidegree_words(beta)]
-        return self.tables[key]
-
-    def factor(self, c, u):
-        # prod q_{c,y}^-1 over the letters y of u: the weight of placing c before all of u
-        if (c, u) not in self.factors:
-            inv_row, inv_is_one = self.B.inverse_row(c)
-            f = self.factor(c, u[1:]) if u else self.one
-            self.factors[(c, u)] = f if not u or inv_is_one[u[0] - 1] else f * inv_row[u[0] - 1]
-        return self.factors[(c, u)]
-
-    def shuffles(self, u, v):
-        # (dual word, weight) pairs: the dual word starts with u's first
-        # letter, or with v's placed before all of u
-        out = self.memo.get((u, v))
-        if out is None:
-            one = self.one
-            if not u or not v:
-                out = ((u + v, one),)
-            else:
-                acc = {(u[0],) + j: w for j, w in self.shuffles(u[1:], v)}
-                f = self.factor(v[0], u)
-                for j, w in self.shuffles(u, v[1:]):
-                    j, w = (v[0],) + j, w if f is one else w * f
-                    acc[j] = acc[j] + w if j in acc else w
-                out = tuple((j, w) for j, w in acc.items() if w)
-            self.memo[(u, v)] = out
-        return out
-
-
-def _shuffle_into(acc: list, table, fu, fv, one: Scalar) -> None:
-    """Add f_u * f_v, the pairing vector of u*v, into acc (None marks an
-    untouched entry), from the nonzero (index, value) pairs of f_u and f_v
-    and the table of their degrees; unit weights are not multiplied."""
-    for i, x in fu:
-        row = table[i]
-        for j, y in fv:
-            xy = x * y
-            for k, w in row[j]:
-                w = xy if w is one else xy * w
-                prev = acc[k]
-                acc[k] = w if prev is None else prev + w
 
 
 def monomial_membership(B: BraidingMatrix, word, kind: str, max_terms=None) -> MembershipReport:

@@ -5,14 +5,25 @@ The dual generators y_i act on the tensor algebra as skew derivations
     D_i(x_j * v) = delta_ij * v + q_ij^-1 * x_j * D_i(v)
 
 and a homogeneous element is zero in B(V) exactly when every iterated
-derivation down to degree zero vanishes.  Collecting the values of all
-d-fold descents gives a faithful vector of pairing values per element
-(NicholsVector).  The descent applies D_i down to three letters and
-there reads the pairing rows of the remaining words, built by the same
-rule and memoized on the matrix.  Exact Gaussian elimination on those
-vectors yields dim B(V)_alpha and membership tests.  A
-quantum-symmetrizer rank computation provides an independent
-cross-check of the dimensions.
+derivation down to degree zero vanishes.  Its pairing vector f
+(NicholsVector) holds those values: entry k belongs to the k-th dual
+word j of its degree in lexicographic order, and is the scalar left by
+applying D_{j_1} first, then D_{j_2}, and so on.  For an element, the
+descent (_pairings) fills it, applying D_i down to three letters and
+reading the memoized pairing rows of the words left.  For a product u*v,
+u of degree beta, the quantum shuffle (M. Rosso, Invent. Math. 133,
+1998) fills it from f_u and f_v alone, summing over the position sets S
+of j that spell a word of degree beta:
+
+    f_uv(j) = sum_S f_u(j_S) * f_v(j_not_S) * prod q_{j_k, j_l}^-1
+              (over k not in S, l in S, l > k),
+
+through one table of interleaving weights per ordered split (beta,
+gamma), of at most m(alpha) * min(prod C(alpha_i, beta_i), m(beta) *
+m(gamma)) entries, m counting the words of a degree (_ShuffleTables,
+_shuffle_into); lie pairs its brackets so.  Exact elimination on the
+vectors gives dim B(V)_alpha and membership, cross-checked by the rank
+of a quantum symmetrizer.
 """
 
 from __future__ import annotations
@@ -21,7 +32,8 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from .braiding import BraidingMatrix
-from .freealg import FreeElement, _collect, multinomial, word_degree, words_of_multidegree
+from .freealg import (FreeElement, _collect, _multidegree_words, multinomial, word_degree,
+                      words_of_multidegree)
 from .scalar import Scalar
 
 __all__ = [
@@ -93,11 +105,8 @@ def _check_degree(B: BraidingMatrix, alpha) -> tuple:
 
 @dataclass
 class NicholsVector:
-    """Pairing values of a homogeneous element against all dual words of
-    its multidegree; the element is zero in B(V) iff all values vanish.
-
-    values[k] belongs to the k-th dual word of words_of_multidegree(degree).
-    """
+    """The pairing vector of a homogeneous element (layout: see the module
+    docstring); the element is zero in B(V) iff all values vanish."""
 
     degree: tuple
     values: tuple = field(repr=False)
@@ -107,8 +116,7 @@ class NicholsVector:
 
 
 def _homogeneous_degree(B: BraidingMatrix, u: FreeElement):
-    if B.n != u.n or B.order != u.order:
-        raise ValueError("braiding matrix and element have different ambients")
+    u._check_matrix(B)
     deg = u.degree()  # raises NonHomogeneousError on mixed input
     return None if deg is None else _check_degree(B, deg)
 
@@ -160,11 +168,10 @@ def _pairing_row(B: BraidingMatrix, word) -> tuple:
 
 
 def _pairings(B: BraidingMatrix, terms: dict, alpha):
-    """Pairing values of a word -> scalar map against the dual words of
-    alpha, in lexicographic dual-word order: D_{j_1} is applied first, then
-    D_{j_2}, and so on.  A vanished branch yields its zeros without
-    descending; at most SHORT_ROW_LETTERS letters from the bottom, the
-    descent ends in the memoized pairing rows of its words."""
+    """The pairing vector of a word -> scalar map of degree alpha, by the
+    descent.  A vanished branch yields its zeros without descending; at
+    most SHORT_ROW_LETTERS letters from the bottom, it ends in the
+    memoized pairing rows of its words."""
     if not terms:
         yield from repeat(Scalar.zero(B.order), multinomial(alpha))
     elif sum(alpha) > SHORT_ROW_LETTERS:
@@ -189,12 +196,71 @@ def _derivations(B: BraidingMatrix, terms: dict, alpha):
             yield from _pairings(B, _skew(B, idx + 1, terms), reduced)
 
 
-def pairing_vector(B: BraidingMatrix, u: FreeElement, max_terms=None) -> NicholsVector:
-    """All iterated pairing values of a homogeneous element.
+class _ShuffleTables:
+    """Called as table(beta, gamma) for products of degree alpha: entry [i][j]
+    lists the (k, w), w != 0, where w sums the weights prod q_{x,y}^-1 (x of v
+    placed before y of u) of the interleavings of the i-th word u of beta
+    and the j-th word v of gamma that spell the k-th dual word of alpha.
+    They are built from the shuffles of suffix pairs, memoized for the
+    instance (the c*b table at beta is the b*c table at gamma), and never
+    enumerated: with repeated letters there are exponentially many."""
 
-    The value for dual word (j_1, ..., j_d) is the degree-0 scalar
-    obtained by applying D_{j_1} first, then D_{j_2}, and so on.
-    """
+    def __init__(self, B: BraidingMatrix, alpha: tuple):
+        self.B, self.one = B, Scalar.one(B.order)
+        self.index = {word: k for k, word in enumerate(_multidegree_words(alpha))}
+        self.tables, self.memo, self.factors = {}, {}, {}
+
+    def __call__(self, beta, gamma):
+        key, index = (beta, gamma), self.index
+        if key not in self.tables:
+            vs = _multidegree_words(gamma)
+            self.tables[key] = [[tuple((index[j], w) for j, w in self.shuffles(u, v)) for v in vs]
+                                for u in _multidegree_words(beta)]
+        return self.tables[key]
+
+    def factor(self, c, u):
+        # prod q_{c,y}^-1 over the letters y of u: the weight of placing c before all of u
+        if (c, u) not in self.factors:
+            inv_row, inv_is_one = self.B.inverse_row(c)
+            f = self.factor(c, u[1:]) if u else self.one
+            self.factors[(c, u)] = f if not u or inv_is_one[u[0] - 1] else f * inv_row[u[0] - 1]
+        return self.factors[(c, u)]
+
+    def shuffles(self, u, v):
+        # (dual word, weight) pairs: the dual word starts with u's first
+        # letter, or with v's placed before all of u
+        out = self.memo.get((u, v))
+        if out is None:
+            one = self.one
+            if not u or not v:
+                out = ((u + v, one),)
+            else:
+                acc = {(u[0],) + j: w for j, w in self.shuffles(u[1:], v)}
+                f = self.factor(v[0], u)
+                for j, w in self.shuffles(u, v[1:]):
+                    j, w = (v[0],) + j, w if f is one else w * f
+                    acc[j] = acc[j] + w if j in acc else w
+                out = tuple((j, w) for j, w in acc.items() if w)
+            self.memo[(u, v)] = out
+        return out
+
+
+def _shuffle_into(acc: list, table, fu, fv, one: Scalar) -> None:
+    """Add f_u * f_v, the pairing vector of u*v, into acc (None marks an
+    untouched entry), from the nonzero (index, value) pairs of f_u and f_v
+    and the table of their degrees; unit weights are not multiplied."""
+    for i, x in fu:
+        row = table[i]
+        for j, y in fv:
+            xy = x * y
+            for k, w in row[j]:
+                w = xy if w is one else xy * w
+                prev = acc[k]
+                acc[k] = w if prev is None else prev + w
+
+
+def pairing_vector(B: BraidingMatrix, u: FreeElement, max_terms=None) -> NicholsVector:
+    """All iterated pairing values of a homogeneous element, by the descent."""
     deg = _homogeneous_degree(B, u)
     if deg is None:
         raise ValueError("the zero element has no well-defined pairing degree")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache
 
 from .braiding import BraidingMatrix
@@ -82,13 +82,7 @@ class VerificationReport:
         return f"{self.claim} {self.digest} {self.verdict}"
 
     def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "instance": self.instance,
-            "digest": self.digest,
-            "verdict": self.verdict,
-            "evidence": self.evidence,
-        }
+        return asdict(self)
 
 
 def _word_str(word) -> str:

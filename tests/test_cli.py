@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nicholslie
 from nicholslie.braiding import BraidingMatrix, InvalidMatrixError
 from nicholslie.cli import (
     BracketParseError,
@@ -246,6 +251,26 @@ def test_cmd_bracket_nichols_flag(matrix_file):
     )
     assert code == 0
     assert "zero in Nichols algebra: yes" in out
+
+
+def test_console_script_on_closed_stdout_exits_quietly(matrix_file):
+    # the console script's first write meets a pipe whose read end is
+    # closed: no traceback, and status 141, which no answer (0-4) uses
+    path = matrix_file('{"n":2,"cyclotomic_order":3,"q":[["-1","z"],["1","z^2"]]}')
+    src = str(Path(nicholslie.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nicholslie.cli", "bracket", "--input", path,
+             "--expr", "[x1,[x2,x1]]", "--lie", "braided", "--nichols"],
+            stdout=w, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(w)
+    assert proc.stderr == b""
+    assert proc.returncode == 141
 
 
 def test_cmd_bracket_generator_out_of_range(matrix_file, capsys):

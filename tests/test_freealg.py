@@ -1,6 +1,7 @@
 """Free algebra: product, both brackets, bracketing trees, identities."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from nicholslie.freealg import (
     words_of_multidegree,
     words_of_total_degree,
 )
-from nicholslie.graphs import monomials_connected
+from nicholslie.graphs import PURE, is_connected_monomial, monomials_connected
 from nicholslie.lie import monomial_membership
 from nicholslie.nichols import is_zero_in_nichols, pairing_vector, skew_derivation
 from nicholslie.scalar import FieldMismatchError, Scalar
@@ -47,11 +48,13 @@ def test_word_degree():
     assert word_degree((), 2) == (0, 0)
 
 
-@pytest.mark.parametrize("letter", [0, -1, 3])
+@pytest.mark.parametrize("letter", [0, -1, 3, True, False, 1.0, "1", None])
 def test_letters_out_of_range_raise_one_error(letter):
     # word_degree is the one letter check: every path that takes a word's
-    # degree refuses a letter outside 1..n with the same ValueError, where
-    # letter 0 used to count as x_n and n + 1 to raise IndexError
+    # degree refuses a letter that is no int in 1..n with the same
+    # ValueError, where letter 0 used to count as x_n, n + 1 to raise
+    # IndexError, True to count as x1, and a float or str to raise an
+    # unrelated TypeError
     B = matrix_from_strings([["2", "1"], ["1", "-1"]], 1)
     one = Scalar.one(1)
     raw = FreeElement._of(2, 1, {(letter,): one})  # the constructor itself refuses the letter
@@ -70,9 +73,11 @@ def test_letters_out_of_range_raise_one_error(letter):
         lambda: check_prop_disconnected_pair(B, (2,), (1, letter)),
         lambda: check_prop_all_bracketings(B, (1, letter)),
         lambda: check_prop_all_bracketings(B, (letter, 2, 2)),
+        lambda: apply_bracketing(B, (None, None), (1, letter), BRAIDED),
+        lambda: is_connected_monomial(B, (letter, 2), PURE),
     ]
     for call in calls:
-        with pytest.raises(ValueError, match=rf"^letter {letter} out of range 1\.\.2$"):
+        with pytest.raises(ValueError, match="^" + re.escape(f"letter {letter!r} out of range 1..2") + "$"):
             call()
 
 

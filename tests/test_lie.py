@@ -16,20 +16,25 @@ from nicholslie.freealg import (
     multinomial,
     words_of_multidegree,
 )
-from nicholslie import verify
+from nicholslie import lie, nichols, verify
 from nicholslie.graphs import PURE, build_graph, components, realize_graph
 from nicholslie.lie import (
     MEMBER,
     NOT_MEMBER,
     ZERO_IN_NICHOLS,
     LieSpan,
-    _shuffle_into,
-    _ShuffleTables,
     lie_span,
     max_supports,
     monomial_membership,
 )
-from nicholslie.nichols import GuardrailExceeded, _RowReducer, basis_of_degree, pairing_vector
+from nicholslie.nichols import (
+    GuardrailExceeded,
+    _RowReducer,
+    _shuffle_into,
+    _ShuffleTables,
+    basis_of_degree,
+    pairing_vector,
+)
 from nicholslie.scalar import Scalar
 
 from conftest import matrix_from_strings, random_braiding_matrix, random_scalar, rational_matrix
@@ -543,6 +548,15 @@ def test_lie_span_guardrail():
     B = rational_matrix([[2, 2], [2, 2]])
     with pytest.raises(GuardrailExceeded):
         lie_span(B, (3, 3), BRAIDED, max_terms=10)
+
+
+def test_shuffle_kernel_lives_in_nichols():
+    # nichols owns the pairing-vector layout and both ways of filling it;
+    # lie only imports the shuffle kernel and builds no dual-word index
+    for name in ("_ShuffleTables", "_shuffle_into"):
+        assert getattr(lie, name) is getattr(nichols, name)
+        assert getattr(lie, name).__module__ == "nicholslie.nichols"
+    assert not hasattr(lie, "_multidegree_words")
 
 
 def test_lie_span_guard_precedes_candidate_build(monkeypatch):

@@ -17,7 +17,7 @@ from nicholslie.nichols import (
     symmetrizer_rank_oracle,
     word_pairing_vector,
 )
-from nicholslie.scalar import Scalar
+from nicholslie.scalar import FieldMismatchError, Scalar
 
 from conftest import matrix_from_strings, random_braiding_matrix, random_scalar, rational_matrix
 from descent_oracle import oracle_pairings
@@ -336,12 +336,22 @@ def test_is_zero_rejects_non_homogeneous():
 @pytest.mark.parametrize("elem", [
     FreeElement.from_word(3, 1, (1, 3)),  # rank 3 against a rank-2 matrix
     FreeElement.from_word(1, 1, (1, 1)),  # rank 1
-], ids=["rank3", "rank1"])
+    FreeElement.from_word(2, 3, (1, 2)),  # order 3 against an order-1 matrix
+], ids=["rank3", "rank1", "order3"])
 def test_pairing_and_zeroness_reject_other_ambient(elem):
+    # one matrix/element check, shared with the skew derivation and the
+    # braided bracket: one error type, one message
     B = rational_matrix([[2, 2], [2, 2]])
-    for fn in (pairing_vector, is_zero_in_nichols):
-        with pytest.raises(ValueError, match="different ambients"):
-            fn(B, elem)
+    calls = [
+        lambda: pairing_vector(B, elem),
+        lambda: is_zero_in_nichols(B, elem),
+        lambda: skew_derivation(B, 1, elem),
+        lambda: braided_bracket(B, elem, elem),
+    ]
+    for call in calls:
+        with pytest.raises(FieldMismatchError,
+                           match=r"^braiding matrix and element have different ambients$"):
+            call()
 
 
 def test_is_zero_agrees_with_pairing_vector(rng):
