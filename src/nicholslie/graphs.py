@@ -138,13 +138,19 @@ def realize_graph(n: int, edges) -> BraidingMatrix:
     """A rational braiding matrix whose pure Dynkin graph is the given graph.
 
     Diagonal entries are 2; both entries of an edge pair are 2 (product 4),
-    both entries of a non-edge pair are 1 (product 1).
+    both entries of a non-edge pair are 1 (product 1).  The vertex count
+    and the vertices must be ints (a bool is not one), as in
+    abstract_graph_from_json.
     """
+    if type(n) is not int:
+        raise ValueError(f"vertex count must be an int, got {n!r}")
     if n < 1:
         raise ValueError("graph must have at least one vertex")
     edge_set = set()
     for e in edges:
         i, j = e
+        if type(i) is not int or type(j) is not int:
+            raise ValueError(f"edge ({i!r},{j!r}) must join two int vertices")
         if not (1 <= i <= n and 1 <= j <= n) or i == j:
             raise ValueError(f"bad edge ({i},{j}) for vertex set 1..{n}")
         edge_set.add((min(i, j), max(i, j)))

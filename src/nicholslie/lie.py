@@ -138,7 +138,7 @@ def _span(B: BraidingMatrix, alpha: tuple, kind: str) -> LieSpan:
     reducer = _RowReducer()
     basis, provenance = [], []
     for source, values in candidates():
-        if any(values) and reducer.insert(values):
+        if reducer.insert(values):
             basis.append(NicholsVector(alpha, values))
             provenance.append(source)
     span = B._lie_span_cache[key] = LieSpan(alpha, kind, basis, provenance, reducer)

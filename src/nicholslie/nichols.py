@@ -196,6 +196,18 @@ def _derivations(B: BraidingMatrix, terms: dict, alpha):
             yield from _pairings(B, _skew(B, idx + 1, terms), reduced)
 
 
+def _vanishes(B: BraidingMatrix, terms: dict, alpha) -> bool:
+    """Whether a word -> scalar map of degree alpha is zero in B(V): the
+    descent of _pairings, ending at the first nonzero value and at once
+    on a vanished branch, whose zeros it never walks."""
+    if not terms:
+        return True
+    if sum(alpha) <= SHORT_ROW_LETTERS:
+        return not any(_pairings(B, terms, alpha))
+    return all(_vanishes(B, _skew(B, idx + 1, terms), alpha[:idx] + (count - 1,) + alpha[idx + 1:])
+               for idx, count in enumerate(alpha) if count)
+
+
 class _ShuffleTables:
     """Called as table(beta, gamma) for products of degree alpha: entry [i][j]
     lists the (k, w), w != 0, where w sums the weights prod q_{x,y}^-1 (x of v
@@ -280,16 +292,16 @@ def is_zero_in_nichols(B: BraidingMatrix, u: FreeElement) -> bool:
     for every generator i occurring in its degree.
     """
     deg = _homogeneous_degree(B, u)
-    return deg is None or not any(_pairings(B, u.terms, deg))
+    return deg is None or _vanishes(B, u.terms, deg)
 
 
 class _RowReducer:
-    """Incremental exact row reduction over lists of Scalar (an echelon
-    basis).
+    """Incremental exact row reduction over lists of Scalar (an echelon basis).
 
-    Pivot rows are normalized to a leading 1 and indexed by their lead
-    column; insertion order is the deterministic pivot choice, and reduce
-    walks them in it (each is zero at the leads inserted before it).
+    Each pivot is kept as the nonzero (index, value) pairs of its row,
+    normalized to a leading 1, and indexed by its lead column; insertion
+    order is the deterministic pivot choice, and reduce walks them in it
+    (each is zero at the leads inserted before it).
     """
 
     def __init__(self):
@@ -303,11 +315,11 @@ class _RowReducer:
         """The residue of a row after elimination by every pivot; it is
         all zero exactly when the row lies in the span."""
         row = list(row)
-        for lead, (prow, support) in self._by_lead.items():
+        for lead, pivot in self._by_lead.items():
             c = row[lead]
             if c:
-                for idx in support:
-                    row[idx] = row[idx] - c * prow[idx]
+                for idx, v in pivot:
+                    row[idx] = row[idx] - c * v
         return row
 
     def insert(self, row) -> bool:
@@ -318,8 +330,7 @@ class _RowReducer:
         if lead is None:
             return False
         inv = row[lead].inv()
-        row = [v * inv for v in row]
-        self._by_lead[lead] = (row, tuple(k for k, v in enumerate(row) if v))
+        self._by_lead[lead] = tuple((k, v * inv) for k, v in enumerate(row) if v)
         return True
 
 

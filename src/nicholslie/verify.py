@@ -45,7 +45,7 @@ from .freealg import (
 )
 from .graphs import AUGMENTED, PURE, build_graph, components, is_connected_monomial, support
 from .lie import _check_d_max, _is_member, max_supports
-from .nichols import GuardrailExceeded, _check_degree, _guard, _pairings
+from .nichols import GuardrailExceeded, _check_degree, _guard, _vanishes
 from .scalar import Scalar
 
 __all__ = [
@@ -193,7 +193,7 @@ def check_prop_disconnected_pair(B: BraidingMatrix, u_word, v_word, max_terms=No
         _guard(f"pairing descent at degree {deg}", multinomial(deg), max_terms)
         one = Scalar.one(B.order)
         bracket = _commutator({u_word: one}, {v_word: one}, one)  # [u, v]-
-        if not any(_pairings(B, bracket, deg)):
+        if _vanishes(B, bracket, deg):
             return CONFIRMED, {"bracket_vanishes": True}
         return COUNTEREXAMPLE, {
             "bracket": f"[{_word_str(u_word)}, {_word_str(v_word)}]-",
@@ -226,7 +226,7 @@ def check_prop_all_bracketings(B: BraidingMatrix, word, max_terms=None) -> Verif
                n_trees * m, max_terms)
         for tree in enumerate_bracketings(len(word)):
             terms = _bracketing_terms(B, tree, word, MINUS)
-            if any(_pairings(B, terms, deg)):
+            if not _vanishes(B, terms, deg):
                 return COUNTEREXAMPLE, {
                     "bracketing": format_bracketing(tree, word),
                     "element": str(FreeElement._of(B.n, B.order, terms)),

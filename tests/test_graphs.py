@@ -258,6 +258,24 @@ def test_realize_path():
     assert G.sorted_edges() == [(1, 2), (2, 3)]
 
 
+@pytest.mark.parametrize("n, edges, message", [
+    (True, [], "vertex count must be an int, got True"),
+    (2.0, [], "vertex count must be an int, got 2.0"),
+    (2, [(True, 2)], "edge (True,2) must join two int vertices"),
+    (2, [(1, 2.0)], "edge (1,2.0) must join two int vertices"),
+    (0, [], "graph must have at least one vertex"),
+    (2, [(1, 3)], "bad edge (1,3) for vertex set 1..2"),
+    (2, [(2, 2)], "bad edge (2,2) for vertex set 1..2"),
+], ids=["n-bool", "n-float", "endpoint-bool", "endpoint-float", "n-zero", "endpoint-out-of-range",
+        "loop"])
+def test_realize_rejects_bad_vertices(n, edges, message):
+    # only exact ints are vertices, as in abstract_graph_from_json: a bool
+    # compares and counts like an int, so only its type can refuse it
+    with pytest.raises(ValueError) as info:
+        realize_graph(n, edges)
+    assert str(info.value) == message
+
+
 def all_graphs(n):
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     for bits in itertools.product([0, 1], repeat=len(pairs)):

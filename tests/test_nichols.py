@@ -1,15 +1,21 @@
 """Skew derivations, pairing vectors, zeroness, and the two independent
 rank computations for dim B(V)_alpha."""
 
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nicholslie
 from nicholslie.freealg import FreeElement, braided_bracket, word_degree, words_of_multidegree
 from nicholslie.nichols import (
     GuardrailExceeded,
     NicholsVector,
+    _RowReducer,
     basis_of_degree,
     is_zero_in_nichols,
     pairing_vector,
@@ -416,6 +422,39 @@ def test_zero_test_exits_before_the_full_descent(monkeypatch):
         counts.append((run(B, u), len(calls)))
     (zero, zero_calls), (_, vector_calls) = counts
     assert not zero and 0 < zero_calls < vector_calls
+
+
+def test_zero_test_never_walks_a_vanished_branch():
+    # both D_1 and D_2 of x1 x1 x2^20 x1^18 vanish when q11 = q22 = -1, so
+    # the answer needs no walk over the 6.9e10 zeros of either branch
+    src = str(Path(nicholslie.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = """if True:
+        from nicholslie import BraidingMatrix, FreeElement, is_zero_in_nichols
+        B = BraidingMatrix.from_strings([["-1", "1"], ["1", "-1"]], 1)
+        print(is_zero_in_nichols(B, FreeElement.from_word(2, 1, (1, 1) + (2,) * 20 + (1,) * 18)))
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
+
+
+def test_pivot_insert_multiplies_only_nonzero_entries(monkeypatch):
+    # a row with k nonzero entries, into an empty reducer: k products by the
+    # lead's inverse (Scalar.inv of a rational multiplies no Scalar)
+    mul, calls = Scalar.__mul__, []
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    zero = Scalar.zero(1)
+    row = [zero, Scalar.from_rational(1, 2), zero, zero, Scalar.from_rational(1, -6), zero, zero]
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    reducer = _RowReducer()
+    assert reducer.insert(row)
+    assert len(calls) == 2
+    assert reducer._by_lead == {1: ((1, Scalar.one(1)), (4, Scalar.from_rational(1, -3)))}
 
 
 def test_pairing_guardrail():

@@ -56,4 +56,7 @@ def test_insertion_order_reduction_matches_ascending_leads(rows):
         if lead is not None:
             inv = residue[lead].inv()
             pivots[lead] = [v * inv for v in residue]
-        assert {k: prow for k, (prow, _) in reducer._by_lead.items()} == pivots
+        # each pivot is the nonzero (index, value) pairs of the oracle's row
+        assert reducer._by_lead == {
+            k: tuple((idx, v) for idx, v in enumerate(prow) if v) for k, prow in pivots.items()
+        }

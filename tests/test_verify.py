@@ -12,7 +12,6 @@ from nicholslie.freealg import (
     minus_bracket,
 )
 from nicholslie.graphs import realize_graph
-from nicholslie.scalar import Scalar
 from nicholslie.verify import (
     CONFIRMED,
     COUNTEREXAMPLE,
@@ -185,14 +184,14 @@ def test_prop_brackets_needs_length_two():
 def _nonzero_for(monkeypatch, chosen):
     """Make the checks' zero test report the chosen free-algebra elements,
     and only them, as nonzero in B(V)."""
-    pairings = verify._pairings
+    vanishes = verify._vanishes
 
     def patched(B, terms, alpha):
         if any(terms == c.terms for c in chosen):
-            return iter([Scalar.one(B.order)])
-        return pairings(B, terms, alpha)
+            return False
+        return vanishes(B, terms, alpha)
 
-    monkeypatch.setattr(verify, "_pairings", patched)
+    monkeypatch.setattr(verify, "_vanishes", patched)
 
 
 # trees 0, 1, 3 and 4 of x1 x2 x1 x2 give one element, tree 2 gives 0; trees
