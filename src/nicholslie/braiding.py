@@ -26,7 +26,7 @@ class BraidingMatrix:
     """Validated matrix of nonzero scalars; entries are 1-based."""
 
     __slots__ = (
-        "n", "order", "_rows", "_inv_rows", "_inv_is_one", "_json", "_lie_span_cache",
+        "n", "order", "_rows", "_inv_rows", "_json", "_lie_span_cache",
         "_pairing_row_cache",
     )
 
@@ -55,7 +55,6 @@ class BraidingMatrix:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_inv_rows", None)
-        object.__setattr__(self, "_inv_is_one", None)
         object.__setattr__(self, "_json", None)
         object.__setattr__(self, "_lie_span_cache", {})
         object.__setattr__(self, "_pairing_row_cache", {})
@@ -137,17 +136,15 @@ class BraidingMatrix:
             raise IndexError(f"index ({i},{j}) out of range for rank {self.n}")
         return self._rows[i - 1][j - 1]
 
-    def _build_inverse_tables(self):
-        inv = tuple(tuple(e.inv() for e in row) for row in self._rows)
-        flags = tuple(tuple(e.is_one() for e in row) for row in inv)
-        object.__setattr__(self, "_inv_rows", inv)
-        object.__setattr__(self, "_inv_is_one", flags)
-
     def inverse_row(self, i: int):
-        """(q_ij^-1 for j=1..n, is-one flags); hot-loop accessor."""
+        """q_ij^-1 for j=1..n, built on first use; hot-loop accessor.  An
+        entry equal to 1 is the shared Scalar.one(order), never inverted,
+        so callers skip unit factors by identity."""
         if self._inv_rows is None:
-            self._build_inverse_tables()
-        return self._inv_rows[i - 1], self._inv_is_one[i - 1]
+            one = Scalar.one(self.order)
+            inv = tuple(tuple(one if e.is_one() else e.inv() for e in row) for row in self._rows)
+            object.__setattr__(self, "_inv_rows", inv)
+        return self._inv_rows[i - 1]
 
     # -- the bicharacter and friends --------------------------------------
 

@@ -201,16 +201,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="guardrail cap on elimination matrix entries")
 
     p_graph = sub.add_parser("graph", help="print a Dynkin graph")
+    p_graph.set_defaults(handler=_cmd_graph)
     add_common(p_graph)
     p_graph.add_argument("--kind", choices=[PURE, AUGMENTED], required=True)
     p_graph.add_argument("--dot", action="store_true", help="emit DOT instead of text")
     p_graph.add_argument("--annotate", action="store_true", help="label edges with braiding data")
 
     p_comp = sub.add_parser("components", help="print connected components")
+    p_comp.set_defaults(handler=_cmd_components)
     add_common(p_comp)
     p_comp.add_argument("--kind", choices=[PURE, AUGMENTED], required=True)
 
     p_br = sub.add_parser("bracket", help="evaluate a bracket expression")
+    p_br.set_defaults(handler=_cmd_bracket)
     add_common(p_br)
     p_br.add_argument("--expr", required=True, help="e.g. \"[x1,[x2,x3]]\"")
     p_br.add_argument("--lie", choices=[BRAIDED, MINUS], required=True)
@@ -218,15 +221,18 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also report zeroness of the value in B(V)")
 
     p_mem = sub.add_parser("ismember", help="monomial membership in the Lie span")
+    p_mem.set_defaults(handler=_cmd_ismember)
     add_common(p_mem)
     p_mem.add_argument("--monomial", required=True, help="e.g. \"x2 x1\"")
     p_mem.add_argument("--lie", choices=[BRAIDED, MINUS], required=True)
 
     p_dim = sub.add_parser("dim", help="dimension of B(V) at a multidegree")
+    p_dim.set_defaults(handler=_cmd_dim)
     add_common(p_dim)
     p_dim.add_argument("--degree", required=True, help="comma-separated, e.g. \"1,2\"")
 
     p_ver = sub.add_parser("verify", help="check one claim on the matrix")
+    p_ver.set_defaults(handler=_cmd_verify)
     add_common(p_ver)
     p_ver.add_argument(
         "--claim",
@@ -338,15 +344,7 @@ def main(argv=None, out=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         B = parse_matrix_file(args.input)
-        handler = {
-            "graph": _cmd_graph,
-            "components": _cmd_components,
-            "bracket": _cmd_bracket,
-            "ismember": _cmd_ismember,
-            "dim": _cmd_dim,
-            "verify": _cmd_verify,
-        }[args.command]
-        return handler(B, args, out)
+        return args.handler(B, args, out)
     except GuardrailExceeded as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE

@@ -297,10 +297,10 @@ def enumerate_bracketings(m: int):
     return tuple(out)
 
 
-def _check_bracket_kind(kind: str) -> str:
-    if kind not in (BRAIDED, MINUS):
-        raise ValueError(f"bracket kind must be {BRAIDED!r} or {MINUS!r}, got {kind!r}")
-    return kind
+def _check_choice(value, allowed, noun: str):
+    """ValueError unless value is one of the two names in allowed."""
+    if value not in allowed:
+        raise ValueError(f"{noun} must be {allowed[0]!r} or {allowed[1]!r}, got {value!r}")
 
 
 def _fold_bracketing(tree, word, leaf, node):
@@ -341,7 +341,7 @@ def _bracketing_terms(B: BraidingMatrix, tree, word: tuple, kind: str) -> dict:
 
 def apply_bracketing(B: BraidingMatrix, tree, word, kind: str) -> FreeElement:
     """Evaluate a full bracketing of a word with the chosen bracket."""
-    _check_bracket_kind(kind)
+    _check_choice(kind, (BRAIDED, MINUS), "bracket kind")
     word = tuple(word)
     word_degree(word, B.n)
     return FreeElement._of(B.n, B.order, _bracketing_terms(B, tree, word, kind))

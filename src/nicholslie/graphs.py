@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .braiding import BraidingMatrix, InvalidMatrixError
-from .freealg import word_degree
+from .freealg import _check_choice, word_degree
 from .scalar import Scalar
 
 __all__ = [
@@ -33,12 +33,6 @@ PURE = "pure"
 AUGMENTED = "augmented"
 
 
-def _check_kind(kind: str) -> str:
-    if kind not in (PURE, AUGMENTED):
-        raise ValueError(f"kind must be {PURE!r} or {AUGMENTED!r}, got {kind!r}")
-    return kind
-
-
 @dataclass(frozen=True)
 class DynkinGraph:
     """Undirected simple graph; edges are stored as (i, j) pairs with i < j."""
@@ -48,7 +42,7 @@ class DynkinGraph:
     kind: str
 
     def __post_init__(self):
-        _check_kind(self.kind)
+        _check_choice(self.kind, (PURE, AUGMENTED), "kind")
         for i, j in self.edges:
             if i == j:
                 raise ValueError(f"loop edge at vertex {i}")
@@ -69,7 +63,7 @@ class DynkinGraph:
 
 def build_graph(B: BraidingMatrix, kind: str) -> DynkinGraph:
     """The pure or augmented Dynkin graph of a braiding matrix."""
-    _check_kind(kind)
+    _check_choice(kind, (PURE, AUGMENTED), "kind")
     edges = set()
     for i in range(1, B.n + 1):
         for j in range(i + 1, B.n + 1):
@@ -138,9 +132,9 @@ def realize_graph(n: int, edges) -> BraidingMatrix:
     """A rational braiding matrix whose pure Dynkin graph is the given graph.
 
     Diagonal entries are 2; both entries of an edge pair are 2 (product 4),
-    both entries of a non-edge pair are 1 (product 1).  The vertex count
-    and the vertices must be ints (a bool is not one), as in
-    abstract_graph_from_json.
+    both entries of a non-edge pair are 1 (product 1).  Each edge must be
+    a tuple or list of two vertices, and the vertex count and the vertices
+    must be ints (a bool is not one), as in abstract_graph_from_json.
     """
     if type(n) is not int:
         raise ValueError(f"vertex count must be an int, got {n!r}")
@@ -148,6 +142,8 @@ def realize_graph(n: int, edges) -> BraidingMatrix:
         raise ValueError("graph must have at least one vertex")
     edge_set = set()
     for e in edges:
+        if not isinstance(e, (tuple, list)) or len(e) != 2:
+            raise ValueError(f"edge {e!r} must be a pair (i, j)")
         i, j = e
         if type(i) is not int or type(j) is not int:
             raise ValueError(f"edge ({i!r},{j!r}) must join two int vertices")

@@ -17,7 +17,8 @@ from itertools import product
 from .braiding import BraidingMatrix
 from .freealg import (
     BRAIDED,
-    _check_bracket_kind,
+    MINUS,
+    _check_choice,
     multinomial,
     word_degree,
     words_of_total_degree,
@@ -97,7 +98,7 @@ def lie_span(B: BraidingMatrix, alpha, kind: str, max_terms=None) -> LieSpan:
     recursion (_span) checks nothing.  Spans are cached on B per (degree,
     kind), behind the guard at alpha.
     """
-    _check_bracket_kind(kind)
+    _check_choice(kind, (BRAIDED, MINUS), "bracket kind")
     alpha = _check_degree(B, alpha)
     m = multinomial(alpha)
     c = max(sum(alpha) - 1, 1) * m
@@ -153,7 +154,7 @@ def monomial_membership(B: BraidingMatrix, word, kind: str, max_terms=None) -> M
     connectivity statements exclude it.  The span comes from lie_span,
     so a tighter cap is still checked against a cached span.
     """
-    _check_bracket_kind(kind)
+    _check_choice(kind, (BRAIDED, MINUS), "bracket kind")
     word = tuple(word)
     if not word:
         raise ValueError("membership of the empty word is undefined")
@@ -217,7 +218,7 @@ def max_supports(B: BraidingMatrix, d_max: int, kind: str, max_terms=None):
     _is_member); each Lie span, and each lower span it is built from, is
     built once per multidegree and kept in B's span cache (see lie_span).
     """
-    _check_bracket_kind(kind)
+    _check_choice(kind, (BRAIDED, MINUS), "bracket kind")
     _check_d_max(d_max, 1, "1")
     member_supports = []
     for d in range(1, d_max + 1):

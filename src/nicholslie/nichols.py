@@ -34,7 +34,7 @@ from itertools import repeat
 from .braiding import BraidingMatrix
 from .freealg import (FreeElement, _collect, _multidegree_words, multinomial, word_degree,
                       words_of_multidegree)
-from .scalar import Scalar
+from .scalar import GuardrailExceeded, Scalar, _cached_one
 
 __all__ = [
     "MAX_TERMS_DEFAULT",
@@ -61,20 +61,6 @@ MAX_DEGREE = 200
 # most 6 entries) instead of applying _skew; longer words are not memoized,
 # because their rows grow factorially and are seldom met twice.
 SHORT_ROW_LETTERS = 3
-
-
-class GuardrailExceeded(RuntimeError):
-    """A computation would exceed the configured size cap.
-
-    Exact elimination is cubic; refusing early with the offending sizes
-    beats an opaque multi-hour run.
-    """
-
-    def __init__(self, what: str, needed: int, cap: int, unit: str = "entries"):
-        super().__init__(f"{what}: needs {needed} {unit}, cap is {cap}")
-        self.what = what
-        self.needed = needed
-        self.cap = cap
 
 
 def _guard(what: str, needed: int, max_terms) -> None:
@@ -125,7 +111,7 @@ def _skew(B: BraidingMatrix, i: int, terms: dict) -> dict:
     # D_i on a word -> scalar map: one pass per word, keeping the running
     # product of q_{i, w_l}^{-1} over the prefix; unit factors are skipped.
     # The accumulation is inlined: this is the innermost loop of every descent.
-    inv_row, inv_is_one = B.inverse_row(i)
+    inv_row, one = B.inverse_row(i), _cached_one(B.order)
     out = {}
     for word, coeff in terms.items():
         running = coeff
@@ -138,8 +124,8 @@ def _skew(B: BraidingMatrix, i: int, terms: dict) -> dict:
                     out[reduced] = acc
                 elif reduced in out:
                     del out[reduced]
-            if not inv_is_one[letter - 1]:
-                running = running * inv_row[letter - 1]
+            if (f := inv_row[letter - 1]) is not one:
+                running = running * f
     return out
 
 
@@ -233,9 +219,9 @@ class _ShuffleTables:
     def factor(self, c, u):
         # prod q_{c,y}^-1 over the letters y of u: the weight of placing c before all of u
         if (c, u) not in self.factors:
-            inv_row, inv_is_one = self.B.inverse_row(c)
             f = self.factor(c, u[1:]) if u else self.one
-            self.factors[(c, u)] = f if not u or inv_is_one[u[0] - 1] else f * inv_row[u[0] - 1]
+            g = self.B.inverse_row(c)[u[0] - 1] if u else self.one
+            self.factors[(c, u)] = f if g is self.one else f * g
         return self.factors[(c, u)]
 
     def shuffles(self, u, v):

@@ -27,13 +27,34 @@ from functools import lru_cache
 from math import gcd, lcm
 
 __all__ = [
+    "MAX_ORDER",
     "FieldMismatchError",
+    "GuardrailExceeded",
     "ScalarParseError",
     "Scalar",
     "cyclotomic_polynomial",
     "euler_phi",
     "parse_scalar",
 ]
+
+
+# cyclotomic_polynomial(N) builds lists of about N ints, so a larger
+# order is refused before they are allocated.
+MAX_ORDER = 10**5
+
+
+class GuardrailExceeded(RuntimeError):
+    """A computation would exceed the configured size cap.
+
+    Exact elimination is cubic and the modulus of order N has about N
+    ints; refusing early beats an opaque multi-hour run or a MemoryError.
+    """
+
+    def __init__(self, what: str, needed: int, cap: int, unit: str = "entries"):
+        super().__init__(f"{what}: needs {needed} {unit}, cap is {cap}")
+        self.what = what
+        self.needed = needed
+        self.cap = cap
 
 
 class FieldMismatchError(ValueError):
@@ -64,9 +85,12 @@ def cyclotomic_polynomial(n: int):
     an exact division by a monic integer polynomial.  It is the one form
     of the modulus: euler_phi reads its degree, and products, powers of z
     and the conjugates of the norm inverse fold with its coefficients.
+    GuardrailExceeded if n exceeds MAX_ORDER.
     """
     if n < 1:
         raise ValueError(f"cyclotomic polynomial undefined for {n}")
+    if n > MAX_ORDER:
+        raise GuardrailExceeded(f"cyclotomic order {n}", n, MAX_ORDER, "roots of unity")
     poly, m, p = [-1, 1], 1, 2
     while m < n:
         if p * p > n // m:
@@ -160,9 +184,12 @@ def _lift(order: int, value):
 
 def _check_order(order) -> None:
     """ValueError unless the cyclotomic order is an int >= 1; a bool is
-    not one, though the lru_caches below would read True as 1."""
+    not one, though the lru_caches below would read True as 1.  Building
+    the modulus refuses an order above MAX_ORDER before a literal or a
+    power of z makes a list of its length."""
     if type(order) is not int or order < 1:
         raise ValueError(f"cyclotomic order must be an integer >= 1, got {order!r}")
+    cyclotomic_polynomial(order)
 
 
 _new = object.__new__
@@ -203,10 +230,8 @@ class Scalar:
             raise ValueError(
                 f"expected {euler_phi(order)} coefficients for order {order}, got {len(num)}"
             )
-        g = gcd(den, *num)
-        self.order = order
-        self.num = tuple(c // g for c in num)
-        self.den = den // g
+        canonical = _canonical(order, num, den)
+        self.order, self.num, self.den = order, canonical.num, canonical.den
 
     @property
     def coeffs(self) -> tuple:

@@ -43,7 +43,11 @@ def test_top_level_names_are_module_exports():
         ("braiding", "BraidingMatrix.p"),
         ("braiding", "BraidingMatrix.entry_inv"),
         ("braiding", "BraidingMatrix._word_pairing_cache"),
+        ("braiding", "BraidingMatrix._inv_is_one"),
+        ("braiding", "BraidingMatrix._build_inverse_tables"),
         ("graphs", "_UnionFind"),
+        ("graphs", "_check_kind"),
+        ("freealg", "_check_bracket_kind"),
         ("nichols", "NicholsVector.row"),
         ("nichols", "_bound_degree"),
         ("nichols", "_apply_braid_transposition"),

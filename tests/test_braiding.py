@@ -3,7 +3,7 @@
 import pytest
 
 from nicholslie.braiding import BraidingMatrix, InvalidMatrixError
-from nicholslie.scalar import Scalar
+from nicholslie.scalar import MAX_ORDER, GuardrailExceeded, Scalar
 
 from conftest import matrix_from_strings, random_braiding_matrix, rational_matrix
 
@@ -191,3 +191,25 @@ def test_json_roundtrip():
     B = matrix_from_strings([["2", "z"], ["z^-1", "-1"]], 8)
     again = BraidingMatrix.from_json(B.to_json())
     assert again == B
+
+
+def test_inverse_table_inverts_only_non_unit_entries(monkeypatch):
+    B = matrix_from_strings([["-1", "1", "z"], ["1", "1", "z^2"], ["z + 1", "1", "2"]], 3)
+    calls = []
+    inv = Scalar.inv
+    monkeypatch.setattr(Scalar, "inv", lambda s: calls.append(s) or inv(s))
+    rows = [B.inverse_row(i) for i in range(1, B.n + 1)]
+    assert len(calls) == 5  # one per entry != 1, and the table is built once
+    one = Scalar.one(B.order)
+    for i, row in enumerate(rows, start=1):
+        for j, q_inv in enumerate(row, start=1):
+            if B.entry(i, j).is_one():
+                assert q_inv is one
+            else:
+                assert q_inv * B.entry(i, j) == one and q_inv is not one
+
+
+def test_from_json_refuses_order_above_cap():
+    for order in (MAX_ORDER + 1, 1000000007):
+        with pytest.raises(GuardrailExceeded, match=f"^cyclotomic order {order}: "):
+            BraidingMatrix.from_json(f'{{"n":1,"cyclotomic_order":{order},"q":[["2"]]}}')

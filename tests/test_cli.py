@@ -25,7 +25,7 @@ from nicholslie.freealg import BRAIDED, MINUS, FreeElement, format_bracketing
 from nicholslie.graphs import AUGMENTED, PURE, build_graph, generated_subgraph
 from nicholslie.lie import lie_span
 from nicholslie.nichols import MAX_DEGREE, basis_of_degree, pairing_vector, symmetrizer_rank_oracle
-from nicholslie.scalar import Scalar
+from nicholslie.scalar import MAX_ORDER, Scalar
 
 from conftest import assert_witness_lines_rebuild, rational_matrix
 
@@ -353,6 +353,16 @@ def test_cmd_dim_at_large_cyclotomic_order(matrix_file):
     code, out = run(["dim", "--input", matrix_file('{"n":1,"cyclotomic_order":20000,"q":[["2"]]}'),
                      "--degree", "3"])
     assert (code, out) == (0, "1\n")
+
+
+def test_cmd_dim_refuses_order_above_cap(matrix_file, capsys):
+    # refused before the modulus, a list of about 10^9 ints, is built
+    path = matrix_file('{"n":1,"cyclotomic_order":1000000007,"q":[["2"]]}')
+    assert run(["dim", "--input", path, "--degree", "1"]) == (3, "")
+    assert capsys.readouterr().err == (
+        f"inconclusive: cyclotomic order 1000000007: needs 1000000007 roots of unity, "
+        f"cap is {MAX_ORDER}\n"
+    )
 
 
 OVERSIZED = '{"n":2,"cyclotomic_order":3,"q":[["2","z"],["z","2"]]}'

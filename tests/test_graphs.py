@@ -81,8 +81,13 @@ def test_augmented_edge_survives_where_pure_edge_cancels():
 
 def test_build_graph_rejects_bad_kind():
     B = rational_matrix([[2]])
-    with pytest.raises(ValueError):
+    message = "kind must be 'pure' or 'augmented', got 'decorated'"
+    with pytest.raises(ValueError) as info:
         build_graph(B, "decorated")
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        DynkinGraph(frozenset({1}), frozenset(), "decorated")
+    assert str(info.value) == message
 
 
 # -- generated subgraphs ---------------------------------------------------
@@ -266,8 +271,11 @@ def test_realize_path():
     (0, [], "graph must have at least one vertex"),
     (2, [(1, 3)], "bad edge (1,3) for vertex set 1..2"),
     (2, [(2, 2)], "bad edge (2,2) for vertex set 1..2"),
+    (2, [5], "edge 5 must be a pair (i, j)"),
+    (2, [(1, 2, 3)], "edge (1, 2, 3) must be a pair (i, j)"),
+    (2, [(1,)], "edge (1,) must be a pair (i, j)"),
 ], ids=["n-bool", "n-float", "endpoint-bool", "endpoint-float", "n-zero", "endpoint-out-of-range",
-        "loop"])
+        "loop", "edge-int", "edge-triple", "edge-single"])
 def test_realize_rejects_bad_vertices(n, edges, message):
     # only exact ints are vertices, as in abstract_graph_from_json: a bool
     # compares and counts like an int, so only its type can refuse it

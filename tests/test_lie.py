@@ -600,7 +600,22 @@ def test_lie_span_candidates_within_guard_bound(rows, order, kind):
             assert paired <= (d - 1) * multinomial(alpha), alpha
 
 
+BAD_BRACKET_KIND = "bracket kind must be 'braided' or 'minus', got 'classical'"
+
+
 def test_lie_span_rejects_bad_kind():
     B = rational_matrix([[2]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         lie_span(B, (1,), "classical")
+    assert str(info.value) == BAD_BRACKET_KIND
+
+
+@pytest.mark.parametrize("call", [
+    lambda B: apply_bracketing(B, None, (1,), "classical"),
+    lambda B: monomial_membership(B, (1,), "classical"),
+    lambda B: max_supports(B, 1, "classical"),
+], ids=["apply_bracketing", "monomial_membership", "max_supports"])
+def test_bracket_entry_points_reject_bad_kind(call):
+    with pytest.raises(ValueError) as info:
+        call(rational_matrix([[2]]))
+    assert str(info.value) == BAD_BRACKET_KIND

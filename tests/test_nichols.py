@@ -1,6 +1,7 @@
 """Skew derivations, pairing vectors, zeroness, and the two independent
 rank computations for dim B(V)_alpha."""
 
+import itertools
 import os
 import random
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import nicholslie
+from nicholslie.braiding import BraidingMatrix
 from nicholslie.freealg import FreeElement, braided_bracket, word_degree, words_of_multidegree
 from nicholslie.nichols import (
     GuardrailExceeded,
@@ -556,6 +558,31 @@ def test_rank_one_closed_form_battery():
                 assert symmetrizer_rank_oracle(B, (k,)) == expected, (text, order, k)
                 cases += 1
     assert cases == 13 * (2 * 78 + 1)
+
+
+def test_split_vertex_factorizes_dimensions():
+    # where q_i3 q_3i = 1 for i = 1, 2, B(V) = B(V_12) (x) B(V_3) as graded
+    # spaces (M. Grana, J. Algebra 231, 2000), so dim B(V)_alpha is
+    # dim B(V_12)_(a1,a2) times the rank-1 closed form at a3
+    rng = random.Random(1810)
+    units = [sign + f"z^{j}" for j in range(3) for sign in ("", "-")]
+    degrees = [a for a in itertools.product(range(6), repeat=3) if 1 <= sum(a) <= 5]
+    checked = 0
+    for _ in range(40):
+        q = [[rng.choice(units) for _ in range(3)] for _ in range(3)]
+        B = matrix_from_strings(q, 3)
+        rows = [[B.entry(i, j) for j in range(1, 4)] for i in range(1, 4)]
+        rows[2][0], rows[2][1] = rows[0][2].inv(), rows[1][2].inv()
+        B = BraidingMatrix(rows)
+        B12 = BraidingMatrix([row[:2] for row in rows[:2]])
+        q33 = B.entry(3, 3)
+        m = _multiplicative_order(q33, 6)
+        for alpha in degrees:
+            left = basis_of_degree(B12, alpha[:2])[1] if alpha[0] + alpha[1] else 1
+            right = int(q33.is_one() or m is None or alpha[2] < m)
+            assert basis_of_degree(B, alpha)[1] == left * right, (q, alpha)
+            checked += 1
+    assert checked == 40 * 55
 
 
 def test_pairing_row_memo_holds_only_short_words():

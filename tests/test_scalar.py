@@ -6,12 +6,15 @@ import itertools
 import math
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from nicholslie.scalar import (
+    MAX_ORDER,
     FieldMismatchError,
+    GuardrailExceeded,
     Scalar,
     ScalarParseError,
     cyclotomic_polynomial,
@@ -99,6 +102,26 @@ def test_cyclotomic_large_order_from_radical():
     stretched = [0] * (2000 * (len(phi10) - 1) + 1)
     stretched[::2000] = phi10
     assert cyclotomic_polynomial(20000) == tuple(stretched)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cyclotomic_polynomial(MAX_ORDER + 1),
+    lambda: euler_phi(MAX_ORDER + 1),
+    lambda: Scalar.one(10**9),
+    lambda: Scalar.root_power(10**7, -1),
+    lambda: parse_scalar("z^9999999", 10**7),
+], ids=["polynomial", "totient", "one", "root-power", "literal"])
+def test_order_above_cap_is_refused_before_allocating(build):
+    # each would otherwise build a list of about N ints, 80 MB at N = 10^7
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardrailExceeded) as info:
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.cap == MAX_ORDER and info.value.needed > MAX_ORDER
+    assert peak < 10**6
 
 
 # -- multiplication / inversion --------------------------------------------
