@@ -27,7 +27,7 @@ class BraidingMatrix:
 
     __slots__ = (
         "n", "order", "_rows", "_inv_rows", "_json", "_lie_span_cache",
-        "_pairing_row_cache",
+        "_pairing_row_cache", "_shuffle_cache",
     )
 
     def __init__(self, rows):
@@ -58,6 +58,7 @@ class BraidingMatrix:
         object.__setattr__(self, "_json", None)
         object.__setattr__(self, "_lie_span_cache", {})
         object.__setattr__(self, "_pairing_row_cache", {})
+        object.__setattr__(self, "_shuffle_cache", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BraidingMatrix is immutable")
@@ -145,6 +146,13 @@ class BraidingMatrix:
             inv = tuple(tuple(one if e.is_one() else e.inv() for e in row) for row in self._rows)
             object.__setattr__(self, "_inv_rows", inv)
         return self._inv_rows[i - 1]
+
+    def _shuffle_memos(self):
+        """The (suffix-pair shuffles, factors) memos of nichols._ShuffleTables,
+        made on first use, so a matrix that builds no Lie span allocates none."""
+        if self._shuffle_cache is None:
+            object.__setattr__(self, "_shuffle_cache", ({}, {}))
+        return self._shuffle_cache
 
     # -- the bicharacter and friends --------------------------------------
 

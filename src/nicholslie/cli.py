@@ -280,7 +280,7 @@ def _cmd_bracket(B, args, out):
     # the expansion has at most multinomial(deg) words, and the descent
     # pairs as many dual words
     what = "pairing descent" if args.nichols else "bracket expansion"
-    _guard(f"{what} at degree {deg}", multinomial(deg), args.max_terms)
+    _guard(multinomial(deg), args.max_terms, "{} at degree {}", what, deg)
     elem = apply_bracketing(B, tree, word, args.lie)
     out.write(str(elem) + "\n")
     if args.nichols:

@@ -96,18 +96,28 @@ def lie_span(B: BraidingMatrix, alpha, kind: str, max_terms=None) -> LieSpan:
     m(alpha) dual words; the shuffle tables hold at most as many entries.
     That grows with alpha, so it dominates every lower degree's, and the
     recursion (_span) checks nothing.  Spans are cached on B per (degree,
-    kind), behind the guard at alpha.
+    kind), behind the guard at alpha; a cache hit still checks the kind,
+    the degree and the cap, and formats no refusal text unless it refuses.
+
+    A mirrored split gamma is skipped where its candidates are multiples
+    of those at beta: with p = chi(gamma, beta) and p' = chi(beta, gamma),
+    [c, b] = f_bc - p' * f_cb = -p' * [b, c] when p * p' = 1 (always for
+    minus).  Split beta < gamma comes first in product order and offers
+    every [b, c] to the reducer, which would then refuse each [c, b]; so
+    the skip changes no basis vector, provenance entry or pivot.
     """
     _check_choice(kind, (BRAIDED, MINUS), "bracket kind")
     alpha = _check_degree(B, alpha)
     m = multinomial(alpha)
     c = max(sum(alpha) - 1, 1) * m
-    _guard(f"Lie span at degree {alpha} ({c} candidates x {m} words)", c * m, max_terms)
+    _guard(c * m, max_terms, "Lie span at degree {} ({} candidates x {} words)", alpha, c, m)
     return _span(B, alpha, kind)
 
 
 def _span(B: BraidingMatrix, alpha: tuple, kind: str) -> LieSpan:
-    """L_alpha from B's span cache, or built from the spans below it."""
+    """L_alpha from B's span cache, or built from the spans below it,
+    skipping each mirrored split whose candidates are already spanned
+    (see lie_span)."""
     key = (alpha, kind)
     if key in B._lie_span_cache:
         return B._lie_span_cache[key]
@@ -119,12 +129,15 @@ def _span(B: BraidingMatrix, alpha: tuple, kind: str) -> LieSpan:
             yield (None, (alpha.index(1) + 1,)), (one,)
             return
         table = _ShuffleTables(B, alpha)
+        mirrored = set()  # splits gamma > beta with p * p' = 1, met at beta
         for beta in product(*(range(a + 1) for a in alpha)):
-            if 0 < sum(beta) < d:
+            if 0 < sum(beta) < d and beta not in mirrored:
                 gamma = tuple(a - b for a, b in zip(alpha, beta))
                 left, right = _span(B, beta, kind), _span(B, gamma, kind)
                 if left.basis and right.basis:
                     p = B.chi(gamma, beta) if kind == BRAIDED else one
+                    if gamma > beta and (kind == MINUS or (p * B.chi(beta, gamma)).is_one()):
+                        mirrored.add(gamma)
                     bc, cb = table(beta, gamma), table(gamma, beta)
                     fcs = [[(k, v) for k, v in enumerate(nv.values) if v] for nv in right.basis]
                     for (tb, wb), nv in zip(left.generators_used, left.basis):
@@ -159,7 +172,7 @@ def monomial_membership(B: BraidingMatrix, word, kind: str, max_terms=None) -> M
     if not word:
         raise ValueError("membership of the empty word is undefined")
     alpha = _check_degree(B, word_degree(word, B.n))
-    _guard(f"pairing vector at degree {alpha}", multinomial(alpha), max_terms)
+    _guard(multinomial(alpha), max_terms, "pairing vector at degree {}", alpha)
     target = tuple(_pairings(B, {word: Scalar.one(B.order)}, alpha))
     if not any(target):
         return MembershipReport(word, ZERO_IN_NICHOLS)

@@ -21,7 +21,9 @@ of j that spell a word of degree beta:
 through one table of interleaving weights per ordered split (beta,
 gamma), of at most m(alpha) * min(prod C(alpha_i, beta_i), m(beta) *
 m(gamma)) entries, m counting the words of a degree (_ShuffleTables,
-_shuffle_into); lie pairs its brackets so.  Exact elimination on the
+_shuffle_into); lie pairs its brackets so.  The tables are built from
+the shuffles of suffix pairs of words, which depend on B alone and are
+memoized per matrix.  Exact elimination on the
 vectors gives dim B(V)_alpha and membership, cross-checked by the rank
 of a quantum symmetrizer.
 """
@@ -63,23 +65,26 @@ MAX_DEGREE = 200
 SHORT_ROW_LETTERS = 3
 
 
-def _guard(what: str, needed: int, max_terms) -> None:
-    """GuardrailExceeded if needed exceeds the cap (ValueError unless an int >= 0); entry points only."""
+def _guard(needed: int, max_terms, what: str, *args) -> None:
+    """GuardrailExceeded if needed exceeds the cap (ValueError unless an int >= 0); entry points only.
+    Its text is what.format(*args), formatted only on a refusal: a cached
+    Lie span is looked up through here on every call."""
     cap = MAX_TERMS_DEFAULT if max_terms is None else max_terms
     if type(cap) is not int:  # not isinstance(): a bool is no cap
         raise ValueError(f"max_terms must be an int >= 0, got {cap!r}")
     if cap < 0:
         raise ValueError(f"max_terms must be >= 0, got {cap}")
     if needed > cap:
-        raise GuardrailExceeded(what, needed, cap)
+        raise GuardrailExceeded(what.format(*args), needed, cap)
 
 
 def _check_degree(B: BraidingMatrix, alpha) -> tuple:
     """alpha as a tuple, checked once where it enters the library:
-    ValueError if it is no multidegree of rank B.n or has total degree 0,
-    GuardrailExceeded if its total degree exceeds MAX_DEGREE."""
+    ValueError if it is no multidegree of rank B.n (entries exactly int
+    and >= 0: a bool or float entry is refused, as for letters) or has
+    total degree 0, GuardrailExceeded if its total degree exceeds MAX_DEGREE."""
     alpha = tuple(alpha)
-    if len(alpha) != B.n or min(alpha) < 0:  # B.n >= 1, so alpha is nonempty
+    if len(alpha) != B.n or any(type(a) is not int or a < 0 for a in alpha):
         raise ValueError(f"bad multidegree {alpha} for rank {B.n}")
     total = sum(alpha)
     if total == 0:
@@ -199,14 +204,19 @@ class _ShuffleTables:
     lists the (k, w), w != 0, where w sums the weights prod q_{x,y}^-1 (x of v
     placed before y of u) of the interleavings of the i-th word u of beta
     and the j-th word v of gamma that spell the k-th dual word of alpha.
-    They are built from the shuffles of suffix pairs, memoized for the
-    instance (the c*b table at beta is the b*c table at gamma), and never
-    enumerated: with repeated letters there are exponentially many."""
+    The tables are memoized for the instance (the c*b table at beta is the
+    b*c table at gamma).  They are built from the shuffles of suffix pairs,
+    which are never enumerated (with repeated letters there are
+    exponentially many) and, like the factors, depend on B and the words
+    alone, so both memos are kept on B (B._shuffle_memos()) and shared by
+    every alpha; they hold words and scalars, never B, so they make no
+    reference cycle."""
 
     def __init__(self, B: BraidingMatrix, alpha: tuple):
         self.B, self.one = B, Scalar.one(B.order)
         self.index = {word: k for k, word in enumerate(_multidegree_words(alpha))}
-        self.tables, self.memo, self.factors = {}, {}, {}
+        self.tables = {}
+        self.memo, self.factors = B._shuffle_memos()
 
     def __call__(self, beta, gamma):
         key, index = (beta, gamma), self.index
@@ -262,7 +272,7 @@ def pairing_vector(B: BraidingMatrix, u: FreeElement, max_terms=None) -> Nichols
     deg = _homogeneous_degree(B, u)
     if deg is None:
         raise ValueError("the zero element has no well-defined pairing degree")
-    _guard(f"pairing vector at degree {deg}", multinomial(deg), max_terms)
+    _guard(multinomial(deg), max_terms, "pairing vector at degree {}", deg)
     return NicholsVector(deg, tuple(_pairings(B, u.terms, deg)))
 
 
@@ -329,7 +339,7 @@ def basis_of_degree(B: BraidingMatrix, alpha, max_terms=None):
     """
     alpha = _check_degree(B, alpha)
     m = multinomial(alpha)
-    _guard(f"elimination at degree {alpha}", m * m, max_terms)
+    _guard(m * m, max_terms, "elimination at degree {}", alpha)
     one = Scalar.one(B.order)
     reducer = _RowReducer()
     pivot_words = []
@@ -371,7 +381,7 @@ def symmetrizer_rank_oracle(B: BraidingMatrix, alpha, max_terms=None) -> int:
     alpha = _check_degree(B, alpha)
     d = sum(alpha)
     m = multinomial(alpha)
-    _guard(f"symmetrizer at degree {alpha}", m * m, max_terms)
+    _guard(m * m, max_terms, "symmetrizer at degree {}", alpha)
     words = list(words_of_multidegree(alpha))
     one = Scalar.one(B.order)
     zero = Scalar.zero(B.order)

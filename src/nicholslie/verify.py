@@ -190,7 +190,7 @@ def check_prop_disconnected_pair(B: BraidingMatrix, u_word, v_word, max_terms=No
                         "pair": [i, j], "q_ij": str(B.entry(i, j)), "q_ji": str(B.entry(j, i)),
                     }
         _check_degree(B, deg)
-        _guard(f"pairing descent at degree {deg}", multinomial(deg), max_terms)
+        _guard(multinomial(deg), max_terms, "pairing descent at degree {}", deg)
         one = Scalar.one(B.order)
         bracket = _commutator({u_word: one}, {v_word: one}, one)  # [u, v]-
         if _vanishes(B, bracket, deg):
@@ -222,8 +222,8 @@ def check_prop_all_bracketings(B: BraidingMatrix, word, max_terms=None) -> Verif
         _check_degree(B, deg)
         n_trees = catalan(len(word) - 1)
         m = multinomial(deg)
-        _guard(f"bracketing descent at degree {deg} ({n_trees} bracketings x {m} dual words)",
-               n_trees * m, max_terms)
+        _guard(n_trees * m, max_terms, "bracketing descent at degree {} ({} bracketings x {} dual words)",
+               deg, n_trees, m)
         for tree in enumerate_bracketings(len(word)):
             terms = _bracketing_terms(B, tree, word, MINUS)
             if not _vanishes(B, terms, deg):

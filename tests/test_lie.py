@@ -1,6 +1,7 @@
 """Lie spans per multidegree, monomial membership, maximal supports."""
 
 import dataclasses
+import gc
 import random
 from itertools import permutations, product
 
@@ -39,6 +40,7 @@ from nicholslie.scalar import Scalar
 
 from conftest import matrix_from_strings, random_braiding_matrix, random_scalar, rational_matrix
 from max_supports_oracle import oracle_is_member, oracle_max_supports
+from span_oracle import oracle_span
 
 
 CONNECTED = [["2", "z"], ["z", "2"]]        # q12 q21 = z^2 != 1
@@ -572,6 +574,9 @@ def test_lie_span_guard_precedes_candidate_build(monkeypatch):
     assert str(info.value) == (
         "Lie span at degree (14,) (13 candidates x 1 words): needs 13 entries, cap is 5"
     )
+    # the patch stands in front of the build: admitted, it is what runs first
+    with pytest.raises(AssertionError, match=r"^built a bracket of "):
+        lie_span(B, (14,), BRAIDED)
 
 
 @pytest.mark.parametrize("rows, order", [
@@ -619,3 +624,120 @@ def test_bracket_entry_points_reject_bad_kind(call):
     with pytest.raises(ValueError) as info:
         call(rational_matrix([[2]]))
     assert str(info.value) == BAD_BRACKET_KIND
+
+
+# -- the span build against the former one ---------------------------------------
+# span_oracle pairs every split with a suffix-shuffle memo per alpha; lie_span
+# skips each mirrored split gamma > beta with p * p' = 1 and keeps the memo on B.
+
+SPAN_BUILD_MATRICES = [
+    ([["-1", "2"], ["3", "2"]], 1),
+    ([["-1", "2"], ["1/2", "-1"]], 1),         # q12 q21 = 1 and q_ii^2 = 1
+    ([["-1", "2", "2"], ["3", "2", "-1"], ["1/2", "-1", "3"]], 1),
+    ([["-1", "2", "1"], ["1/2", "-1", "3"], ["1", "1/3", "2"]], 1),
+    ([["z", "z"], ["1", "-1"]], 3),            # q11^2 q12 q21 = 1: (1,0) mirrors (1,1)
+    ([["z", "z"], ["z", "-1"]], 3),
+    ([["z", "z", "z^2"], ["z", "-1", "-z"], ["z", "-z^2", "2"]], 3),
+    ([["-1", "z", "1"], ["z", "-1", "z^2"], ["1", "z", "-1"]], 3),
+    ([["z", "z^2"], ["z^3", "-1"]], 8),
+    ([["z^4", "z^3"], ["z^5", "z^2"]], 8),     # q12 q21 = 1
+    ([["z", "z^2", "z^3"], ["z^3", "-1", "2"], ["z^5", "1/2", "z^2"]], 8),
+    ([["z", "z^3", "1"], ["z^5", "-1", "z"], ["1", "z^7", "z^2"]], 8),
+]
+
+
+def assert_matches_former_build(B, kind, monkeypatch):
+    calls = {}  # alpha -> the (beta, gamma) tables asked for, in order
+
+    class Recording(_ShuffleTables):
+        def __init__(self, B, alpha):
+            super().__init__(B, alpha)
+            self.calls = calls.setdefault(alpha, [])
+
+        def __call__(self, beta, gamma):
+            self.calls.append((beta, gamma))
+            return super().__call__(beta, gamma)
+
+    monkeypatch.setattr("nicholslie.lie._ShuffleTables", Recording)
+    oracle_B = BraidingMatrix(B._rows)
+    d_max = 5 if B.n == 2 else 4
+    spans, oracle_paired = {}, {}
+    for alpha in product(range(d_max + 1), repeat=B.n):
+        if 1 <= sum(alpha) <= d_max:
+            span = lie_span(B, alpha, kind)
+            expected = oracle_span(oracle_B, alpha, kind, spans, oracle_paired)
+            assert span.basis == expected.basis, alpha
+            assert span.generators_used == expected.generators_used, alpha
+            assert list(span.solver._by_lead.items()) == list(expected.solver._by_lead.items())
+    skipped = 0
+    for alpha, paired in oracle_paired.items():
+        # each split lie pairs asks for its b*c table, then its c*b table
+        asked = calls.pop(alpha)
+        assert asked[1::2] == [(c, b) for b, c in asked[::2]]
+        mirrored = [
+            beta for beta in paired
+            if beta > (gamma := tuple(a - b for a, b in zip(alpha, beta)))
+            and (kind == MINUS or (B.chi(beta, gamma) * B.chi(gamma, beta)).is_one())
+        ]
+        assert [beta for beta, _ in asked[::2]] == [b for b in paired if b not in mirrored]
+        skipped += len(mirrored)
+    assert not any(calls.values())  # no table for a split the oracle leaves unpaired
+    return skipped
+
+
+@pytest.mark.parametrize("rows, order", SPAN_BUILD_MATRICES)
+@pytest.mark.parametrize("kind", [BRAIDED, MINUS])
+def test_lie_span_matches_the_former_build(rows, order, kind, monkeypatch):
+    skipped = assert_matches_former_build(matrix_from_strings(rows, order), kind, monkeypatch)
+    assert skipped or kind == BRAIDED  # every minus build above degree 1 skips
+
+
+@pytest.mark.parametrize("order, pool", [
+    (1, ["1", "-1", "2", "1/2", "3"]),
+    (3, ["1", "-1", "z", "z^2", "-z"]),
+    (8, ["1", "-1", "z", "z^7", "z^2", "z^6"]),
+])
+@pytest.mark.parametrize("n", [2, 3])
+def test_lie_span_matches_the_former_build_on_drawn_matrices(order, pool, n, monkeypatch):
+    # entries drawn from a small pool, so that p * p' = 1 happens at some
+    # splits and not at others
+    rng = random.Random(order * 10 + n)
+    skipped = 0
+    for _ in range(3):
+        B = matrix_from_strings([[rng.choice(pool) for _ in range(n)] for _ in range(n)], order)
+        skipped += assert_matches_former_build(B, BRAIDED, monkeypatch)
+        assert_matches_former_build(B, MINUS, monkeypatch)
+    assert skipped
+
+
+def test_suffix_shuffles_are_kept_per_matrix():
+    # the suffix shuffles of a word pair depend on B and the words alone, so a
+    # build reuses those an earlier degree computed on the same matrix
+    rows = [["z", "z"], ["1", "-1"]]
+    B, emptied, fresh = (matrix_from_strings(rows, 3) for _ in range(3))
+    assert B._shuffle_cache is None  # made by the first build, not with the matrix
+    for matrix in (B, emptied):
+        lie_span(matrix, (2, 2), BRAIDED)
+    for memo in emptied._shuffle_cache:
+        memo.clear()
+    shuffles = B._shuffle_cache[0]
+    before = len(shuffles)
+    for matrix in (B, emptied, fresh):
+        lie_span(matrix, (2, 3), BRAIDED)
+    new = len(shuffles) - before
+    assert 0 < new < len(emptied._shuffle_cache[0]) <= len(fresh._shuffle_cache[0])
+
+
+def test_matrix_caches_make_no_reference_cycle():
+    # BraidingMatrix has no weakref slot; with the collector off, anything a
+    # span build leaves in a cycle survives del B and is found by collect
+    gc.collect()
+    gc.disable()
+    try:
+        B = realize_graph(4, [(1, 2), (3, 4)])
+        assert max_supports(B, 4, BRAIDED) == [(1, 2), (3, 4)]
+        assert B._lie_span_cache and B._shuffle_cache[0]
+        del B
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -13,7 +13,8 @@ import pytest
 
 import nicholslie
 from nicholslie.braiding import BraidingMatrix
-from nicholslie.freealg import FreeElement, braided_bracket, word_degree, words_of_multidegree
+from nicholslie.freealg import BRAIDED, FreeElement, braided_bracket, word_degree, words_of_multidegree
+from nicholslie.lie import lie_span
 from nicholslie.nichols import (
     GuardrailExceeded,
     NicholsVector,
@@ -239,6 +240,21 @@ def test_non_int_cap_rejected(cap):
         basis_of_degree(B, (1, 1), max_terms=cap)
     with pytest.raises(ValueError, match=message):
         word_pairing_vector(B, (1, 2), max_terms=cap)
+
+
+@pytest.mark.parametrize("alpha", [(True, 1), (1, True), (True, True), (1.0, 1), (2, 0.5)])
+def test_degree_entries_must_be_ints(alpha):
+    # a bool entry hashes and compares like an int (True == 1), so it used to
+    # be answered as (1, 1), and a float one escaped as a TypeError from deep
+    # inside; both are refused where the degree enters.  pairing_vector and
+    # monomial_membership take their degree from letters, which word_degree
+    # refuses unless int (test_freealg.py::test_letters_out_of_range_raise_one_error)
+    B = rational_matrix([[2, 2], [2, 2]])
+    lie_span(B, (1, 1), BRAIDED)  # a hit on the int-keyed span must not answer
+    for call in (basis_of_degree, symmetrizer_rank_oracle,
+                 lambda B, alpha: lie_span(B, alpha, BRAIDED)):
+        with pytest.raises(ValueError, match=rf"^bad multidegree {re.escape(str(alpha))} for rank 2$"):
+            call(B, alpha)
 
 
 def test_basis_deterministic(rng):
