@@ -101,10 +101,14 @@ def lie_span(B: BraidingMatrix, alpha, kind: str, max_terms=None) -> LieSpan:
 
     A mirrored split gamma is skipped where its candidates are multiples
     of those at beta: with p = chi(gamma, beta) and p' = chi(beta, gamma),
-    [c, b] = f_bc - p' * f_cb = -p' * [b, c] when p * p' = 1 (always for
-    minus).  Split beta < gamma comes first in product order and offers
-    every [b, c] to the reducer, which would then refuse each [c, b]; so
-    the skip changes no basis vector, provenance entry or pivot.
+    the bracket table at gamma is -p' times the transpose of the one at
+    beta when p * p' = 1 (always for minus), so [c, b] = -p' * [b, c].
+    Split beta < gamma comes first in product order and offers every
+    [b, c] to the reducer, which would then refuse each [c, b].  A split
+    whose bracket table cancels entirely offers nothing: each of its
+    candidates is zero.  And the build stops once the span has rank
+    m(alpha), since the reducer would refuse every later candidate.  So
+    none of the three changes a basis vector, provenance entry or pivot.
     """
     _check_choice(kind, (BRAIDED, MINUS), "bracket kind")
     alpha = _check_degree(B, alpha)
@@ -116,8 +120,8 @@ def lie_span(B: BraidingMatrix, alpha, kind: str, max_terms=None) -> LieSpan:
 
 def _span(B: BraidingMatrix, alpha: tuple, kind: str) -> LieSpan:
     """L_alpha from B's span cache, or built from the spans below it,
-    skipping each mirrored split whose candidates are already spanned
-    (see lie_span)."""
+    pairing each split through one bracket table and skipping mirrored
+    and cancelling splits, until the span is full (see lie_span)."""
     key = (alpha, kind)
     if key in B._lie_span_cache:
         return B._lie_span_cache[key]
@@ -128,7 +132,7 @@ def _span(B: BraidingMatrix, alpha: tuple, kind: str) -> LieSpan:
         if d == 1:
             yield (None, (alpha.index(1) + 1,)), (one,)
             return
-        table = _ShuffleTables(B, alpha)
+        tables = _ShuffleTables(B, alpha)
         mirrored = set()  # splits gamma > beta with p * p' = 1, met at beta
         for beta in product(*(range(a + 1) for a in alpha)):
             if 0 < sum(beta) < d and beta not in mirrored:
@@ -138,15 +142,15 @@ def _span(B: BraidingMatrix, alpha: tuple, kind: str) -> LieSpan:
                     p = B.chi(gamma, beta) if kind == BRAIDED else one
                     if gamma > beta and (kind == MINUS or (p * B.chi(beta, gamma)).is_one()):
                         mirrored.add(gamma)
-                    bc, cb = table(beta, gamma), table(gamma, beta)
+                    table = tables.bracket(beta, gamma, p)
+                    if table is None:  # every [b, c] here is zero
+                        continue
                     fcs = [[(k, v) for k, v in enumerate(nv.values) if v] for nv in right.basis]
                     for (tb, wb), nv in zip(left.generators_used, left.basis):
                         fb = [(k, v) for k, v in enumerate(nv.values) if v]
-                        neg_pfb = [(k, -(v * p)) for k, v in fb]  # -p folded into f_b once
                         for (tc, wc), fc in zip(right.generators_used, fcs):
                             acc = [None] * m
-                            _shuffle_into(acc, cb, fc, fb, one)
-                            _shuffle_into(acc, bc, neg_pfb, fc, one)
+                            _shuffle_into(acc, table, fb, fc, one)
                             yield ((tb, tc), wb + wc), tuple(zero if v is None else v for v in acc)
 
     reducer = _RowReducer()
@@ -155,6 +159,8 @@ def _span(B: BraidingMatrix, alpha: tuple, kind: str) -> LieSpan:
         if reducer.insert(values):
             basis.append(NicholsVector(alpha, values))
             provenance.append(source)
+            if reducer.rank == m:  # full: every later candidate is refused
+                break
     span = B._lie_span_cache[key] = LieSpan(alpha, kind, basis, provenance, reducer)
     return span
 
@@ -190,25 +196,43 @@ def monomial_membership(B: BraidingMatrix, word, kind: str, max_terms=None) -> M
     return MembershipReport(word, MEMBER, witness=[-v for v in tail], span=span)
 
 
-def _is_member(B: BraidingMatrix, word: tuple, kind: str, max_terms) -> bool:
-    """monomial_membership(B, word, kind, max_terms).status == MEMBER for a
-    word of valid letters, decided from the span lie_span looks up: nothing
-    is a member of an empty span, and otherwise the word is paired once and
-    reduced by the span's solver.  No witness is solved for.
+def _member_test(B: BraidingMatrix, kind: str, max_terms):
+    """The predicate word -> (monomial_membership(B, word, kind,
+    max_terms).status == MEMBER) for words of valid letters, decided from
+    the span lie_span looks up, with no witness solved for:
+
+    - nothing is a member of an empty span; its degree is kept, and later
+      words of it are answered without entering lie_span again, since
+      the cap is the same on every call;
+    - a span of rank m(alpha) is the whole pairing space: the m pairing
+      vectors of the words of alpha span it, so they are independent, no
+      word is zero in B(V), and every word is a member, with no pairing;
+    - otherwise the word is paired once and reduced by the span's solver.
 
     lie_span has checked the degree, and its guard, max(d - 1, 1) * m^2,
     covers the target's, m.  Where it refuses, monomial_membership answers
     in its own order: a zero word is still ZeroInNichols, and a refusal
     raises with the same text.
     """
-    try:
-        span = lie_span(B, word_degree(word, B.n), kind, max_terms)
-    except GuardrailExceeded:
-        return monomial_membership(B, word, kind, max_terms).status == MEMBER
-    if not span.basis:
-        return False
-    target = tuple(_pairings(B, {word: Scalar.one(B.order)}, span.degree))
-    return any(target) and not any(span.solver.reduce(target))
+    empty = set()
+
+    def is_member(word: tuple) -> bool:
+        alpha = word_degree(word, B.n)
+        if alpha in empty:
+            return False
+        try:
+            span = lie_span(B, alpha, kind, max_terms)
+        except GuardrailExceeded:
+            return monomial_membership(B, word, kind, max_terms).status == MEMBER
+        if not span.basis:
+            empty.add(alpha)
+            return False
+        if span.dimension == multinomial(alpha):
+            return True
+        target = tuple(_pairings(B, {word: Scalar.one(B.order)}, alpha))
+        return any(target) and not any(span.solver.reduce(target))
+
+    return is_member
 
 
 def _check_d_max(d_max, least: int, bound: str) -> None:
@@ -227,19 +251,22 @@ def max_supports(B: BraidingMatrix, d_max: int, kind: str, max_terms=None):
     within a degree.  A word whose support is contained in an
     already-established member support cannot change the maximal set and
     is skipped, so the scan ends once the full support is a member.  A
-    word is paired only when the Lie span of its degree is nonempty (see
-    _is_member); each Lie span, and each lower span it is built from, is
-    built once per multidegree and kept in B's span cache (see lie_span).
+    degree whose Lie span came back empty is asked once: its later words
+    are skipped without a lookup.  A word is paired only when its span is
+    neither empty nor full (see _member_test); each Lie span, and each
+    lower span it is built from, is built once per multidegree and kept in
+    B's span cache (see lie_span).
     """
     _check_choice(kind, (BRAIDED, MINUS), "bracket kind")
     _check_d_max(d_max, 1, "1")
+    is_member = _member_test(B, kind, max_terms)
     member_supports = []
     for d in range(1, d_max + 1):
         for word in words_of_total_degree(B.n, d):
             s = frozenset(word)
             if any(s <= t for t in member_supports):
                 continue
-            if _is_member(B, word, kind, max_terms):
+            if is_member(word):
                 member_supports.append(s)
                 if len(s) == B.n:  # it covers every later word
                     return [tuple(range(1, B.n + 1))]

@@ -18,12 +18,13 @@ of j that spell a word of degree beta:
     f_uv(j) = sum_S f_u(j_S) * f_v(j_not_S) * prod q_{j_k, j_l}^-1
               (over k not in S, l in S, l > k),
 
-through one table of interleaving weights per ordered split (beta,
-gamma), of at most m(alpha) * min(prod C(alpha_i, beta_i), m(beta) *
-m(gamma)) entries, m counting the words of a degree (_ShuffleTables,
-_shuffle_into); lie pairs its brackets so.  The tables are built from
-the shuffles of suffix pairs of words, which depend on B alone and are
-memoized per matrix.  Exact elimination on the
+and lie pairs each bracket [b, c] = c*b - p*b*c of a split (beta, gamma)
+through one table that folds both products' interleaving weights, of at
+most m(alpha) * min(prod C(alpha_i, beta_i), m(beta) * m(gamma)) entries,
+m counting the words of a degree (_ShuffleTables.bracket, _shuffle_into);
+a split whose table cancels entirely brackets to zero and is not paired.
+The tables are built from the shuffles of suffix pairs of words, which
+depend on B alone and are memoized per matrix.  Exact elimination on the
 vectors gives dim B(V)_alpha and membership, cross-checked by the rank
 of a quantum symmetrizer.
 """
@@ -200,31 +201,42 @@ def _vanishes(B: BraidingMatrix, terms: dict, alpha) -> bool:
 
 
 class _ShuffleTables:
-    """Called as table(beta, gamma) for products of degree alpha: entry [i][j]
-    lists the (k, w), w != 0, where w sums the weights prod q_{x,y}^-1 (x of v
-    placed before y of u) of the interleavings of the i-th word u of beta
-    and the j-th word v of gamma that spell the k-th dual word of alpha.
-    The tables are memoized for the instance (the c*b table at beta is the
-    b*c table at gamma).  They are built from the shuffles of suffix pairs,
-    which are never enumerated (with repeated letters there are
-    exponentially many) and, like the factors, depend on B and the words
-    alone, so both memos are kept on B (B._shuffle_memos()) and shared by
-    every alpha; they hold words and scalars, never B, so they make no
-    reference cycle."""
+    """Pairing tables of the brackets of degree alpha.  bracket(beta, gamma,
+    p) is the table M of [u, v] = v*u - p*u*v over the i-th word u of beta
+    and the j-th word v of gamma: M[i][j] lists the (k, w), w != 0, where w
+    sums the weights prod q_{x,y}^-1 (x of the second factor placed before
+    y of the first) of the interleavings of v*u that spell the k-th dual
+    word of alpha, minus p times those of u*v.  It is None when every entry
+    cancels, and then every bracket of that split is zero in B(V).  A
+    table is built once per split and not kept.  It is read from the
+    shuffles of suffix pairs, which are never enumerated (with repeated
+    letters there are exponentially many) and, like the factors, depend on
+    B and the words alone, so both memos are kept on B (B._shuffle_memos())
+    and shared by every alpha; they hold words and scalars, never B, so
+    they make no reference cycle."""
 
     def __init__(self, B: BraidingMatrix, alpha: tuple):
         self.B, self.one = B, Scalar.one(B.order)
         self.index = {word: k for k, word in enumerate(_multidegree_words(alpha))}
-        self.tables = {}
         self.memo, self.factors = B._shuffle_memos()
 
-    def __call__(self, beta, gamma):
-        key, index = (beta, gamma), self.index
-        if key not in self.tables:
-            vs = _multidegree_words(gamma)
-            self.tables[key] = [[tuple((index[j], w) for j, w in self.shuffles(u, v)) for v in vs]
-                                for u in _multidegree_words(beta)]
-        return self.tables[key]
+    def bracket(self, beta, gamma, p):
+        index, one = self.index, self.one
+        p = one if p.is_one() else p
+        table = []
+        vs = _multidegree_words(gamma)
+        for u in _multidegree_words(beta):
+            row = []
+            for v in vs:
+                entry = {index[j]: w for j, w in self.shuffles(v, u)}
+                for j, w in self.shuffles(u, v):
+                    if p is not one:
+                        w = p if w is one else w * p
+                    k = index[j]
+                    entry[k] = entry[k] - w if k in entry else -w
+                row.append(tuple((k, w) for k, w in entry.items() if w))
+            table.append(row)
+        return table if any(map(any, table)) else None
 
     def factor(self, c, u):
         # prod q_{c,y}^-1 over the letters y of u: the weight of placing c before all of u
@@ -254,9 +266,10 @@ class _ShuffleTables:
 
 
 def _shuffle_into(acc: list, table, fu, fv, one: Scalar) -> None:
-    """Add f_u * f_v, the pairing vector of u*v, into acc (None marks an
-    untouched entry), from the nonzero (index, value) pairs of f_u and f_v
-    and the table of their degrees; unit weights are not multiplied."""
+    """Add into acc (None marks an untouched entry) the pairing vector the
+    table gives u and v, [u, v] for a _ShuffleTables.bracket table: the sum
+    of f_u(i) * f_v(j) * w over the (k, w) of table[i][j], from the nonzero
+    (index, value) pairs of f_u and f_v; unit weights are not multiplied."""
     for i, x in fu:
         row = table[i]
         for j, y in fv:

@@ -44,7 +44,7 @@ from .freealg import (
     words_of_total_degree,
 )
 from .graphs import AUGMENTED, PURE, build_graph, components, is_connected_monomial, support
-from .lie import _check_d_max, _is_member, max_supports
+from .lie import _check_d_max, _member_test, max_supports
 from .nichols import GuardrailExceeded, _check_degree, _guard, _vanishes
 from .scalar import Scalar
 
@@ -122,9 +122,7 @@ def check_theorem_equivalences(B: BraidingMatrix, d_max=None, max_terms=None) ->
     def check():
         a = len(components(build_graph(B, PURE))) == 1
 
-        @cache  # (b) and (c) are asked again by the scan for (d)
-        def member(word):
-            return _is_member(B, word, BRAIDED, max_terms)
+        member = cache(_member_test(B, BRAIDED, max_terms))  # (b) and (c) are asked again for (d)
 
         b = member(tuple(range(n, 0, -1)))
         c = member(tuple(range(1, n + 1)))

@@ -2,8 +2,9 @@
 loop, which asks monomial_membership about every word whose support is
 not yet covered, whatever the dimension of its degree's Lie span.
 
-It is kept as a test oracle for lie._is_member, which skips the pairing
-of words whose span is empty.
+It is kept as a test oracle for lie._member_test, whose predicate skips
+the pairing of words whose span is empty or full, and answers the later
+words of a degree with an empty span without looking the span up.
 """
 
 from nicholslie.freealg import words_of_total_degree

@@ -1,18 +1,42 @@
 """Reference build for lie._span: the engine's former loop, which pairs
-the candidates of every split beta + gamma = alpha (no mirrored split is
-skipped) and keeps the suffix-shuffle memo for one alpha only.
+the candidates of every split beta + gamma = alpha (no mirrored or
+cancelling split is skipped, and no build stops at full rank) through two
+product tables per split, and keeps the suffix-shuffle memo for one alpha
+only.
 
-It is kept as a test oracle for lie._span, which skips a mirrored split
-whose candidates are multiples of earlier ones and keeps the suffix
-shuffles of B across every alpha.
+It is kept as a test oracle for lie._span, which pairs each split through
+one bracket table, skips a mirrored split whose candidates are multiples of
+earlier ones and a split whose bracket table cancels, stops once the span
+is full, and keeps the suffix shuffles of B across every alpha.
 """
 
 from itertools import product
 
-from nicholslie.freealg import BRAIDED, multinomial
+from nicholslie.freealg import BRAIDED, _multidegree_words, multinomial
 from nicholslie.lie import LieSpan
 from nicholslie.nichols import NicholsVector, _RowReducer, _ShuffleTables, _shuffle_into
 from nicholslie.scalar import Scalar
+
+
+class ProductTables(_ShuffleTables):
+    """The former product tables of degree alpha: table(beta, gamma)[i][j]
+    lists the (k, w), w != 0, where w sums the weights of the interleavings
+    of the i-th word u of beta and the j-th word v of gamma that spell the
+    k-th dual word of alpha, so that _shuffle_into gives f_uv.  Each table
+    is memoized for the instance (the c*b table at beta is the b*c table at
+    gamma), and the suffix shuffles for this alpha only."""
+
+    def __init__(self, B, alpha):
+        super().__init__(B, alpha)
+        self.memo, self.factors, self.tables = {}, {}, {}
+
+    def __call__(self, beta, gamma):
+        key, index = (beta, gamma), self.index
+        if key not in self.tables:
+            vs = _multidegree_words(gamma)
+            self.tables[key] = [[tuple((index[j], w) for j, w in self.shuffles(u, v)) for v in vs]
+                                for u in _multidegree_words(beta)]
+        return self.tables[key]
 
 
 def oracle_span(B, alpha, kind, spans, paired=None) -> LieSpan:
@@ -27,8 +51,7 @@ def oracle_span(B, alpha, kind, spans, paired=None) -> LieSpan:
     if d == 1:
         candidates.append(((None, (alpha.index(1) + 1,)), (one,)))
     else:
-        table = _ShuffleTables(B, alpha)
-        table.memo, table.factors = {}, {}  # suffix shuffles for this alpha only
+        table = ProductTables(B, alpha)
         for beta in product(*(range(a + 1) for a in alpha)):
             if 0 < sum(beta) < d:
                 gamma = tuple(a - b for a, b in zip(alpha, beta))

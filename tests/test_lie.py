@@ -15,6 +15,7 @@ from nicholslie.freealg import (
     apply_bracketing,
     enumerate_bracketings,
     multinomial,
+    word_degree,
     words_of_multidegree,
 )
 from nicholslie import lie, nichols, verify
@@ -117,13 +118,19 @@ def _random_homogeneous(rng, B, degree):
     return FreeElement(B.n, B.order, terms)
 
 
-def test_shuffle_of_pairing_vectors_is_pairing_of_product():
-    # the descent is the oracle: f_u shuffled with f_v must be f_{u*v}
-    rng = random.Random(13)
-    B = matrix_from_strings([["-1", "z", "z^5"], ["z^2", "z^3", "1"], ["-1", "z^7", "-1"]], 8)
-    one = Scalar.one(B.order)
-    compared = 0
-    for _ in range(40):
+@pytest.mark.parametrize("rows, order", [
+    ([["2", "3", "-1"], ["1/2", "-1", "1"], ["1", "1", "3"]], 1),
+    ([["z", "1", "z^2"], ["z^2", "-1", "z"], ["1", "z", "2"]], 3),
+    ([["-1", "z", "z^5"], ["z^2", "z^3", "1"], ["-1", "z^7", "-1"]], 8),
+], ids=["order-1", "order-3", "order-8"])
+def test_bracket_table_pairs_the_bracket(rows, order):
+    # the descent is the oracle: f_u and f_v shuffled through the bracket
+    # table must be the pairing vector of v*u - p*u*v, zero where it is None
+    rng = random.Random(13 + order)
+    B = matrix_from_strings(rows, order)
+    one, zero = Scalar.one(B.order), Scalar.zero(B.order)
+    compared = cancelled = 0
+    for trial in range(60):
         beta, gamma = (
             tuple(rng.choice([c for c in product(range(4), repeat=3) if 0 < sum(c) <= 3]))
             for _ in range(2)
@@ -132,15 +139,22 @@ def test_shuffle_of_pairing_vectors_is_pairing_of_product():
         u, v = _random_homogeneous(rng, B, beta), _random_homogeneous(rng, B, gamma)
         if not (u and v):
             continue
+        p = (B.chi(gamma, beta), one, random_scalar(rng, order, nonzero=True))[trial % 3]
+        bracket = v * u - (u * v).scale(p)
+        expected = pairing_vector(B, bracket).values if bracket else (zero,) * multinomial(alpha)
+        table = _ShuffleTables(B, alpha).bracket(beta, gamma, p)
+        if table is None:
+            assert not any(expected), (beta, gamma)
+            cancelled += 1
+            continue
         fu, fv = (
             [(k, x) for k, x in enumerate(pairing_vector(B, e).values) if x] for e in (u, v)
         )
         acc = [None] * multinomial(alpha)
-        _shuffle_into(acc, _ShuffleTables(B, alpha)(beta, gamma), fu, fv, one)
-        shuffled = tuple(Scalar.zero(B.order) if x is None else x for x in acc)
-        assert shuffled == pairing_vector(B, u * v).values, (beta, gamma)
+        _shuffle_into(acc, table, fu, fv, one)
+        assert tuple(zero if x is None else x for x in acc) == expected, (beta, gamma)
         compared += 1
-    assert compared >= 30
+    assert compared >= 30 and cancelled
 
 
 def _gaussian_binomials(q, d_max):
@@ -160,19 +174,25 @@ def _gaussian_binomials(q, d_max):
 ])
 def test_rank_one_shuffle_weight_is_gaussian_binomial(entry, order, d_max, vanishing):
     # over [[q]] the words of (k) and (d - k) interleave to the one word of
-    # (d), and the weights q^-(inversions) sum to [d choose k] at q^-1;
-    # a vanishing binomial leaves no entry
+    # (d), with the weights q^-(inversions) summing to the Gaussian binomial
+    # [d, k] at q^-1 either way round, and p = chi((d - k), (k)) = q^(k(d-k));
+    # so the bracket table's one entry is (1 - q^(k(d-k))) * [d, k], and the
+    # table is None where that vanishes
     B = matrix_from_strings([[entry]], order)
-    binomials = _gaussian_binomials(B.entry(1, 1), d_max)
+    q, one = B.entry(1, 1), Scalar.one(order)
+    binomials = _gaussian_binomials(q, d_max)
+
+    def bracket(d, k):
+        return _ShuffleTables(B, (d,)).bracket((k,), (d - k,), B.chi((d - k,), (k,)))
+
     for d in range(2, d_max + 1):
-        table = _ShuffleTables(B, (d,))
         for k in range(1, d):
-            weight = binomials[d][k]
-            assert table((k,), (d - k,)) == [[((0, weight),) if weight else ()]], (d, k)
+            weight = (one - q ** (k * (d - k))) * binomials[d][k]
+            assert bracket(d, k) == ([[((0, weight),)]] if weight else None), (d, k)
     if vanishing:
-        d, k = vanishing
-        assert not binomials[d][k]
-        assert _ShuffleTables(B, (d,))((k,), (d - k,)) == [[()]]
+        assert not binomials[vanishing[0]][vanishing[1]] and bracket(*vanishing) is None
+    if order == 3:  # the product weight [4, 1] is nonzero, but q^(1*3) = 1
+        assert binomials[4][1] and bracket(4, 1) is None
 
 
 def assert_witness_rebuilds(B, letters, report):
@@ -439,10 +459,21 @@ def test_zero_word_matrices_meet_zero_words():
 
 
 @scan_matrices
-def test_max_supports_match_word_by_word_loop(build):
-    # separate matrices, so neither scan reads spans the other built
+def test_max_supports_match_word_by_word_loop(build, monkeypatch):
+    # separate matrices, so neither scan reads spans the other built; the
+    # scan asks lie_span about a degree whose span is empty only once
+    entered = {}
+
+    def counted(B, alpha, *args):
+        span = lie_span(B, alpha, *args)
+        entered.setdefault(alpha, []).append(span.dimension)
+        return span
+
     expected = oracle_max_supports(build(), 4, BRAIDED)
+    monkeypatch.setattr("nicholslie.lie.lie_span", counted)
     assert max_supports(build(), 4, BRAIDED) == expected
+    empty = [dims for dims in entered.values() if dims[0] == 0]
+    assert all(dims == [0] for dims in empty)
     B = build()
     if B.order == 1:
         assert expected == components(build_graph(B, PURE))
@@ -452,7 +483,8 @@ def test_max_supports_match_word_by_word_loop(build):
 def test_theorem_equivalences_evidence_matches_word_by_word_loop(build, monkeypatch):
     B = build()
     got = verify.check_theorem_equivalences(B, d_max=B.n + 1).to_dict()
-    monkeypatch.setattr(verify, "_is_member", oracle_is_member)
+    monkeypatch.setattr(verify, "_member_test", lambda B, kind, max_terms:
+                        lambda word: oracle_is_member(B, word, kind, max_terms))
     assert verify.check_theorem_equivalences(build(), d_max=B.n + 1).to_dict() == got
 
 
@@ -627,8 +659,10 @@ def test_bracket_entry_points_reject_bad_kind(call):
 
 
 # -- the span build against the former one ---------------------------------------
-# span_oracle pairs every split with a suffix-shuffle memo per alpha; lie_span
-# skips each mirrored split gamma > beta with p * p' = 1 and keeps the memo on B.
+# span_oracle pairs every split through two product tables, with a suffix-shuffle
+# memo per alpha; lie_span pairs each split through one bracket table, skips each
+# mirrored split gamma > beta with p * p' = 1, offers nothing at a split whose
+# table cancels, stops at full rank, and keeps the memo on B.
 
 SPAN_BUILD_MATRICES = [
     ([["-1", "2"], ["3", "2"]], 1),
@@ -647,16 +681,16 @@ SPAN_BUILD_MATRICES = [
 
 
 def assert_matches_former_build(B, kind, monkeypatch):
-    calls = {}  # alpha -> the (beta, gamma) tables asked for, in order
+    calls = {}  # alpha -> the splits beta whose bracket table was asked for, in order
 
     class Recording(_ShuffleTables):
         def __init__(self, B, alpha):
             super().__init__(B, alpha)
             self.calls = calls.setdefault(alpha, [])
 
-        def __call__(self, beta, gamma):
-            self.calls.append((beta, gamma))
-            return super().__call__(beta, gamma)
+        def bracket(self, beta, gamma, p):
+            self.calls.append(beta)
+            return super().bracket(beta, gamma, p)
 
     monkeypatch.setattr("nicholslie.lie._ShuffleTables", Recording)
     oracle_B = BraidingMatrix(B._rows)
@@ -671,15 +705,16 @@ def assert_matches_former_build(B, kind, monkeypatch):
             assert list(span.solver._by_lead.items()) == list(expected.solver._by_lead.items())
     skipped = 0
     for alpha, paired in oracle_paired.items():
-        # each split lie pairs asks for its b*c table, then its c*b table
         asked = calls.pop(alpha)
-        assert asked[1::2] == [(c, b) for b, c in asked[::2]]
         mirrored = [
             beta for beta in paired
             if beta > (gamma := tuple(a - b for a, b in zip(alpha, beta)))
             and (kind == MINUS or (B.chi(beta, gamma) * B.chi(gamma, beta)).is_one())
         ]
-        assert [beta for beta, _ in asked[::2]] == [b for b in paired if b not in mirrored]
+        unmirrored = [b for b in paired if b not in mirrored]
+        # a prefix of the oracle's splits, cut short only by a full span
+        assert asked == unmirrored[:len(asked)], alpha
+        assert len(asked) == len(unmirrored) or spans[alpha].dimension == multinomial(alpha)
         skipped += len(mirrored)
     assert not any(calls.values())  # no table for a split the oracle leaves unpaired
     return skipped
@@ -708,6 +743,77 @@ def test_lie_span_matches_the_former_build_on_drawn_matrices(order, pool, n, mon
         skipped += assert_matches_former_build(B, BRAIDED, monkeypatch)
         assert_matches_former_build(B, MINUS, monkeypatch)
     assert skipped
+
+
+@pytest.mark.parametrize("B, blocks", [
+    (realize_graph(4, [(1, 2), (3, 4)]), [{1, 2}, {3, 4}]),
+    # q13 q31 = q23 q32 = 1; no diagonal entry is a root of unity
+    (matrix_from_strings([["2", "z", "z^3"], ["z^2", "3", "z^6"], ["z^5", "z^2", "-2"]], 8),
+     [{1, 2}, {3}]),
+], ids=["two-edges", "order-8"])
+def test_bracket_table_cancels_exactly_at_cross_block_splits(B, blocks):
+    # x_i x_j = q_ij x_j x_i in B(V) when q_ij q_ji = 1, so [u, v] vanishes
+    # when u and v lie in different blocks; with no diagonal root of unity,
+    # no other split cancels up to degree 4
+    cancelled = 0
+    for alpha in product(range(4), repeat=B.n):
+        if 2 <= sum(alpha) <= 4:
+            tables = _ShuffleTables(B, alpha)
+            for beta in product(*(range(a + 1) for a in alpha)):
+                if 0 < sum(beta) < sum(alpha):
+                    gamma = tuple(a - b for a, b in zip(alpha, beta))
+                    supports = [{i for i, c in enumerate(e, 1) if c} for e in (beta, gamma)]
+                    cross = any(supports[0] <= b and supports[1] <= c
+                                for b in blocks for c in blocks if b is not c)
+                    table = tables.bracket(beta, gamma, B.chi(gamma, beta))
+                    assert (table is None) == cross, (alpha, beta)
+                    cancelled += cross
+    assert cancelled
+
+
+@pytest.mark.parametrize("B, degrees", [
+    (realize_graph(4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]), [(1, 1, 1, 1)]),
+    (matrix_from_strings([["z", "z^2"], ["z^3", "-1"]], 8),
+     [a for a in product(range(5), repeat=2) if 1 <= sum(a) <= 4]),
+], ids=["K4", "order-8"])
+def test_span_build_offers_no_row_after_full_rank(B, degrees, monkeypatch):
+    # a span of rank m(alpha) refuses every row, so the build offers none
+    late, full = [], []
+
+    class Recording(_RowReducer):
+        def insert(self, row):
+            if self.rank == len(row):
+                late.append(len(row))
+            grew = super().insert(row)
+            if grew and self.rank == len(row):
+                full.append(len(row))
+            return grew
+
+    monkeypatch.setattr("nicholslie.lie._RowReducer", Recording)
+    for alpha in degrees:
+        lie_span(B, alpha, BRAIDED)
+    assert late == [] and max(full) > 2
+    if B.n == 4:
+        assert lie_span(B, (1, 1, 1, 1), BRAIDED).dimension == 24
+
+
+def test_member_test_matches_monomial_membership():
+    # every word of degree <= 4, against monomial_membership on a fresh
+    # matrix: empty spans, full spans (only a zero test) and the solver
+    met = set()
+    for rows, order in SPAN_BUILD_MATRICES:
+        for kind in (BRAIDED, MINUS):
+            B, oracle_B = (matrix_from_strings(rows, order) for _ in range(2))
+            is_member = lie._member_test(B, kind, None)
+            for d in range(1, 5):
+                for word in product(range(1, B.n + 1), repeat=d):
+                    expected = oracle_is_member(oracle_B, word, kind)
+                    assert is_member(word) == expected, (rows, kind, word)
+                    span = B._lie_span_cache[(word_degree(word, B.n), kind)]
+                    if d > 1:
+                        met.add("full" if span.dimension == multinomial(span.degree) else
+                                "empty" if not span.basis else "partial")
+    assert met == {"full", "empty", "partial"}
 
 
 def test_suffix_shuffles_are_kept_per_matrix():
