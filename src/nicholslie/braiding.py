@@ -27,7 +27,7 @@ class BraidingMatrix:
 
     __slots__ = (
         "n", "order", "_rows", "_inv_rows", "_json", "_lie_span_cache",
-        "_pairing_row_cache", "_shuffle_cache",
+        "_pairing_row_cache", "_shuffle_cache", "_shape_cache",
     )
 
     def __init__(self, rows):
@@ -59,6 +59,7 @@ class BraidingMatrix:
         object.__setattr__(self, "_lie_span_cache", {})
         object.__setattr__(self, "_pairing_row_cache", {})
         object.__setattr__(self, "_shuffle_cache", None)
+        object.__setattr__(self, "_shape_cache", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BraidingMatrix is immutable")
@@ -153,6 +154,13 @@ class BraidingMatrix:
         if self._shuffle_cache is None:
             object.__setattr__(self, "_shuffle_cache", ({}, {}))
         return self._shuffle_cache
+
+    def _span_shapes(self):
+        """lie._span's map from a degree's shape to the first span built with
+        that shape and its support, made on first use like _shuffle_memos."""
+        if self._shape_cache is None:
+            object.__setattr__(self, "_shape_cache", {})
+        return self._shape_cache
 
     # -- the bicharacter and friends --------------------------------------
 

@@ -5,8 +5,10 @@ of multidegree alpha.  The bracket is bilinear and ker(T(V) -> B(V)) is
 a graded two-sided ideal, so L_alpha = span{[b, c] : b in L_beta, c in
 L_gamma, beta + gamma = alpha}, which is how it is built, each [b, c]
 paired from the stored pairing vectors of b and c by the quantum
-shuffle of nichols.  Monomial membership is an exact linear solve
-against that span.
+shuffle of nichols; a degree of the same shape as an earlier one (the
+same exponents and principal submatrix on its support) takes that span,
+relabelled.  Monomial membership is an exact linear solve against that
+span.
 """
 
 from __future__ import annotations
@@ -58,7 +60,9 @@ class LieSpan:
     The basis vectors are all the spans above read: they shuffle them into
     the pairing vectors of their candidates.  solver is the row reducer
     that selected the basis; solver.reduce(v) is all zero exactly when v
-    lies in the span.
+    lies in the span.  A span relabelled from an earlier degree of the
+    same shape (see lie_span) shares that degree's solver, so a solver is
+    read-only once its span is built: reduce it, never insert into it.
     """
 
     degree: tuple
@@ -109,6 +113,16 @@ def lie_span(B: BraidingMatrix, alpha, kind: str, max_terms=None) -> LieSpan:
     candidates is zero.  And the build stops once the span has rank
     m(alpha), since the reducer would refuse every later candidate.  So
     none of the three changes a basis vector, provenance entry or pivot.
+
+    A degree is not built when an earlier degree of B has its shape: the
+    same kind, the same exponents on its support S and the same q_ij for
+    i, j in S.  Its span is the earlier one relabelled through the
+    increasing map of supports: the same value tuples and solver, and
+    provenance words mapped letter by letter (trees hold no letters).
+    This is exact: an increasing letter map keeps the lex order of words
+    (so the dual words correspond entry by entry), the product order of
+    splits and gamma > beta, and chi, the shuffle weights and the pivot
+    columns read only entries inside S.
     """
     _check_choice(kind, (BRAIDED, MINUS), "bracket kind")
     alpha = _check_degree(B, alpha)
@@ -119,12 +133,25 @@ def lie_span(B: BraidingMatrix, alpha, kind: str, max_terms=None) -> LieSpan:
 
 
 def _span(B: BraidingMatrix, alpha: tuple, kind: str) -> LieSpan:
-    """L_alpha from B's span cache, or built from the spans below it,
-    pairing each split through one bracket table and skipping mirrored
-    and cancelling splits, until the span is full (see lie_span)."""
+    """L_alpha from B's span cache, else relabelled from the first span of
+    its shape, else built from the spans below it, pairing each split
+    through one bracket table and skipping mirrored and cancelling splits,
+    until the span is full (see lie_span).  Scalars enter the shape as
+    (num, den) pairs, so no Fraction is hashed; a degree that uses every
+    letter is alone in its shape and is not recorded."""
     key = (alpha, kind)
     if key in B._lie_span_cache:
         return B._lie_span_cache[key]
+    support = tuple(i for i, a in enumerate(alpha) if a)
+    shape = None
+    if len(support) < B.n:
+        rows = B._rows
+        shape = (kind, tuple(alpha[i] for i in support),
+                 tuple((rows[i][j].num, rows[i][j].den) for i in support for j in support))
+        earlier = B._span_shapes().get(shape)
+        if earlier is not None:
+            span = B._lie_span_cache[key] = _relabel(*earlier, alpha, support)
+            return span
     d, m = sum(alpha), multinomial(alpha)
     zero, one = Scalar.zero(B.order), Scalar.one(B.order)
 
@@ -162,7 +189,22 @@ def _span(B: BraidingMatrix, alpha: tuple, kind: str) -> LieSpan:
             if reducer.rank == m:  # full: every later candidate is refused
                 break
     span = B._lie_span_cache[key] = LieSpan(alpha, kind, basis, provenance, reducer)
+    if shape is not None:
+        B._span_shapes()[shape] = (span, support)
     return span
+
+
+def _relabel(span: LieSpan, support: tuple, alpha: tuple, onto: tuple) -> LieSpan:
+    """span, built on the (0-based) support, as the span at alpha, whose
+    support onto has the same shape: letters map increasingly, and the
+    values and the read-only solver are shared."""
+    letter = {i + 1: j + 1 for i, j in zip(support, onto)}
+    return LieSpan(
+        alpha, span.kind,
+        [NicholsVector(alpha, nv.values) for nv in span.basis],
+        [(tree, tuple(letter[x] for x in word)) for tree, word in span.generators_used],
+        span.solver,
+    )
 
 
 def monomial_membership(B: BraidingMatrix, word, kind: str, max_terms=None) -> MembershipReport:

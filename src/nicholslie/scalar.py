@@ -12,7 +12,8 @@ sum(num[e] * z^e) / den, where num is a tuple of phi(N) ints and den a
 positive int with gcd(den, *num) = 1; zero is (0, ..., 0) / 1.  The form
 is canonical, so equality is a tuple compare.  Sums share one
 denominator, products are integer schoolbook products folded by the
-monic integer modulus, and inverses go through the field norm, so every
+monic integer modulus, and inverses go through the field norm, taken
+down a tower of prime-index subgroups of the Galois group, so every
 operation runs on plain ints and ends in one gcd pass.  The rational
 coefficients are read through Scalar.coeffs.
 
@@ -135,6 +136,29 @@ def _fold(order: int, poly: list) -> list:
     del poly[phi:]
     poly.extend([0] * (phi - len(poly)))
     return poly
+
+
+@lru_cache(maxsize=None)
+def _galois_tower(order: int):
+    """A chain {1} = K_0 < K_1 < ... < K_r = (Z/N)^* of subgroups, each of
+    prime index p in the next, as one tuple per step: the powers g, g^2,
+    ..., g^(p-1) mod N of a unit g whose coset generates K_(i+1)/K_i, so
+    that with 1 they represent the cosets of K_i in K_(i+1).  It is built
+    from the units k in increasing order: while k lies outside the group
+    so far, with order m modulo it, g = k^(m/p) for the least prime p
+    dividing m has order p modulo it."""
+    group, steps = {1}, []
+    for k in range(2, order):
+        while gcd(k, order) == 1 and k not in group:
+            m, x = 1, k
+            while x not in group:
+                x, m = x * k % order, m + 1
+            p = next(p for p in range(2, m + 1) if m % p == 0)
+            g = pow(k, m // p, order)
+            reps = tuple(pow(g, j, order) for j in range(1, p))
+            group = {h * r % order for h in group for r in (1,) + reps}
+            steps.append(reps)
+    return tuple(steps)
 
 
 def _product(order: int, a, b) -> list:
@@ -347,10 +371,15 @@ class Scalar:
 
     def inv(self) -> "Scalar":
         """Multiplicative inverse.  A monomial c * z^e (a rational when
-        e = 0) is z^(N - e) / c; anything else goes through the field norm:
-        with c = prod sigma_k(num) over the units k != 1 mod N
-        (sigma_k: z -> z^k), num * c is the rational integer norm of num, so
-        (num / den)^-1 = den * c / norm."""
+        e = 0) is z^(N - e) / c; anything else goes through the field norm,
+        taken down the tower of _galois_tower(N): at each step y (at first
+        num) is fixed by the subgroup reached so far, c is the product of
+        its conjugates under the step's coset representatives, and y * c,
+        the relative norm of y, is fixed by the next subgroup.  At the top
+        y is the rational integer norm of num, and num times the product of
+        the c is y, so (num / den)^-1 = den * prod(c) / y.  That takes about
+        sum(p - 1) products over the prime indices p of the steps, where the
+        norm over the whole group takes phi(N) - 1."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
         order, num = self.order, self.num
@@ -358,20 +387,23 @@ class Scalar:
         if len(support) == 1:
             e = support[0]
             return _canonical(order, [self.den * c for c in _power(order, order - e)], num[e])
-        cofactor = None
-        for k in range(2, order):
-            if gcd(k, order) == 1:
-                # k is a unit, so e -> k*e mod N sends the exponents of num
-                # to distinct places: scatter sigma_k(num), then fold once
+        y, cofactor = num, None
+        for reps in _galois_tower(order):
+            c = None
+            for k in reps:
+                # k is a unit, so e -> k*e mod N sends the exponents of y
+                # to distinct places: scatter sigma_k(y), then fold once
                 conj = [0] * order
-                for e in support:
-                    conj[k * e % order] = num[e]
+                for e, v in enumerate(y):
+                    if v:
+                        conj[k * e % order] = v
                 _fold(order, conj)
-                cofactor = conj if cofactor is None else _product(order, cofactor, conj)
-        norm = _product(order, num, cofactor)
+                c = conj if c is None else _product(order, c, conj)
+            y = _product(order, y, c)
+            cofactor = c if cofactor is None else _product(order, cofactor, c)
         # the norm of a nonzero element is a nonzero rational (Phi_N irreducible)
-        assert norm[0] and not any(norm[1:]), "cyclotomic norm must be a nonzero rational"
-        return _canonical(order, [self.den * c for c in cofactor], norm[0])
+        assert y[0] and not any(y[1:]), "cyclotomic norm must be a nonzero rational"
+        return _canonical(order, [self.den * c for c in cofactor], y[0])
 
     def __truediv__(self, other):
         other = _lift(self.order, other)

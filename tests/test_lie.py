@@ -662,7 +662,9 @@ def test_bracket_entry_points_reject_bad_kind(call):
 # span_oracle pairs every split through two product tables, with a suffix-shuffle
 # memo per alpha; lie_span pairs each split through one bracket table, skips each
 # mirrored split gamma > beta with p * p' = 1, offers nothing at a split whose
-# table cancels, stops at full rank, and keeps the memo on B.
+# table cancels, stops at full rank, keeps the memo on B, and relabels the span
+# of an earlier degree of the same shape instead of building one.  Every span
+# must equal the oracle's; a relabelled degree asks for no table.
 
 SPAN_BUILD_MATRICES = [
     ([["-1", "2"], ["3", "2"]], 1),
@@ -678,6 +680,14 @@ SPAN_BUILD_MATRICES = [
     ([["z", "z^2", "z^3"], ["z^3", "-1", "2"], ["z^5", "1/2", "z^2"]], 8),
     ([["z", "z^3", "1"], ["z^5", "-1", "z"], ["1", "z^7", "z^2"]], 8),
 ]
+
+
+def _served_by_shape(B, alpha, kind):
+    """Whether the cached span at alpha shares its solver with the span of
+    another degree: it was relabelled from that degree, not built."""
+    solver = B._lie_span_cache[(alpha, kind)].solver
+    return any(span.solver is solver for (degree, k), span in B._lie_span_cache.items()
+               if k == kind and degree != alpha)
 
 
 def assert_matches_former_build(B, kind, monkeypatch):
@@ -705,7 +715,10 @@ def assert_matches_former_build(B, kind, monkeypatch):
             assert list(span.solver._by_lead.items()) == list(expected.solver._by_lead.items())
     skipped = 0
     for alpha, paired in oracle_paired.items():
-        asked = calls.pop(alpha)
+        asked = calls.pop(alpha, None)
+        if asked is None:  # no table at all: relabelled from an earlier degree of its shape
+            assert _served_by_shape(B, alpha, kind), alpha
+            continue
         mirrored = [
             beta for beta in paired
             if beta > (gamma := tuple(a - b for a, b in zip(alpha, beta)))
@@ -842,8 +855,93 @@ def test_matrix_caches_make_no_reference_cycle():
     try:
         B = realize_graph(4, [(1, 2), (3, 4)])
         assert max_supports(B, 4, BRAIDED) == [(1, 2), (3, 4)]
-        assert B._lie_span_cache and B._shuffle_cache[0]
+        assert B._lie_span_cache and B._shuffle_cache[0] and B._shape_cache
         del B
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_shape_map_is_made_by_the_first_span_build():
+    # like the shuffle memos, the shape map is not allocated with the matrix:
+    # elimination and pairing make none, nor do spans over every letter
+    B = realize_graph(3, [(1, 2)])
+    basis_of_degree(B, (2, 1, 1))
+    pairing_vector(B, FreeElement.from_word(3, 1, (1, 2, 3)))
+    assert B._shape_cache is None
+    lie_span(B, (1, 1, 0), BRAIDED)
+    assert B._shape_cache
+    B = rational_matrix([[2]])
+    lie_span(B, (4,), BRAIDED)
+    assert B._shape_cache is None and B._shuffle_cache is not None
+
+
+# -- spans shared by shape ---------------------------------------------------------
+# a degree whose support carries the same exponents and the same principal
+# submatrix as an earlier degree's is that degree's span, relabelled through the
+# increasing map of supports.  A fresh matrix builds its first degree in full.
+
+def assert_spans_equal_fresh_builds(B):
+    for (alpha, kind), span in B._lie_span_cache.items():
+        fresh = lie_span(BraidingMatrix(B._rows), alpha, kind)
+        assert span.basis == fresh.basis, (alpha, kind)
+        assert span.generators_used == fresh.generators_used, (alpha, kind)
+        assert list(span.solver._by_lead.items()) == list(fresh.solver._by_lead.items())
+
+
+@pytest.mark.parametrize("n, edges", GRAPH_CLASSES)
+def test_spans_shared_by_shape_equal_fresh_builds(n, edges):
+    B = realize_graph(n, edges)
+    for kind in (BRAIDED, MINUS):
+        for alpha in product(range(5), repeat=n):
+            if 1 <= sum(alpha) <= 4:
+                lie_span(B, alpha, kind)
+    assert_spans_equal_fresh_builds(B)
+    # (1, 0, ...) and (0, 1, ...) are generators with q11 = q22 = 2
+    assert _served_by_shape(B, (0, 1) + (0,) * (n - 2), BRAIDED)
+
+
+def test_two_edges_build_each_shape_once():
+    # {1, 2} and {3, 4} carry the same submatrix, so each degree on {3, 4} is
+    # its twin on {1, 2} with letters 1, 2 read as 3, 4
+    B = realize_graph(4, [(1, 2), (3, 4)])
+    for low, high in (((1, 1, 0, 0), (0, 0, 1, 1)), ((2, 1, 0, 0), (0, 0, 2, 1))):
+        low, high = lie_span(B, low, BRAIDED), lie_span(B, high, BRAIDED)
+        assert high.solver is low.solver and high.basis
+        assert [nv.values for nv in high.basis] == [nv.values for nv in low.basis]
+        assert all(nv.degree == high.degree for nv in high.basis)
+        assert high.generators_used == [(tree, tuple(x + 2 for x in word))
+                                        for tree, word in low.generators_used]
+    assert_spans_equal_fresh_builds(B)
+
+
+def test_transposed_pair_does_not_share_a_shape():
+    # {1, 2} carries q12 = 2, q21 = 3 and {3, 4} carries q34 = 3, q43 = 2: the
+    # decreasing map 1 -> 4, 2 -> 3 would match the submatrices but permute
+    # the dual words, so the two spans are built apart
+    rows = [["5", "2", "1", "1"], ["3", "5", "1", "1"], ["1", "1", "5", "3"], ["1", "1", "2", "5"]]
+    B = matrix_from_strings(rows, 1)
+    for kind in (BRAIDED, MINUS):
+        for alpha in ((1, 1, 0, 0), (0, 0, 1, 1), (2, 1, 0, 0), (0, 0, 1, 2), (1, 2, 0, 0),
+                      (0, 0, 2, 1)):
+            lie_span(B, alpha, kind)
+        for low, high in (((1, 1, 0, 0), (0, 0, 1, 1)), ((2, 1, 0, 0), (0, 0, 1, 2)),
+                          ((1, 2, 0, 0), (0, 0, 2, 1))):
+            assert not _served_by_shape(B, high, kind)
+    braided = B._lie_span_cache[((1, 1, 0, 0), BRAIDED)], B._lie_span_cache[((0, 0, 1, 1), BRAIDED)]
+    assert braided[0].basis[0].values != braided[1].basis[0].values
+    assert _served_by_shape(B, (0, 0, 1, 0), BRAIDED)  # q11 = q33: one generator shape
+    assert_spans_equal_fresh_builds(B)
+
+
+def test_spans_of_different_kinds_never_share():
+    for n, edges in GRAPH_CLASSES:
+        B = realize_graph(n, edges)
+        for kind in (BRAIDED, MINUS):
+            for alpha in product(range(4), repeat=n):
+                if 1 <= sum(alpha) <= 3:
+                    lie_span(B, alpha, kind)
+        solvers = {kind: {id(span.solver) for (_, k), span in B._lie_span_cache.items() if k == kind}
+                   for kind in (BRAIDED, MINUS)}
+        assert not solvers[BRAIDED] & solvers[MINUS], (n, edges)
+        assert {shape[0] for shape in B._shape_cache} == {BRAIDED, MINUS}

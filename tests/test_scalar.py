@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from nicholslie import scalar
 from nicholslie.scalar import (
     MAX_ORDER,
     FieldMismatchError,
@@ -23,6 +24,7 @@ from nicholslie.scalar import (
 )
 
 from fraction_kernel import FractionScalar
+from norm_inverse_oracle import flat_inverse
 
 
 def numeric_cyclotomic(n):
@@ -169,6 +171,64 @@ def test_monomial_inverse_values():
             inv = s.inv()
             assert (s * inv).is_one()
             assert inv == Scalar.root_power(order, -e) * Fraction(-5, 3)
+
+
+# -- the inverse down the Galois tower against the flat norm ------------------
+# norm_inverse_oracle keeps the former inverse, which multiplies num by all of
+# its phi(N) - 1 conjugates; Scalar.inv takes the norm one prime-index step of
+# (Z/N)^* at a time.  The flat norm takes seconds per inverse at N = 401 and
+# minutes at N = 1009, so those orders are checked against a closed form.
+
+FLAT_ORDERS = list(range(1, 61)) + [101]
+TOWER_ORDERS = FLAT_ORDERS + [401, 1009, 20000]
+
+
+def test_galois_tower_climbs_the_units_by_prime_steps():
+    for order in TOWER_ORDERS:
+        group = {1}
+        for reps in scalar._galois_tower(order):
+            p = len(reps) + 1
+            assert all(p % d for d in range(2, p)), (order, p)
+            grown = {h * r % order for h in group for r in (1,) + reps}
+            assert len(grown) == p * len(group)  # the p cosets are disjoint
+            group = grown
+        assert group == {1} | {k for k in range(1, order) if math.gcd(k, order) == 1}
+
+
+def test_inverse_matches_flat_norm():
+    rng = random.Random(401)
+    for order in FLAT_ORDERS:
+        for _ in range(3):
+            x = _random_operand(rng, order)
+            assert x.inv() == flat_inverse(x), (order, x)
+        # two terms: the sparse case of the first conjugates
+        e = rng.randrange(1, euler_phi(order)) if euler_phi(order) > 1 else 0
+        x = Scalar.from_poly(order, [2] + [0] * (e - 1) + [-3] if e else [5])
+        assert x.inv() == flat_inverse(x), (order, x)
+
+
+@pytest.mark.parametrize("order, a, b, e", [(401, 2, 3, 7), (401, -1, 5, 400), (1009, 1, 1, 100)])
+def test_binomial_inverse_closed_form(order, a, b, e):
+    # w = z^e has w^N = 1, so (a + b w) * sum_k a^(N-1-k) (-b w)^k = a^N - (-b)^N
+    x = Scalar.from_poly(order, [a] + [0] * (e - 1) + [b])
+    terms = [0] * order
+    for k in range(order):
+        terms[k * e % order] += a ** (order - 1 - k) * (-b) ** k
+    expected = Scalar.from_poly(order, terms) * Fraction(1, a ** order - (-b) ** order)
+    assert x.inv() == expected
+
+
+def test_inverse_at_order_401_takes_few_products(monkeypatch):
+    # phi(401) = 400 = 2^4 * 5^2: steps of index 2, 2, 2, 5, 5, 2 take
+    # sum(p - 2) = 6 products of conjugates, 6 relative norms and 5 cofactor
+    # products, where the flat norm takes 399
+    product = scalar._product
+    calls = []
+    monkeypatch.setattr(scalar, "_product", lambda *args: calls.append(1) or product(*args))
+    x = Scalar.from_poly(401, [1, -2, 0, 3])
+    inverse = x.inv()
+    assert len(calls) == 17
+    assert (x * inverse).is_one()
 
 
 def _random_operand(rng, order):
