@@ -72,7 +72,7 @@ def parse_matrix_file(path) -> BraidingMatrix:
 # format_bracketing take; the bracket kind is supplied separately, so one
 # expression serves both brackets.
 
-_BRACKET_TOKEN = re.compile(r"\s*(?:x(\d+)|([\[\],]))")
+_BRACKET_TOKEN = re.compile(r"\s*(?:x([0-9]+)|([\[\],]))")  # ASCII digits only, not \d
 
 
 def parse_bracket_expr(text: str):
@@ -123,7 +123,7 @@ def parse_monomial(text: str, n: int):
     """Whitespace-separated x<digits> tokens, left-to-right product."""
     word = []
     for token in text.split():
-        m = re.fullmatch(r"x(\d+)", token)
+        m = re.fullmatch(r"x([0-9]+)", token)
         if m is None:
             raise BracketParseError(f"bad monomial token {token!r} (expected x<digits>)")
         i = int(m.group(1))
@@ -137,10 +137,10 @@ def parse_monomial(text: str, n: int):
 
 def parse_degree(text: str, n: int):
     parts = [p.strip() for p in text.split(",")]
-    try:
-        alpha = tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise BracketParseError(f"bad degree {text!r} (expected comma-separated integers)") from exc
+    # int() alone would also take "+1", "1_0" and non-ASCII digits
+    if not all(re.fullmatch(r"-?[0-9]+", p) for p in parts):
+        raise BracketParseError(f"bad degree {text!r} (expected comma-separated integers)")
+    alpha = tuple(int(p) for p in parts)
     if len(alpha) != n:
         raise BracketParseError(f"degree needs {n} components, got {len(alpha)}")
     if any(a < 0 for a in alpha):

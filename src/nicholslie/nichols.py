@@ -26,18 +26,24 @@ a split whose table cancels entirely brackets to zero and is not paired.
 The tables are built from the shuffles of suffix pairs of words, which
 depend on B alone and are memoized per matrix.  Exact elimination on the
 vectors gives dim B(V)_alpha and membership, cross-checked by the rank
-of a quantum symmetrizer.
+of a quantum symmetrizer.  basis_of_degree first eliminates the vectors'
+images mod a prime p = 1 (mod N), where zeta_N maps to a primitive N-th
+root of unity: that certificate is one-sided, since independence mod p
+proves full rank over Q(zeta_N) and dependence mod p proves nothing, so
+any other degree is eliminated exactly.  The symmetrizer rank stays exact:
+it is the independent check of that map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import mul
 
 from .braiding import BraidingMatrix
 from .freealg import (FreeElement, _collect, _multidegree_words, multinomial, word_degree,
                       words_of_multidegree)
-from .scalar import GuardrailExceeded, Scalar, _cached_one
+from .scalar import GuardrailExceeded, Scalar, _cached_one, _residue_field
 
 __all__ = [
     "MAX_TERMS_DEFAULT",
@@ -343,21 +349,71 @@ class _RowReducer:
         return True
 
 
+def _residues(row, p: int, powers) -> list:
+    """The images mod p of a row of scalars under scalar._residue_field's
+    map: num / den goes to (sum num[e] * rho^e) / den, read from the ints;
+    None when p divides a denominator, where the map is undefined."""
+    out = []
+    for x in row:
+        v = sum(map(mul, x.num, powers))
+        den = x.den
+        if den != 1:
+            if den % p == 0:
+                return None
+            v *= pow(den, -1, p)
+        out.append(v % p)
+    return out
+
+
+def _insert_mod_p(pivots: list, row: list, p: int) -> bool:
+    """_RowReducer.insert over F_p on a row of ints mod p, the pivots kept
+    as (lead, nonzero (index, value) pairs) in insertion order."""
+    for lead, pivot in pivots:
+        c = row[lead]
+        if c:
+            for idx, v in pivot:
+                row[idx] = (row[idx] - c * v) % p
+    lead = next((k for k, v in enumerate(row) if v), None)
+    if lead is None:
+        return False
+    inv = pow(row[lead], -1, p)
+    pivots.append((lead, tuple((k, v * inv % p) for k, v in enumerate(row) if v)))
+    return True
+
+
 def basis_of_degree(B: BraidingMatrix, alpha, max_terms=None):
     """Pivot words spanning B(V)_alpha plus the rank dim B(V)_alpha.
 
-    Every word of the multidegree is paired, then eliminated exactly with
-    first-nonzero pivoting in lexicographic word order, so the returned
-    pivot set is deterministic.
+    Every word of the multidegree is paired once, in lexicographic order,
+    and the returned pivots are those of exact elimination with
+    first-nonzero pivoting in that order, so they are deterministic.  Each
+    row is first mapped to F_p (scalar._residue_field) and eliminated
+    there.  The certificate is one-sided: if every row stays independent
+    mod p, the m x m minor is nonzero mod p, hence over Q(zeta_N), and the
+    answer is every word with rank m, as exact elimination would find it.
+    At the first row that is dependent mod p, or whose denominator p
+    divides, the rows so far and the rest are eliminated exactly, since a
+    partial result mod p decides nothing.
     """
     alpha = _check_degree(B, alpha)
     m = multinomial(alpha)
     _guard(m * m, max_terms, "elimination at degree {}", alpha)
     one = Scalar.one(B.order)
+    p, powers = _residue_field(B.order)
+    words = _multidegree_words(alpha)
+    rows, pivots = [], []
+    for word in words:
+        row = tuple(_pairings(B, {word: one}, alpha))
+        rows.append(row)
+        image = _residues(row, p, powers)
+        if image is None or not _insert_mod_p(pivots, image, p):
+            break
+    else:
+        return words, m
     reducer = _RowReducer()
     pivot_words = []
-    for word in words_of_multidegree(alpha):
-        if reducer.insert(_pairings(B, {word: one}, alpha)):
+    for k, word in enumerate(words):
+        if reducer.insert(rows[k] if k < len(rows) else _pairings(B, {word: one}, alpha)):
             pivot_words.append(word)
     return tuple(pivot_words), reducer.rank
 

@@ -25,7 +25,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from itertools import count
+from math import gcd, isqrt, lcm
 
 __all__ = [
     "MAX_ORDER",
@@ -159,6 +160,28 @@ def _galois_tower(order: int):
             group = {h * r % order for h in group for r in (1,) + reps}
             steps.append(reps)
     return tuple(steps)
+
+
+@lru_cache(maxsize=None)
+def _residue_field(order: int):
+    """(p, powers) for the map Q(zeta_N) -> F_p sending zeta_N to rho:
+    p is the least prime p = 1 (mod N) above 2^31 and powers holds rho^e
+    mod p for e < phi(N), rho a primitive N-th root of unity mod p.  As
+    p does not divide N, rho is a root of Phi_N mod p, so num / den maps
+    to (sum num[e] * rho^e) / den, a ring map wherever p does not divide
+    den.  Built on first use per order; p is found by trial division."""
+    p = (2**31 // order + 1) * order + 1
+    while any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        p += order
+    divisors = [d for d in range(1, order) if order % d == 0]
+    for g in count(2):  # rho = g^((p-1)/N) has order N unless some rho^d, d | N, is 1
+        rho = pow(g, (p - 1) // order, p)
+        if all(pow(rho, d, p) != 1 for d in divisors):
+            break
+    powers = [1]
+    for _ in range(euler_phi(order) - 1):
+        powers.append(powers[-1] * rho % p)
+    return p, tuple(powers)
 
 
 def _product(order: int, a, b) -> list:
@@ -488,7 +511,7 @@ def _cached_one(order: int) -> Scalar:
 # A leading "-" on the first term is also accepted so that canonical
 # printing round-trips.  Whitespace is insignificant.
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([z^*/+\-]))")
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([z^*/+\-]))")  # ASCII digits only, not \d
 
 
 def _tokenize(text: str):

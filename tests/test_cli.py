@@ -566,6 +566,24 @@ def test_input_errors_exit_four(matrix_file, capsys, doc, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("doc, argv, message", [
+    ('{"n":1,"cyclotomic_order":1,"q":[["\\u0662"]]}', ["dim", "--degree", "1"],
+     "entry (1,1): unexpected character '٢' in scalar literal"),
+    (CONNECTED, ["ismember", "--monomial", "x١ x2", "--lie", "minus"],
+     "bad monomial token 'x١' (expected x<digits>)"),
+    (CONNECTED, ["bracket", "--expr", "[x١,x2]", "--lie", "minus"],
+     "unexpected input 'x١,x2]' in bracket expression"),
+    (CONNECTED, ["dim", "--degree", "1_0,1"], "bad degree '1_0,1' (expected comma-separated integers)"),
+    (CONNECTED, ["dim", "--degree", "+1,1"], "bad degree '+1,1' (expected comma-separated integers)"),
+    (CONNECTED, ["dim", "--degree", "١,1"], "bad degree '١,1' (expected comma-separated integers)"),
+], ids=["literal", "monomial", "bracket", "degree-underscore", "degree-plus", "degree-arabic"])
+def test_parsers_take_ascii_digits_only(matrix_file, capsys, doc, argv, message):
+    # \d and int() also read non-ASCII digits, and int() takes "+1" and "1_0"
+    code, out = run(argv[:1] + ["--input", matrix_file(doc)] + argv[1:])
+    assert (code, out) == (4, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_degree_zero_has_one_message(matrix_file, capsys):
     message = "operation needs degree >= 1, got a degree-0 element"
     B = rational_matrix([[2, 2], [2, 2]])

@@ -7,13 +7,16 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import nicholslie
+from nicholslie import nichols
 from nicholslie.braiding import BraidingMatrix
-from nicholslie.freealg import BRAIDED, FreeElement, braided_bracket, word_degree, words_of_multidegree
+from nicholslie.freealg import (BRAIDED, FreeElement, braided_bracket, multinomial, word_degree,
+                                words_of_multidegree)
 from nicholslie.lie import lie_span
 from nicholslie.nichols import (
     GuardrailExceeded,
@@ -29,6 +32,7 @@ from nicholslie.nichols import (
 from nicholslie.scalar import FieldMismatchError, Scalar
 
 from conftest import matrix_from_strings, random_braiding_matrix, random_scalar, rational_matrix
+from degree_basis_oracle import oracle_basis_of_degree
 from descent_oracle import oracle_pairings
 
 
@@ -260,6 +264,83 @@ def test_degree_entries_must_be_ints(alpha):
 def test_basis_deterministic(rng):
     B = random_braiding_matrix(rng, 2, 8)
     assert basis_of_degree(B, (2, 1)) == basis_of_degree(B, (2, 1))
+
+
+# -- the full-rank certificate mod p ---------------------------------------------
+
+
+class CountingReducer(_RowReducer):
+    """_RowReducer counting the rows inserted into any instance."""
+
+    inserted = 0
+
+    def insert(self, row):
+        CountingReducer.inserted += 1
+        return super().insert(row)
+
+
+def degrees_up_to(n, d):
+    return [a for a in itertools.product(range(d + 1), repeat=n) if 1 <= sum(a) <= d]
+
+
+@pytest.mark.parametrize("order", [1, 3, 8, 24])
+def test_certified_basis_matches_exact_elimination(order, monkeypatch):
+    # random entries with coefficients in -1..1, and the same with q_11 = -1,
+    # which makes the rank drop from degree 2 on; both answers of every degree
+    # are checked against the word-by-word exact oracle
+    monkeypatch.setattr(nichols, "_RowReducer", CountingReducer)
+    rng = random.Random(2500 + order)
+    minus_one = Scalar.from_rational(order, -1)
+    seen = {"full": 0, "deficient": 0}
+    for n in (2, 3):
+        for diagonal in (None, minus_one):
+            rows = [[random_scalar(rng, order, span=1, nonzero=True) for _ in range(n)]
+                    for _ in range(n)]
+            rows[0][0] = diagonal or rows[0][0]
+            B = BraidingMatrix(rows)
+            for alpha in degrees_up_to(n, 4):
+                CountingReducer.inserted = 0
+                words, rank = basis_of_degree(B, alpha)
+                assert (words, rank) == oracle_basis_of_degree(B, alpha), (B, alpha)
+                full = rank == multinomial(alpha)
+                # a full-rank answer is certified mod p without exact elimination
+                assert (CountingReducer.inserted == 0) == full, alpha
+                seen["full" if full else "deficient"] += 1
+    assert seen["full"] and seen["deficient"], seen
+
+
+@pytest.mark.parametrize("q, reason", [(6, "1 + 1/q = 7/6 is 0 mod 7"), (7, "1/7 has no image mod 7")])
+def test_certificate_falls_back_at_a_small_prime(q, reason, monkeypatch):
+    # with p = 7 at order 1, the one row at (2,) is dependent mod p or has a
+    # denominator p divides, and the exact fallback must still find rank 1
+    monkeypatch.setattr(nichols, "_residue_field", lambda order: (7, (1,)))
+    monkeypatch.setattr(nichols, "_RowReducer", CountingReducer)
+    CountingReducer.inserted = 0
+    B = rational_matrix([[q]])
+    assert basis_of_degree(B, (2,)) == oracle_basis_of_degree(B, (2,)) == (((1, 1),), 1), reason
+    assert CountingReducer.inserted == 1
+
+
+def test_fallback_keeps_the_rows_before_it(monkeypatch):
+    # with p = 7, rows are dependent mod p or hold a 1/7 at various places,
+    # so the exact fallback starts from prefixes of several independent rows
+    monkeypatch.setattr(nichols, "_residue_field", lambda order: (7, (1,)))
+    prefixes, insert = [], nichols._insert_mod_p
+
+    def spy(pivots, row, p):
+        independent = insert(pivots, row, p)
+        if not independent:
+            prefixes.append(len(pivots))
+        return independent
+
+    monkeypatch.setattr(nichols, "_insert_mod_p", spy)
+    rng = random.Random(77)
+    for _ in range(6):
+        B = rational_matrix([[rng.choice([2, 3, 4, 5, 6, 7, 8, Fraction(1, 7)]) for _ in range(3)]
+                             for _ in range(3)])
+        for alpha in degrees_up_to(3, 4):
+            assert basis_of_degree(B, alpha) == oracle_basis_of_degree(B, alpha), (B, alpha)
+    assert max(prefixes) >= 5, prefixes
 
 
 # -- symmetrizer oracle ---------------------------------------------------------------
