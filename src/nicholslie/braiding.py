@@ -22,8 +22,42 @@ class InvalidMatrixError(ValueError):
     """Matrix data that does not define a diagonal braiding."""
 
 
+def _read_document(text: str, what: str, fields) -> dict:
+    """The JSON object of a matrix or graph document, with each of fields
+    present and a positive int n; InvalidMatrixError otherwise, also for
+    nesting past the decoder's recursion limit."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidMatrixError(f"{what} document is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise InvalidMatrixError(f"{what} document nests too deeply to decode") from None
+    if not isinstance(data, dict):
+        raise InvalidMatrixError(f"{what} document must be a JSON object")
+    for key in fields:
+        if key not in data:
+            raise InvalidMatrixError(f"{what} document missing field {key!r}")
+    n = data["n"]
+    # type(), not isinstance(): JSON true/false load as bool, an int subclass
+    if type(n) is not int or n < 1:
+        raise InvalidMatrixError(f"field 'n' must be a positive integer, got {n!r}")
+    return data
+
+
+def _inverse_rows(B) -> tuple:
+    # a function, not a closure made per inverse_row call: that is the hot path
+    return tuple(tuple(Scalar.one(B.order) if e.is_one() else e.inv() for e in row) for row in B._rows)
+
+
 class BraidingMatrix:
-    """Validated matrix of nonzero scalars; entries are 1-based."""
+    """Validated matrix of nonzero scalars; entries are 1-based.
+
+    It also keeps memos that depend on its entries alone, so that every
+    computation on the matrix shares them.  _lie_span_cache and
+    _pairing_row_cache are made with the matrix; _inv_rows, _json,
+    _shuffle_cache and _shape_cache are made on first use, through
+    _first_use, so a matrix that never needs one allocates none.
+    """
 
     __slots__ = (
         "n", "order", "_rows", "_inv_rows", "_json", "_lie_span_cache",
@@ -77,20 +111,8 @@ class BraidingMatrix:
 
         {"n": 2, "cyclotomic_order": 8, "q": [["-1", "z"], ["z^-1", "-1"]]}
         """
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidMatrixError(f"matrix document is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise InvalidMatrixError("matrix document must be a JSON object")
-        for key in ("n", "cyclotomic_order", "q"):
-            if key not in data:
-                raise InvalidMatrixError(f"matrix document missing field {key!r}")
-        n = data["n"]
-        order = data["cyclotomic_order"]
-        # type(), not isinstance(): JSON true/false load as bool, an int subclass
-        if type(n) is not int or n < 1:
-            raise InvalidMatrixError(f"field 'n' must be a positive integer, got {n!r}")
+        data = _read_document(text, "matrix", ("n", "cyclotomic_order", "q"))
+        n, order = data["n"], data["cyclotomic_order"]
         if type(order) is not int or order < 1:
             raise InvalidMatrixError(
                 f"field 'cyclotomic_order' must be an integer >= 1, got {order!r}"
@@ -119,16 +141,10 @@ class BraidingMatrix:
             return cls.from_json(handle.read())
 
     def to_json(self) -> str:
-        """Canonical document form (stable across runs, usable as a digest
-        key); built on first use and kept."""
-        if self._json is None:
-            doc = {
-                "n": self.n,
-                "cyclotomic_order": self.order,
-                "q": [[str(self._rows[i][j]) for j in range(self.n)] for i in range(self.n)],
-            }
-            object.__setattr__(self, "_json", json.dumps(doc, sort_keys=True, separators=(",", ":")))
-        return self._json
+        """Canonical document form, stable across runs and usable as a digest key."""
+        return self._first_use("_json", lambda B: json.dumps(
+            {"n": B.n, "cyclotomic_order": B.order, "q": [[str(e) for e in row] for row in B._rows]},
+            sort_keys=True, separators=(",", ":")))
 
     # -- entry access ----------------------------------------------------
 
@@ -139,28 +155,18 @@ class BraidingMatrix:
         return self._rows[i - 1][j - 1]
 
     def inverse_row(self, i: int):
-        """q_ij^-1 for j=1..n, built on first use; hot-loop accessor.  An
-        entry equal to 1 is the shared Scalar.one(order), never inverted,
-        so callers skip unit factors by identity."""
-        if self._inv_rows is None:
-            one = Scalar.one(self.order)
-            inv = tuple(tuple(one if e.is_one() else e.inv() for e in row) for row in self._rows)
-            object.__setattr__(self, "_inv_rows", inv)
-        return self._inv_rows[i - 1]
+        """q_ij^-1 for j=1..n; hot-loop accessor.  An entry equal to 1 is
+        the shared Scalar.one(order), never inverted, so callers skip unit
+        factors by identity."""
+        return self._first_use("_inv_rows", _inverse_rows)[i - 1]
 
-    def _shuffle_memos(self):
-        """The (suffix-pair shuffles, factors) memos of nichols._ShuffleTables,
-        made on first use, so a matrix that builds no Lie span allocates none."""
-        if self._shuffle_cache is None:
-            object.__setattr__(self, "_shuffle_cache", ({}, {}))
-        return self._shuffle_cache
-
-    def _span_shapes(self):
-        """lie._span's map from a degree's shape to the first span built with
-        that shape and its support, made on first use like _shuffle_memos."""
-        if self._shape_cache is None:
-            object.__setattr__(self, "_shape_cache", {})
-        return self._shape_cache
+    def _first_use(self, name: str, make):
+        """The memo in slot name, made by make(self) on first use and kept."""
+        memo = getattr(self, name)
+        if memo is None:
+            memo = make(self)
+            object.__setattr__(self, name, memo)
+        return memo
 
     # -- the bicharacter and friends --------------------------------------
 

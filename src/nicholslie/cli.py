@@ -135,10 +135,12 @@ def parse_monomial(text: str, n: int):
     return tuple(word)
 
 
+_INT = re.compile(r"-?[0-9]+")  # int() alone would also take "+1", "1_0" and non-ASCII digits
+
+
 def parse_degree(text: str, n: int):
     parts = [p.strip() for p in text.split(",")]
-    # int() alone would also take "+1", "1_0" and non-ASCII digits
-    if not all(re.fullmatch(r"-?[0-9]+", p) for p in parts):
+    if not all(_INT.fullmatch(p) for p in parts):
         raise BracketParseError(f"bad degree {text!r} (expected comma-separated integers)")
     alpha = tuple(int(p) for p in parts)
     if len(alpha) != n:
@@ -175,12 +177,16 @@ def emit_dot(G: DynkinGraph, B: BraidingMatrix = None, annotate: bool = False) -
 # -- dispatch ---------------------------------------------------------------
 
 
+def _int(text: str) -> int:
+    """An integer option value: what _INT matches, as parse_degree reads a component."""
+    if not _INT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _cap(text: str) -> int:
     """--max-terms value: an integer >= 0 (0 refuses every computation)."""
-    try:
-        cap = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    cap = _int(text)
     if cap < 0:
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {cap}")
     return cap
@@ -239,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["thm-equiv", "thm-maxsupport", "prop-pair", "prop-brackets"],
         required=True,
     )
-    p_ver.add_argument("--max-degree", type=int, default=None)
+    p_ver.add_argument("--max-degree", type=_int, default=None)
     p_ver.add_argument("--u", help="monomial for prop-pair")
     p_ver.add_argument("--v", help="monomial for prop-pair")
     p_ver.add_argument("--monomial", help="monomial for prop-brackets")
@@ -351,7 +357,7 @@ def main(argv=None, out=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InvalidMatrixError, BracketParseError, ValueError) as exc:
+    except ValueError as exc:  # InvalidMatrixError and BracketParseError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -8,10 +8,9 @@ subgraph generated by their support.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .braiding import BraidingMatrix, InvalidMatrixError
+from .braiding import BraidingMatrix, InvalidMatrixError, _read_document
 from .freealg import _check_choice, word_degree
 from .scalar import Scalar
 
@@ -166,16 +165,7 @@ def realize_graph(n: int, edges) -> BraidingMatrix:
 
 def abstract_graph_from_json(text: str):
     """Parse {"n": <int>, "edges": [[i, j], ...]} with 1-based vertices."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidMatrixError(f"graph document is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "n" not in data or "edges" not in data:
-        raise InvalidMatrixError("graph document must be an object with 'n' and 'edges'")
-    n = data["n"]
-    # type(), not isinstance(): JSON true/false load as bool, an int subclass
-    if type(n) is not int or n < 1:
-        raise InvalidMatrixError(f"field 'n' must be a positive integer, got {n!r}")
+    data = _read_document(text, "graph", ("n", "edges"))
     if not isinstance(data["edges"], list):
         raise InvalidMatrixError("field 'edges' must be a list of pairs [i, j]")
     edges = []
@@ -183,4 +173,4 @@ def abstract_graph_from_json(text: str):
         if not isinstance(e, list) or len(e) != 2 or any(type(v) is not int for v in e):
             raise InvalidMatrixError(f"edge {e!r} must be a pair [i, j] of integers")
         edges.append((e[0], e[1]))
-    return n, edges
+    return data["n"], edges

@@ -148,7 +148,8 @@ def _span(B: BraidingMatrix, alpha: tuple, kind: str) -> LieSpan:
         rows = B._rows
         shape = (kind, tuple(alpha[i] for i in support),
                  tuple((rows[i][j].num, rows[i][j].den) for i in support for j in support))
-        earlier = B._span_shapes().get(shape)
+        shapes = B._first_use("_shape_cache", lambda B: {})
+        earlier = shapes.get(shape)
         if earlier is not None:
             span = B._lie_span_cache[key] = _relabel(*earlier, alpha, support)
             return span
@@ -190,7 +191,7 @@ def _span(B: BraidingMatrix, alpha: tuple, kind: str) -> LieSpan:
                 break
     span = B._lie_span_cache[key] = LieSpan(alpha, kind, basis, provenance, reducer)
     if shape is not None:
-        B._span_shapes()[shape] = (span, support)
+        shapes[shape] = (span, support)
     return span
 
 
@@ -221,7 +222,7 @@ def monomial_membership(B: BraidingMatrix, word, kind: str, max_terms=None) -> M
         raise ValueError("membership of the empty word is undefined")
     alpha = _check_degree(B, word_degree(word, B.n))
     _guard(multinomial(alpha), max_terms, "pairing vector at degree {}", alpha)
-    target = tuple(_pairings(B, {word: Scalar.one(B.order)}, alpha))
+    target = _pairings(B, {word: Scalar.one(B.order)}, alpha)
     if not any(target):
         return MembershipReport(word, ZERO_IN_NICHOLS)
     span = lie_span(B, alpha, kind, max_terms)
@@ -271,7 +272,7 @@ def _member_test(B: BraidingMatrix, kind: str, max_terms):
             return False
         if span.dimension == multinomial(alpha):
             return True
-        target = tuple(_pairings(B, {word: Scalar.one(B.order)}, alpha))
+        target = _pairings(B, {word: Scalar.one(B.order)}, alpha)
         return any(target) and not any(span.solver.reduce(target))
 
     return is_member

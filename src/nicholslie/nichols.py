@@ -8,12 +8,14 @@ and a homogeneous element is zero in B(V) exactly when every iterated
 derivation down to degree zero vanishes.  Its pairing vector f
 (NicholsVector) holds those values: entry k belongs to the k-th dual
 word j of its degree in lexicographic order, and is the scalar left by
-applying D_{j_1} first, then D_{j_2}, and so on.  For an element, the
-descent (_pairings) fills it, applying D_i down to three letters and
-reading the memoized pairing rows of the words left.  For a product u*v,
-u of degree beta, the quantum shuffle (M. Rosso, Invent. Math. 133,
-1998) fills it from f_u and f_v alone, summing over the position sets S
-of j that spell a word of degree beta:
+applying D_{j_1} first, then D_{j_2}, and so on.  For an element, one
+descent (_descent) yields its nonzero values in that order, applying D_i
+down to three letters and reading the memoized pairing rows of the words
+left; a vanished branch yields nothing.  So the zero test is whether the
+descent has a first value.  For a product u*v, u of degree beta, the
+quantum shuffle (M. Rosso, Invent. Math. 133, 1998) fills it from f_u
+and f_v alone, summing over the position sets S of j that spell a word
+of degree beta:
 
     f_uv(j) = sum_S f_u(j_S) * f_v(j_not_S) * prod q_{j_k, j_l}^-1
               (over k not in S, l in S, l > k),
@@ -37,7 +39,6 @@ it is the independent check of that map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 from operator import mul
 
 from .braiding import BraidingMatrix
@@ -149,61 +150,57 @@ def skew_derivation(B: BraidingMatrix, i: int, u: FreeElement) -> FreeElement:
 
 
 def _pairing_row(B: BraidingMatrix, word) -> tuple:
-    """The pairing vector of a monomial of at most SHORT_ROW_LETTERS
-    letters, as its nonzero (index, value) pairs; memoized per matrix.
-    Its block for dual words starting with i is D_i(word) paired with the
-    rows of the shorter words."""
+    """The _descent of a monomial of at most SHORT_ROW_LETTERS letters,
+    memoized per matrix."""
     rows = B._pairing_row_cache
     row = rows.get(word)
     if row is None:
         if len(word) == 1:
             row = ((0, Scalar.one(B.order)),)
         else:
-            values = _derivations(B, {word: Scalar.one(B.order)}, word_degree(word, B.n))
-            row = tuple((k, v) for k, v in enumerate(values) if v)
+            row = tuple(_descent(B, {word: Scalar.one(B.order)}, word_degree(word, B.n), rows=False))
         rows[word] = row
     return row
 
 
-def _pairings(B: BraidingMatrix, terms: dict, alpha):
-    """The pairing vector of a word -> scalar map of degree alpha, by the
-    descent.  A vanished branch yields its zeros without descending; at
-    most SHORT_ROW_LETTERS letters from the bottom, it ends in the
-    memoized pairing rows of its words."""
+def _descent(B: BraidingMatrix, terms: dict, alpha, offset=0, rows=True):
+    """The nonzero values of the pairing vector of a word -> scalar map of
+    degree alpha, as (offset + index, value) pairs in dual-word order;
+    nothing for a vanished branch.  The block of dual words starting with
+    i is D_i(terms) descended; with rows, a degree of at most
+    SHORT_ROW_LETTERS letters instead sums the memoized rows of its words."""
     if not terms:
-        yield from repeat(Scalar.zero(B.order), multinomial(alpha))
-    elif sum(alpha) > SHORT_ROW_LETTERS:
-        yield from _derivations(B, terms, alpha)
-    else:
-        values = [None] * multinomial(alpha)
+        return
+    d, m = sum(alpha), multinomial(alpha)
+    if rows and d <= SHORT_ROW_LETTERS:
+        values = [None] * m
         for word, coeff in terms.items():
             for idx, v in _pairing_row(B, word):
                 v = coeff * v
                 acc = values[idx]
                 values[idx] = v if acc is None else acc + v
-        zero = Scalar.zero(B.order)
-        yield from (zero if v is None else v for v in values)
-
-
-def _derivations(B: BraidingMatrix, terms: dict, alpha):
-    """The pairings of a word -> scalar map, one block per generator i in
-    alpha in ascending order: its D_i paired against the dual words after i."""
+        yield from ((offset + k, v) for k, v in enumerate(values) if v)
+        return
     for idx, count in enumerate(alpha):
         if count:
             reduced = alpha[:idx] + (count - 1,) + alpha[idx + 1:]
-            yield from _pairings(B, _skew(B, idx + 1, terms), reduced)
+            yield from _descent(B, _skew(B, idx + 1, terms), reduced, offset)
+            offset += m * count // d  # multinomial(reduced)
+
+
+def _pairings(B: BraidingMatrix, terms: dict, alpha) -> tuple:
+    """The pairing vector of a word -> scalar map of degree alpha: the
+    values of _descent, zero elsewhere."""
+    values = [Scalar.zero(B.order)] * multinomial(alpha)
+    for k, v in _descent(B, terms, alpha):
+        values[k] = v
+    return tuple(values)
 
 
 def _vanishes(B: BraidingMatrix, terms: dict, alpha) -> bool:
-    """Whether a word -> scalar map of degree alpha is zero in B(V): the
-    descent of _pairings, ending at the first nonzero value and at once
-    on a vanished branch, whose zeros it never walks."""
-    if not terms:
-        return True
-    if sum(alpha) <= SHORT_ROW_LETTERS:
-        return not any(_pairings(B, terms, alpha))
-    return all(_vanishes(B, _skew(B, idx + 1, terms), alpha[:idx] + (count - 1,) + alpha[idx + 1:])
-               for idx, count in enumerate(alpha) if count)
+    """Whether a word -> scalar map of degree alpha is zero in B(V): its
+    descent ends at the first nonzero value."""
+    return next(_descent(B, terms, alpha), None) is None
 
 
 class _ShuffleTables:
@@ -217,14 +214,14 @@ class _ShuffleTables:
     table is built once per split and not kept.  It is read from the
     shuffles of suffix pairs, which are never enumerated (with repeated
     letters there are exponentially many) and, like the factors, depend on
-    B and the words alone, so both memos are kept on B (B._shuffle_memos())
+    B and the words alone, so both memos are kept on B (B._shuffle_cache)
     and shared by every alpha; they hold words and scalars, never B, so
     they make no reference cycle."""
 
     def __init__(self, B: BraidingMatrix, alpha: tuple):
         self.B, self.one = B, Scalar.one(B.order)
         self.index = {word: k for k, word in enumerate(_multidegree_words(alpha))}
-        self.memo, self.factors = B._shuffle_memos()
+        self.memo, self.factors = B._first_use("_shuffle_cache", lambda B: ({}, {}))
 
     def bracket(self, beta, gamma, p):
         index, one = self.index, self.one
@@ -292,7 +289,7 @@ def pairing_vector(B: BraidingMatrix, u: FreeElement, max_terms=None) -> Nichols
     if deg is None:
         raise ValueError("the zero element has no well-defined pairing degree")
     _guard(multinomial(deg), max_terms, "pairing vector at degree {}", deg)
-    return NicholsVector(deg, tuple(_pairings(B, u.terms, deg)))
+    return NicholsVector(deg, _pairings(B, u.terms, deg))
 
 
 def word_pairing_vector(B: BraidingMatrix, word, max_terms=None) -> NicholsVector:
@@ -403,7 +400,7 @@ def basis_of_degree(B: BraidingMatrix, alpha, max_terms=None):
     words = _multidegree_words(alpha)
     rows, pivots = [], []
     for word in words:
-        row = tuple(_pairings(B, {word: one}, alpha))
+        row = _pairings(B, {word: one}, alpha)
         rows.append(row)
         image = _residues(row, p, powers)
         if image is None or not _insert_mod_p(pivots, image, p):

@@ -45,12 +45,15 @@ def test_top_level_names_are_module_exports():
         ("braiding", "BraidingMatrix._word_pairing_cache"),
         ("braiding", "BraidingMatrix._inv_is_one"),
         ("braiding", "BraidingMatrix._build_inverse_tables"),
+        ("braiding", "BraidingMatrix._shuffle_memos"),
+        ("braiding", "BraidingMatrix._span_shapes"),
         ("graphs", "_UnionFind"),
         ("graphs", "_check_kind"),
         ("freealg", "_check_bracket_kind"),
         ("nichols", "NicholsVector.row"),
         ("nichols", "_bound_degree"),
         ("nichols", "_apply_braid_transposition"),
+        ("nichols", "_derivations"),
         ("lie", "_check_kind"),
         ("cli", "eval_bracket_expr"),
         ("cli", "format_bracket_expr"),

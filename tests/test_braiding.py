@@ -162,6 +162,7 @@ def test_from_json_rejects_bad_documents():
         '{"n":2,"cyclotomic_order":0,"q":[["1","1"],["1","1"]]}',
         '{"n":2,"cyclotomic_order":1,"q":[["1","1"]]}',
         '{"n":1,"cyclotomic_order":1,"q":[[2]]}',
+        "[" * 100_000,  # past the decoder's recursion limit: no RecursionError
     ]:
         with pytest.raises(InvalidMatrixError):
             BraidingMatrix.from_json(text)
@@ -213,3 +214,26 @@ def test_from_json_refuses_order_above_cap():
     for order in (MAX_ORDER + 1, 1000000007):
         with pytest.raises(GuardrailExceeded, match=f"^cyclotomic order {order}: "):
             BraidingMatrix.from_json(f'{{"n":1,"cyclotomic_order":{order},"q":[["2"]]}}')
+
+
+def test_empty_matrix_rejected():
+    with pytest.raises(InvalidMatrixError, match="^matrix must have rank at least 1$"):
+        BraidingMatrix([])
+
+
+def test_matrix_attributes_cannot_be_set():
+    B = matrix_from_strings([["2"]], 1)
+    for name in ("n", "order", "_json", "extra"):
+        with pytest.raises(AttributeError, match="^BraidingMatrix is immutable$"):
+            setattr(B, name, 3)
+    assert B.n == 1 and B.order == 1
+
+
+def test_first_use_memos_are_made_once():
+    B = matrix_from_strings([["2", "z"], ["1", "-1"]], 3)
+    assert B._lie_span_cache == {} and B._pairing_row_cache == {}
+    for name in ("_inv_rows", "_json", "_shuffle_cache", "_shape_cache"):
+        assert getattr(B, name) is None
+    text, row = B.to_json(), B.inverse_row(2)
+    assert B.to_json() is text and B.inverse_row(2) is row
+    assert B._inv_rows[1] is row

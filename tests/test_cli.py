@@ -189,6 +189,12 @@ def test_emit_dot_byte_stable():
     assert emit_dot(G, B, annotate=True) == emit_dot(G, B, annotate=True)
 
 
+def test_emit_dot_annotation_needs_the_matrix():
+    G = build_graph(rational_matrix([[2, 2], [2, 2]]), PURE)
+    with pytest.raises(ValueError, match="^annotation needs the braiding matrix$"):
+        emit_dot(G, annotate=True)
+
+
 # -- dispatch ----------------------------------------------------------------------
 
 def test_cmd_graph_text(matrix_file):
@@ -203,6 +209,13 @@ def test_cmd_graph_annotated(matrix_file):
     )
     assert code == 0
     assert "edge 1 2 label=4" in out
+
+
+def test_cmd_graph_augmented_annotated(matrix_file):
+    code, out = run(
+        ["graph", "--input", matrix_file(DISCONNECTED), "--kind", "augmented", "--annotate"]
+    )
+    assert (code, out) == (0, "vertices: 1 2\nedge 1 2 labels=z,-z^3\n")
 
 
 def test_cmd_graph_dot(matrix_file):
@@ -495,6 +508,12 @@ def test_usage_error_exit_two(matrix_file):
     assert code == 2
 
 
+def test_claim_without_its_monomial_exits_two(matrix_file, capsys):
+    code, out = run(["verify", "--input", matrix_file(CONNECTED), "--claim", "prop-brackets"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "usage error: prop-brackets needs --monomial\n"
+
+
 def test_negative_cap_is_usage_error(matrix_file, capsys):
     # a negative cap is a malformed argument, not a guardrail hit
     path = matrix_file(CONNECTED)
@@ -559,29 +578,52 @@ def test_boolean_fields_exit_four(matrix_file):
      "bad monomial token 'y2' (expected x<digits>)"),
     (CONNECTED, ["dim", "--degree", "1,a"], "bad degree '1,a' (expected comma-separated integers)"),
     (CONNECTED, ["bracket", "--expr", "[x1,x2", "--lie", "minus"], "expected ']' to close bracket"),
-], ids=["literal", "monomial", "degree", "bracket"])
+    (CONNECTED, ["bracket", "--expr", "[x0,x1]", "--lie", "minus"], "generator index must be >= 1, got x0"),
+    (CONNECTED, ["verify", "--claim", "thm-maxsupport", "--max-degree", "-1"],
+     "d_max must be at least k=2, the size of the largest pure component "
+     "(a word with k distinct generators has length >= k)"),
+    ("[" * 100_000, ["dim", "--degree", "1"], "matrix document nests too deeply to decode"),
+], ids=["literal", "monomial", "degree", "bracket", "generator-zero", "negative-max-degree", "deep-nesting"])
 def test_input_errors_exit_four(matrix_file, capsys, doc, argv, message):
     code, out = run(argv[:1] + ["--input", matrix_file(doc)] + argv[1:])
     assert (code, out) == (4, "")
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("doc, argv, message", [
-    ('{"n":1,"cyclotomic_order":1,"q":[["\\u0662"]]}', ["dim", "--degree", "1"],
+@pytest.mark.parametrize("doc, argv, code, message", [
+    ('{"n":1,"cyclotomic_order":1,"q":[["\\u0662"]]}', ["dim", "--degree", "1"], 4,
      "entry (1,1): unexpected character '٢' in scalar literal"),
-    (CONNECTED, ["ismember", "--monomial", "x١ x2", "--lie", "minus"],
+    (CONNECTED, ["ismember", "--monomial", "x١ x2", "--lie", "minus"], 4,
      "bad monomial token 'x١' (expected x<digits>)"),
-    (CONNECTED, ["bracket", "--expr", "[x١,x2]", "--lie", "minus"],
+    (CONNECTED, ["bracket", "--expr", "[x١,x2]", "--lie", "minus"], 4,
      "unexpected input 'x١,x2]' in bracket expression"),
-    (CONNECTED, ["dim", "--degree", "1_0,1"], "bad degree '1_0,1' (expected comma-separated integers)"),
-    (CONNECTED, ["dim", "--degree", "+1,1"], "bad degree '+1,1' (expected comma-separated integers)"),
-    (CONNECTED, ["dim", "--degree", "١,1"], "bad degree '١,1' (expected comma-separated integers)"),
-], ids=["literal", "monomial", "bracket", "degree-underscore", "degree-plus", "degree-arabic"])
-def test_parsers_take_ascii_digits_only(matrix_file, capsys, doc, argv, message):
-    # \d and int() also read non-ASCII digits, and int() takes "+1" and "1_0"
-    code, out = run(argv[:1] + ["--input", matrix_file(doc)] + argv[1:])
-    assert (code, out) == (4, "")
-    assert capsys.readouterr().err == f"error: {message}\n"
+    (CONNECTED, ["dim", "--degree", "1_0,1"], 4, "bad degree '1_0,1' (expected comma-separated integers)"),
+    (CONNECTED, ["dim", "--degree", "+1,1"], 4, "bad degree '+1,1' (expected comma-separated integers)"),
+    (CONNECTED, ["dim", "--degree", "١,1"], 4, "bad degree '١,1' (expected comma-separated integers)"),
+    (CONNECTED, ["dim", "--degree", "1,1", "--max-terms", "1_0"], 2,
+     "argument --max-terms: invalid int value: '1_0'"),
+    (CONNECTED, ["dim", "--degree", "1,1", "--max-terms", "+1"], 2,
+     "argument --max-terms: invalid int value: '+1'"),
+    (CONNECTED, ["dim", "--degree", "1,1", "--max-terms", "١"], 2,
+     "argument --max-terms: invalid int value: '١'"),
+    (CONNECTED, ["verify", "--claim", "thm-maxsupport", "--max-degree", "1_0"], 2,
+     "argument --max-degree: invalid int value: '1_0'"),
+    (CONNECTED, ["verify", "--claim", "thm-maxsupport", "--max-degree", "+3"], 2,
+     "argument --max-degree: invalid int value: '+3'"),
+    (CONNECTED, ["verify", "--claim", "thm-maxsupport", "--max-degree", "١"], 2,
+     "argument --max-degree: invalid int value: '١'"),
+], ids=["literal", "monomial", "bracket", "degree-underscore", "degree-plus", "degree-arabic",
+        "max-terms-underscore", "max-terms-plus", "max-terms-arabic",
+        "max-degree-underscore", "max-degree-plus", "max-degree-arabic"])
+def test_parsers_take_ascii_digits_only(matrix_file, capsys, doc, argv, code, message):
+    # \d and int() also read non-ASCII digits, and int() takes "+1" and "1_0";
+    # a bad value in the input is bad input (4), a bad option value a usage error (2)
+    assert run(argv[:1] + ["--input", matrix_file(doc)] + argv[1:]) == (code, "")
+    err = capsys.readouterr().err
+    if code == 4:
+        assert err == f"error: {message}\n"
+    else:
+        assert err.startswith("usage: ") and err.endswith(f": error: {message}\n")
 
 
 def test_degree_zero_has_one_message(matrix_file, capsys):

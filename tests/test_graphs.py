@@ -329,3 +329,28 @@ def test_abstract_graph_json():
 def test_abstract_graph_json_rejects_non_int(doc):
     with pytest.raises(InvalidMatrixError):
         abstract_graph_from_json(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ('{"n": 2, "edges": [[1, 2]', "graph document is not valid JSON: "),
+    ('[[1, 2]]', "graph document must be a JSON object"),
+    ('{"n": 2}', "graph document missing field 'edges'"),
+    ('{"edges": []}', "graph document missing field 'n'"),
+    ("[" * 100_000, "graph document nests too deeply to decode"),
+], ids=["invalid-json", "non-object", "no-edges", "no-n", "deep-nesting"])
+def test_abstract_graph_json_rejects_malformed_documents(doc, message):
+    # the matrix reader's messages, with "graph" for "matrix"
+    with pytest.raises(InvalidMatrixError) as info:
+        abstract_graph_from_json(doc)
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ({(2, 2)}, "loop edge at vertex 2"),
+    ({(1, 4)}, "edge (1,4) leaves the vertex set"),
+    ({(3, 1)}, "edge (3,1) not normalized to i < j"),
+], ids=["loop", "outside", "unnormalized"])
+def test_dynkin_graph_rejects_bad_edges(edges, message):
+    with pytest.raises(ValueError) as info:
+        DynkinGraph(frozenset({1, 2, 3}), frozenset(edges), PURE)
+    assert str(info.value) == message

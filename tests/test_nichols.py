@@ -139,6 +139,12 @@ def test_pairing_rejects_non_homogeneous():
         pairing_vector(B, gen(B, 1) + word(B, (1, 2)))
 
 
+def test_pairing_rejects_the_zero_element():
+    B = rational_matrix([[2, 1], [1, 2]])
+    with pytest.raises(ValueError, match="^the zero element has no well-defined pairing degree$"):
+        pairing_vector(B, FreeElement.zero(2, 1))
+
+
 def test_pairing_is_dense_over_multidegree():
     B = rational_matrix([[2, 2], [2, 2]])
     pv = pairing_vector(B, word(B, (1, 1, 2)))

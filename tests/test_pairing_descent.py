@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from nicholslie.braiding import BraidingMatrix
 from nicholslie.freealg import FreeElement, braided_bracket
-from nicholslie.nichols import is_zero_in_nichols, pairing_vector
+from nicholslie.nichols import _descent, is_zero_in_nichols, pairing_vector
 from nicholslie.scalar import parse_scalar
 
 from descent_oracle import oracle_pairings
@@ -68,3 +68,5 @@ def test_pairing_vector_matches_descent_oracle(case):
     # is_zero first, so pairing_vector also reads rows memoized by another call
     assert is_zero_in_nichols(B, elem) == (not any(expected))
     assert pairing_vector(B, elem).values == expected
+    # the descent yields the nonzero values alone, in dual-word order
+    assert tuple(_descent(B, elem.terms, elem.degree())) == tuple((k, v) for k, v in enumerate(expected) if v)

@@ -508,3 +508,17 @@ def test_print_parse_roundtrip_randomized(rng):
             ]
             s = Scalar.from_poly(order, coeffs)
             assert parse_scalar(str(s), order) == s
+
+
+def test_coefficient_count_must_be_the_totient():
+    with pytest.raises(ValueError, match="^expected 4 coefficients for order 8, got 2$"):
+        Scalar(8, [1, 2])
+
+
+def test_reflected_subtraction():
+    z = Scalar.root_power(3, 1)
+    assert 1 - z == Scalar(3, [1, -1])
+    s = Scalar.from_rational(8, Fraction(3, 4))
+    assert Fraction(1, 2) - s == Scalar(8, [Fraction(-1, 4), 0, 0, 0])
+    with pytest.raises(TypeError):
+        "1" - z

@@ -149,6 +149,12 @@ def test_prop_pair_shared_generator_allowed():
     assert report.verdict == CONFIRMED
 
 
+@pytest.mark.parametrize("u, v", [((), (2,)), ((1,), ())])
+def test_prop_pair_needs_nonempty_monomials(u, v):
+    with pytest.raises(ValueError, match="^both monomials must be nonempty$"):
+        check_prop_disconnected_pair(rational_matrix([[2, 1], [1, 2]]), u, v)
+
+
 def test_prop_brackets_power_word():
     B = matrix_from_strings([["z", "z^5"], ["z^2", "-1"]], 8)
     report = check_prop_all_bracketings(B, (1, 1, 1))
@@ -310,3 +316,13 @@ def test_small_battery_soundness():
         assert report.verdict in (CONFIRMED, INCONCLUSIVE)
         report = check_theorem_max_support(B, d_max=3)
         assert report.verdict in (CONFIRMED, INCONCLUSIVE)
+
+
+def test_grid_index_past_the_grid_rejected():
+    with pytest.raises(IndexError, match="^grid index out of range$"):
+        grid_matrix_at(grid_size(2, OFF, DIAG), 2, OFF, DIAG, 3)
+
+
+def test_sample_larger_than_grid_rejected():
+    with pytest.raises(ValueError, match="^cannot sample 145 of 144 grid points$"):
+        next(sample_grid_matrices(2, OFF, DIAG, 3, count=145, seed=1))
