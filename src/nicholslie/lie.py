@@ -61,7 +61,7 @@ class LieSpan:
     the pairing vectors of their candidates.  solver is the row reducer
     that selected the basis; solver.reduce(v) is all zero exactly when v
     lies in the span.  A span relabelled from an earlier degree of the
-    same shape (see lie_span) shares that degree's solver, so a solver is
+    same shape (see _span) shares that degree's solver, so a solver is
     read-only once its span is built: reduce it, never insert into it.
     """
 
@@ -91,7 +91,9 @@ def lie_span(B: BraidingMatrix, alpha, kind: str, max_terms=None) -> LieSpan:
     of basis entries of L_beta and L_gamma, beta + gamma = alpha (beta in
     itertools.product order, then b, then c), is paired by shuffling the
     stored vectors of b and c, and kept when nonzero and independent; its
-    provenance is the (tree, word) pair ((t_b, t_c), w_b + w_c).
+    provenance is the (tree, word) pair ((t_b, t_c), w_b + w_c).  A span
+    is reused, and work is skipped, only where no basis vector, provenance
+    entry or pivot changes (see _span).
 
     The guard is checked here, once, and sizes the whole build: it pairs
     sum dim L_beta * dim L_gamma candidates, and dim L <= multinomial, so
@@ -102,27 +104,6 @@ def lie_span(B: BraidingMatrix, alpha, kind: str, max_terms=None) -> LieSpan:
     recursion (_span) checks nothing.  Spans are cached on B per (degree,
     kind), behind the guard at alpha; a cache hit still checks the kind,
     the degree and the cap, and formats no refusal text unless it refuses.
-
-    A mirrored split gamma is skipped where its candidates are multiples
-    of those at beta: with p = chi(gamma, beta) and p' = chi(beta, gamma),
-    the bracket table at gamma is -p' times the transpose of the one at
-    beta when p * p' = 1 (always for minus), so [c, b] = -p' * [b, c].
-    Split beta < gamma comes first in product order and offers every
-    [b, c] to the reducer, which would then refuse each [c, b].  A split
-    whose bracket table cancels entirely offers nothing: each of its
-    candidates is zero.  And the build stops once the span has rank
-    m(alpha), since the reducer would refuse every later candidate.  So
-    none of the three changes a basis vector, provenance entry or pivot.
-
-    A degree is not built when an earlier degree of B has its shape: the
-    same kind, the same exponents on its support S and the same q_ij for
-    i, j in S.  Its span is the earlier one relabelled through the
-    increasing map of supports: the same value tuples and solver, and
-    provenance words mapped letter by letter (trees hold no letters).
-    This is exact: an increasing letter map keeps the lex order of words
-    (so the dual words correspond entry by entry), the product order of
-    splits and gamma > beta, and chi, the shuffle weights and the pivot
-    columns read only entries inside S.
     """
     _check_choice(kind, (BRAIDED, MINUS), "bracket kind")
     alpha = _check_degree(B, alpha)
@@ -134,25 +115,40 @@ def lie_span(B: BraidingMatrix, alpha, kind: str, max_terms=None) -> LieSpan:
 
 def _span(B: BraidingMatrix, alpha: tuple, kind: str) -> LieSpan:
     """L_alpha from B's span cache, else relabelled from the first span of
-    its shape, else built from the spans below it, pairing each split
-    through one bracket table and skipping mirrored and cancelling splits,
-    until the span is full (see lie_span).  Scalars enter the shape as
-    (num, den) pairs, so no Fraction is hashed; a degree that uses every
-    letter is alone in its shape and is not recorded."""
+    its shape, else built from the spans below it (see lie_span) and
+    recorded under its shape.
+
+    The shape of a degree is its kind, its exponents on its support S and
+    the q_ij for i, j in S, with scalars as (num, den) pairs, so no
+    Fraction is hashed.  A relabelled span is the earlier one read through
+    the increasing map of supports: the same value tuples and solver, and
+    provenance words mapped letter by letter (trees hold no letters).
+    This is exact: an increasing letter map keeps the lex order of words
+    (so the dual words correspond entry by entry), the product order of
+    splits and gamma > beta, and chi, the shuffle weights and the pivot
+    columns read only entries inside S.
+
+    A build skips a mirrored split gamma, where its candidates are
+    multiples of those at beta: with p = chi(gamma, beta) and p' =
+    chi(beta, gamma), the bracket table at gamma is -p' times the
+    transpose of the one at beta when p * p' = 1 (always for minus), so
+    [c, b] = -p' * [b, c].  Split beta < gamma comes first in product
+    order and offers every [b, c] to the reducer, which would then refuse
+    each [c, b].  A split whose bracket table cancels entirely offers
+    nothing: each of its candidates is zero.  And the build stops once the
+    span has rank m(alpha), since the reducer would refuse every later
+    candidate.
+    """
     key = (alpha, kind)
     if key in B._lie_span_cache:
         return B._lie_span_cache[key]
-    support = tuple(i for i, a in enumerate(alpha) if a)
-    shape = None
-    if len(support) < B.n:
-        rows = B._rows
-        shape = (kind, tuple(alpha[i] for i in support),
-                 tuple((rows[i][j].num, rows[i][j].den) for i in support for j in support))
-        shapes = B._first_use("_shape_cache", lambda B: {})
-        earlier = shapes.get(shape)
-        if earlier is not None:
-            span = B._lie_span_cache[key] = _relabel(*earlier, alpha, support)
-            return span
+    support, rows = tuple(i for i, a in enumerate(alpha) if a), B._rows
+    shape = (kind, tuple(alpha[i] for i in support),
+             tuple((rows[i][j].num, rows[i][j].den) for i in support for j in support))
+    shapes = B._first_use("_shape_cache", lambda B: {})
+    if (earlier := shapes.get(shape)) is not None:
+        span = B._lie_span_cache[key] = _relabel(*earlier, alpha, support)
+        return span
     d, m = sum(alpha), multinomial(alpha)
     zero, one = Scalar.zero(B.order), Scalar.one(B.order)
 
@@ -190,8 +186,7 @@ def _span(B: BraidingMatrix, alpha: tuple, kind: str) -> LieSpan:
             if reducer.rank == m:  # full: every later candidate is refused
                 break
     span = B._lie_span_cache[key] = LieSpan(alpha, kind, basis, provenance, reducer)
-    if shape is not None:
-        shapes[shape] = (span, support)
+    shapes[shape] = span, support
     return span
 
 

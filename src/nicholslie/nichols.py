@@ -18,13 +18,13 @@ and f_v alone, summing over the position sets S of j that spell a word
 of degree beta:
 
     f_uv(j) = sum_S f_u(j_S) * f_v(j_not_S) * prod q_{j_k, j_l}^-1
-              (over k not in S, l in S, l > k),
+              (over k not in S, l in S, l > k).
 
-and lie pairs each bracket [b, c] = c*b - p*b*c of a split (beta, gamma)
-through one table that folds both products' interleaving weights, of at
-most m(alpha) * min(prod C(alpha_i, beta_i), m(beta) * m(gamma)) entries,
-m counting the words of a degree (_ShuffleTables.bracket, _shuffle_into);
-a split whose table cancels entirely brackets to zero and is not paired.
+A bracket [b, c] = c*b - p*b*c, b of degree beta and c of degree
+gamma = alpha - beta, is paired through one table that folds both
+products' interleaving weights, of at most
+m(alpha) * min(prod C(alpha_i, beta_i), m(beta) * m(gamma)) entries,
+m counting the words of a degree (_ShuffleTables.bracket, _shuffle_into).
 The tables are built from the shuffles of suffix pairs of words, which
 depend on B alone and are memoized per matrix.  Exact elimination on the
 vectors gives dim B(V)_alpha and membership, cross-checked by the rank
@@ -121,15 +121,21 @@ def _homogeneous_degree(B: BraidingMatrix, u: FreeElement):
 
 
 def _skew(B: BraidingMatrix, i: int, terms: dict) -> dict:
-    # D_i on a word -> scalar map: one pass per word, keeping the running
-    # product of q_{i, w_l}^{-1} over the prefix; unit factors are skipped.
-    # The accumulation is inlined: this is the innermost loop of every descent.
+    # D_i on a word -> scalar map: one pass per word.  At each x_i the
+    # running product of q_{i, w_l}^{-1} over the prefix takes the letters
+    # since the last x_i (from done on), so nothing is multiplied past the
+    # last x_i or in a word without one; unit factors are skipped.  The
+    # accumulation is inlined: this is the innermost loop of every descent.
     inv_row, one = B.inverse_row(i), _cached_one(B.order)
     out = {}
     for word, coeff in terms.items():
-        running = coeff
+        running, done = coeff, 0
         for k, letter in enumerate(word):
             if letter == i:
+                for x in word[done:k]:
+                    if (f := inv_row[x - 1]) is not one:
+                        running = running * f
+                done = k
                 reduced = word[:k] + word[k + 1:]
                 acc = out.get(reduced)
                 acc = running if acc is None else acc + running
@@ -137,8 +143,6 @@ def _skew(B: BraidingMatrix, i: int, terms: dict) -> dict:
                     out[reduced] = acc
                 elif reduced in out:
                     del out[reduced]
-            if (f := inv_row[letter - 1]) is not one:
-                running = running * f
     return out
 
 
@@ -383,14 +387,14 @@ def basis_of_degree(B: BraidingMatrix, alpha, max_terms=None):
 
     Every word of the multidegree is paired once, in lexicographic order,
     and the returned pivots are those of exact elimination with
-    first-nonzero pivoting in that order, so they are deterministic.  Each
-    row is first mapped to F_p (scalar._residue_field) and eliminated
-    there.  The certificate is one-sided: if every row stays independent
-    mod p, the m x m minor is nonzero mod p, hence over Q(zeta_N), and the
-    answer is every word with rank m, as exact elimination would find it.
-    At the first row that is dependent mod p, or whose denominator p
-    divides, the rows so far and the rest are eliminated exactly, since a
-    partial result mod p decides nothing.
+    first-nonzero pivoting in that order, so they are deterministic.  The
+    rows are first mapped to F_p (scalar._residue_field) and eliminated
+    there, up to the first one that is dependent mod p or whose
+    denominator p divides.  The certificate is one-sided: if every row
+    stays independent mod p, the m x m minor is nonzero mod p, hence over
+    Q(zeta_N), and the answer is every word with rank m, as exact
+    elimination would find it.  Otherwise all rows are eliminated exactly,
+    since a partial result mod p decides nothing.
     """
     alpha = _check_degree(B, alpha)
     m = multinomial(alpha)
@@ -398,21 +402,13 @@ def basis_of_degree(B: BraidingMatrix, alpha, max_terms=None):
     one = Scalar.one(B.order)
     p, powers = _residue_field(B.order)
     words = _multidegree_words(alpha)
-    rows, pivots = [], []
-    for word in words:
-        row = _pairings(B, {word: one}, alpha)
-        rows.append(row)
-        image = _residues(row, p, powers)
-        if image is None or not _insert_mod_p(pivots, image, p):
-            break
-    else:
+    rows = [_pairings(B, {word: one}, alpha) for word in words]
+    pivots = []
+    images = (_residues(row, p, powers) for row in rows)
+    if all(image is not None and _insert_mod_p(pivots, image, p) for image in images):
         return words, m
     reducer = _RowReducer()
-    pivot_words = []
-    for k, word in enumerate(words):
-        if reducer.insert(rows[k] if k < len(rows) else _pairings(B, {word: one}, alpha)):
-            pivot_words.append(word)
-    return tuple(pivot_words), reducer.rank
+    return tuple(word for word, row in zip(words, rows) if reducer.insert(row)), reducer.rank
 
 
 # -- quantum symmetrizer oracle ---------------------------------------------

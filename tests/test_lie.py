@@ -864,7 +864,8 @@ def test_matrix_caches_make_no_reference_cycle():
 
 def test_shape_map_is_made_by_the_first_span_build():
     # like the shuffle memos, the shape map is not allocated with the matrix:
-    # elimination and pairing make none, nor do spans over every letter
+    # elimination and pairing make none, and every span build records its
+    # span there, a span over every letter too
     B = realize_graph(3, [(1, 2)])
     basis_of_degree(B, (2, 1, 1))
     pairing_vector(B, FreeElement.from_word(3, 1, (1, 2, 3)))
@@ -872,8 +873,10 @@ def test_shape_map_is_made_by_the_first_span_build():
     lie_span(B, (1, 1, 0), BRAIDED)
     assert B._shape_cache
     B = rational_matrix([[2]])
-    lie_span(B, (4,), BRAIDED)
-    assert B._shape_cache is None and B._shuffle_cache is not None
+    span = lie_span(B, (4,), BRAIDED)
+    recorded, support = B._shape_cache[(BRAIDED, (4,), (((2,), 1),))]
+    assert recorded is span and support == (0,)
+    assert B._shuffle_cache is not None
 
 
 # -- spans shared by shape ---------------------------------------------------------

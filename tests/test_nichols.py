@@ -349,6 +349,34 @@ def test_fallback_keeps_the_rows_before_it(monkeypatch):
     assert max(prefixes) >= 5, prefixes
 
 
+def test_basis_pairs_each_word_once(monkeypatch):
+    # every word of alpha is paired exactly once, in lex order, whether the
+    # certificate holds or the degree falls back to exact elimination; with
+    # p = 7 (the patch of test_fallback_keeps_the_rows_before_it) both occur
+    monkeypatch.setattr(nichols, "_residue_field", lambda order: (7, (1,)))
+    monkeypatch.setattr(nichols, "_RowReducer", CountingReducer)
+    pairings, paired = nichols._pairings, []
+
+    def counted(B, terms, alpha):
+        paired.extend(terms)
+        return pairings(B, terms, alpha)
+
+    monkeypatch.setattr(nichols, "_pairings", counted)
+    rng = random.Random(77)
+    seen = {"certified": 0, "fallback": 0}
+    for _ in range(3):
+        B = rational_matrix([[rng.choice([2, 3, 4, 5, 6, 7, 8, Fraction(1, 7)]) for _ in range(3)]
+                             for _ in range(3)])
+        for alpha in degrees_up_to(3, 4):
+            paired.clear()
+            CountingReducer.inserted = 0
+            got = basis_of_degree(B, alpha)
+            assert paired == list(words_of_multidegree(alpha)), alpha
+            assert got == oracle_basis_of_degree(B, alpha), (B, alpha)
+            seen["fallback" if CountingReducer.inserted else "certified"] += 1
+    assert seen["certified"] and seen["fallback"], seen
+
+
 # -- symmetrizer oracle ---------------------------------------------------------------
 
 def test_symmetrizer_degree_one_is_identity():
@@ -504,6 +532,36 @@ def test_skew_derivation_index_range():
     B = rational_matrix([[2]])
     with pytest.raises(ValueError, match=r"^letter 2 out of range 1\.\.1$"):
         skew_derivation(B, 2, FreeElement.from_word(1, 1, (1,)))
+
+
+def test_derivation_multiplies_only_up_to_the_last_matching_letter(monkeypatch):
+    # D_i multiplies the running prefix factor up to each x_i it meets and no
+    # further: over q = [[1, 2], [3, 4]], q_11^-1 = 1 is skipped, so D_1 of
+    # x1 x2 x2 x2 and of x2 x2 make no product, and D_2 of x1 x2 x1 x2 makes
+    # 3, one for the x1 before the first x2 and two for the x2 x1 before the second
+    B = matrix_from_strings([["1", "2"], ["3", "4"]], 1)
+    one = Scalar.one(1)
+    B.inverse_row(1), B.inverse_row(2)  # made on first use, before counting
+    mul, calls = Scalar.__mul__, []
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    counts = []
+    for i, letters in ((1, (1, 2, 2, 2)), (1, (2, 2)), (2, (1, 2, 1, 2))):
+        calls.clear()
+        nichols._skew(B, i, {letters: one})
+        counts.append(len(calls))
+    assert counts == [0, 0, 3]
+    monkeypatch.undo()
+    assert nichols._skew(B, 1, {(1, 2, 2, 2): one}) == {(2, 2, 2): one}
+    assert nichols._skew(B, 1, {(2, 2): one}) == {}
+    assert nichols._skew(B, 2, {(1, 2, 1, 2): one}) == {
+        (1, 1, 2): Scalar.from_rational(1, Fraction(1, 3)),   # q21^-1
+        (1, 2, 1): Scalar.from_rational(1, Fraction(1, 36)),  # q21^-1 q22^-1 q21^-1
+    }
 
 
 def test_zero_test_exits_before_the_full_descent(monkeypatch):
