@@ -176,15 +176,16 @@ class BraidingMatrix:
             raise ValueError(
                 f"degree vectors must have length {self.n}, got {len(alpha)} and {len(beta)}"
             )
-        out = Scalar.one(self.order)
+        one, out = Scalar.one(self.order), None  # None: the running 1, never multiplied
         for i, a in enumerate(alpha):
             if not a:
                 continue
             row = self._rows[i]
             for j, b in enumerate(beta):
-                if b:
-                    out = out * row[j] ** (a * b)
-        return out
+                if b and row[j] != one:
+                    f = row[j] ** (a * b)
+                    out = f if out is None else out * f
+        return one if out is None else out
 
     def p_tilde(self, i: int, j: int) -> Scalar:
         """q_ij * q_ji; equal to 1 exactly when {i,j} is not a pure edge."""

@@ -59,10 +59,12 @@ class LieSpan:
 
     The basis vectors are all the spans above read: they shuffle them into
     the pairing vectors of their candidates.  solver is the row reducer
-    that selected the basis; solver.reduce(v) is all zero exactly when v
-    lies in the span.  A span relabelled from an earlier degree of the
-    same shape (see _span) shares that degree's solver, so a solver is
-    read-only once its span is built: reduce it, never insert into it.
+    that selected the basis; solver.reduce(v) is the exact residue of v,
+    all zero exactly when v lies in the span, and solver.contains(v) is
+    that test, building no scalar.  A span relabelled from an earlier
+    degree of the same shape (see _span) shares that degree's solver, so a
+    solver is read-only once its span is built: reduce it, never insert
+    into it.
     """
 
     degree: tuple
@@ -221,7 +223,7 @@ def monomial_membership(B: BraidingMatrix, word, kind: str, max_terms=None) -> M
     if not any(target):
         return MembershipReport(word, ZERO_IN_NICHOLS)
     span = lie_span(B, alpha, kind, max_terms)
-    if any(span.solver.reduce(target)):
+    if not span.solver.contains(target):
         return MembershipReport(word, NOT_MEMBER, span=span)
     # The basis is independent, so the witness is unique: reducing
     # (target | 0) by the rows (basis[k] | e_k) leaves (0 | -witness).
@@ -245,7 +247,7 @@ def _member_test(B: BraidingMatrix, kind: str, max_terms):
     - a span of rank m(alpha) is the whole pairing space: the m pairing
       vectors of the words of alpha span it, so they are independent, no
       word is zero in B(V), and every word is a member, with no pairing;
-    - otherwise the word is paired once and reduced by the span's solver.
+    - otherwise the word is paired once and tested by the span's solver.
 
     lie_span has checked the degree, and its guard, max(d - 1, 1) * m^2,
     covers the target's, m.  Where it refuses, monomial_membership answers
@@ -268,7 +270,7 @@ def _member_test(B: BraidingMatrix, kind: str, max_terms):
         if span.dimension == multinomial(alpha):
             return True
         target = _pairings(B, {word: Scalar.one(B.order)}, alpha)
-        return any(target) and not any(span.solver.reduce(target))
+        return any(target) and span.solver.contains(target)
 
     return is_member
 

@@ -27,8 +27,9 @@ m(alpha) * min(prod C(alpha_i, beta_i), m(beta) * m(gamma)) entries,
 m counting the words of a degree (_ShuffleTables.bracket, _shuffle_into).
 The tables are built from the shuffles of suffix pairs of words, which
 depend on B alone and are memoized per matrix.  Exact elimination on the
-vectors gives dim B(V)_alpha and membership, cross-checked by the rank
-of a quantum symmetrizer.  basis_of_degree first eliminates the vectors'
+vectors, run fraction-free on integers over Z[zeta_N] (_RowReducer),
+gives dim B(V)_alpha and membership, cross-checked by the rank of a
+quantum symmetrizer.  basis_of_degree first eliminates the vectors'
 images mod a prime p = 1 (mod N), where zeta_N maps to a primitive N-th
 root of unity: that certificate is one-sided, since independence mod p
 proves full rank over Q(zeta_N) and dependence mod p proves nothing, so
@@ -39,12 +40,14 @@ it is the independent check of that map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd, lcm
 from operator import mul
 
 from .braiding import BraidingMatrix
 from .freealg import (FreeElement, _collect, _multidegree_words, multinomial, word_degree,
                       words_of_multidegree)
-from .scalar import GuardrailExceeded, Scalar, _cached_one, _residue_field
+from .scalar import (GuardrailExceeded, Scalar, _cached_one, _canonical, _norm_cofactor, _product,
+                     _residue_field)
 
 __all__ = [
     "MAX_TERMS_DEFAULT",
@@ -312,12 +315,25 @@ def is_zero_in_nichols(B: BraidingMatrix, u: FreeElement) -> bool:
 
 
 class _RowReducer:
-    """Incremental exact row reduction over lists of Scalar (an echelon basis).
+    """Incremental exact row reduction (an echelon basis) of rows of
+    scalars, run fraction-free on integers over Z[zeta_N] (compare
+    E. H. Bareiss, Math. Comp. 22, 1968).
 
-    Each pivot is kept as the nonzero (index, value) pairs of its row,
-    normalized to a leading 1, and indexed by its lead column; insertion
-    order is the deterministic pivot choice, and reduce walks them in it
-    (each is zero at the leads inserted before it).
+    A row enters scaled by the lcm of its denominators, each entry as its
+    phi(N) integer coefficients, a plain int when phi(N) = 1 (a zero entry
+    is 0 at every order).  A pivot is a primitive integer row whose lead is
+    a positive rational integer D: where the lead has z-terms, the row is
+    first multiplied by the lead's norm cofactor (scalar._norm_cofactor).
+    It is kept under its lead column as (D, the nonzero (index, entry)
+    pairs after the lead).  Reducing a row r by it takes the entry c of r at the
+    lead and g = gcd(D, content(c)), and sets r <- (D/g) * r - (c/g) *
+    pivot, multiplying in Z[zeta_N] only at the pivot's nonzero entries.
+    The integer residue over the scale the row gathered (its lcm times
+    every D/g) is then exactly the residue of elimination by pivots
+    normalized to a leading 1, and each lead is the first nonzero column
+    of a residue, so it depends only on which entries are nonzero.
+    Insertion order is the deterministic pivot choice, and reduce walks
+    the pivots in it (each is zero at the leads inserted before it).
     """
 
     def __init__(self):
@@ -327,26 +343,80 @@ class _RowReducer:
     def rank(self) -> int:
         return len(self._by_lead)
 
-    def reduce(self, row) -> list:
-        """The residue of a row after elimination by every pivot; it is
-        all zero exactly when the row lies in the span."""
-        row = list(row)
-        for lead, pivot in self._by_lead.items():
-            c = row[lead]
+    def _eliminate(self, row) -> tuple:
+        """(integer residue, scale) of a nonempty row of scalars of one order."""
+        order, phi = row[0].order, len(row[0].num)
+        scale = lcm(*[x.den for x in row])
+        if phi == 1:
+            r = [x.num[0] * (scale // x.den) for x in row]
+            for lead, (D, rest) in self._by_lead.items():
+                c = r[lead]
+                if c:
+                    g = gcd(D, c)
+                    if g != D:
+                        a = D // g
+                        r = [a * x for x in r]
+                        scale *= a
+                    b = c // g
+                    for idx, v in rest:
+                        r[idx] -= b * v
+                    r[lead] = 0
+            return r, scale
+        zeros = (0,) * phi
+        r = [0 if x.num == zeros else x.num if x.den == scale else [c * (scale // x.den) for c in x.num]
+             for x in row]
+        for lead, (D, rest) in self._by_lead.items():
+            c = r[lead]
             if c:
-                for idx, v in pivot:
-                    row[idx] = row[idx] - c * v
-        return row
+                g = gcd(D, *c)
+                if g != D:
+                    a = D // g
+                    r = [[a * y for y in x] if x else 0 for x in r]
+                    scale *= a
+                b = [y // g for y in c]
+                b0 = None if any(b[1:]) else b[0]
+                for idx, v in rest:
+                    bv = _product(order, v, b) if b0 is None else [b0 * y for y in v]
+                    x = r[idx]
+                    x = [y - z for y, z in zip(x, bv)] if x else [-z for z in bv]
+                    r[idx] = x if any(x) else 0
+                r[lead] = 0
+        return r, scale
+
+    def reduce(self, row) -> list:
+        """The residue of a row after elimination by every pivot, as
+        scalars; it is all zero exactly when the row lies in the span."""
+        order = row[0].order
+        r, scale = self._eliminate(row)
+        zero = Scalar.zero(order)
+        return [_canonical(order, (x,) if type(x) is int else x, scale) if x else zero for x in r]
+
+    def contains(self, row) -> bool:
+        """Whether a row lies in the span, building no scalar."""
+        return not any(self._eliminate(row)[0])
 
     def insert(self, row) -> bool:
         """Reduce a row and keep it as a new pivot if independent; returns
         True when the rank grew."""
-        row = self.reduce(row)
-        lead = next((k for k, v in enumerate(row) if v), None)
+        r = self._eliminate(row)[0]
+        lead = next((k for k, x in enumerate(r) if x), None)
         if lead is None:
             return False
-        inv = row[lead].inv()
-        self._by_lead[lead] = tuple((k, v * inv) for k, v in enumerate(row) if v)
+        if len(row[0].num) == 1:
+            h = gcd(*r)
+            r = [x // h for x in r] if r[lead] > 0 else [-x // h for x in r]
+            D = r[lead]
+        else:
+            order = row[0].order
+            if any(r[lead][1:]):
+                cofactor = _norm_cofactor(order, r[lead])[0]
+                r = [_product(order, x, cofactor) if x else 0 for x in r]
+            h = gcd(*[y for x in r if x for y in x])
+            if r[lead][0] < 0:
+                h = -h
+            r = [[y // h for y in x] if x else 0 for x in r]
+            D = r[lead][0]
+        self._by_lead[lead] = D, tuple((k, r[k]) for k in range(lead + 1, len(r)) if r[k])
         return True
 
 

@@ -200,6 +200,42 @@ def _power(order: int, k: int) -> list:
     return _fold(order, [0] * (k % order) + [1])
 
 
+def _norm_cofactor(order: int, num) -> tuple:
+    """(c, n) for nonzero int coefficients num: int coefficients c with
+    num * c = n mod Phi_N, n a nonzero rational integer.  A monomial
+    a * z^e (a rational when e = 0) takes c = z^(N - e) and n = a; anything
+    else goes through the field norm, taken down the tower of
+    _galois_tower(N): at each step y (at first num) is fixed by the
+    subgroup reached so far, its conjugates under the step's coset
+    representatives multiply to some c_i, and y * c_i, the relative norm of
+    y, is fixed by the next subgroup.  At the top y is the norm n of num,
+    and c is the product of the c_i.  That takes about sum(p - 1) products
+    over the prime indices p of the steps, where the norm over the whole
+    group takes phi(N) - 1.  Scalar.inv and the row reducer of nichols
+    both read it."""
+    support = [e for e, c in enumerate(num) if c]
+    if len(support) == 1:
+        e = support[0]
+        return _power(order, order - e), num[e]
+    y, cofactor = num, None
+    for reps in _galois_tower(order):
+        c = None
+        for k in reps:
+            # k is a unit, so e -> k*e mod N sends the exponents of y
+            # to distinct places: scatter sigma_k(y), then fold once
+            conj = [0] * order
+            for e, v in enumerate(y):
+                if v:
+                    conj[k * e % order] = v
+            _fold(order, conj)
+            c = conj if c is None else _product(order, c, conj)
+        y = _product(order, y, c)
+        cofactor = c if cofactor is None else _product(order, cofactor, c)
+    # the norm of a nonzero element is a nonzero rational (Phi_N irreducible)
+    assert y[0] and not any(y[1:]), "cyclotomic norm must be a nonzero rational"
+    return cofactor, y[0]
+
+
 def _to_ints(coeffs):
     """(int numerators, common denominator) of int/Fraction coefficients;
     anything inexact, such as a float, is a TypeError."""
@@ -393,40 +429,13 @@ class Scalar:
     __rmul__ = __mul__
 
     def inv(self) -> "Scalar":
-        """Multiplicative inverse.  A monomial c * z^e (a rational when
-        e = 0) is z^(N - e) / c; anything else goes through the field norm,
-        taken down the tower of _galois_tower(N): at each step y (at first
-        num) is fixed by the subgroup reached so far, c is the product of
-        its conjugates under the step's coset representatives, and y * c,
-        the relative norm of y, is fixed by the next subgroup.  At the top
-        y is the rational integer norm of num, and num times the product of
-        the c is y, so (num / den)^-1 = den * prod(c) / y.  That takes about
-        sum(p - 1) products over the prime indices p of the steps, where the
-        norm over the whole group takes phi(N) - 1."""
+        """Multiplicative inverse: num * c = n for the norm cofactor c and
+        the rational integer n of _norm_cofactor, so (num / den)^-1 =
+        den * c / n."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        order, num = self.order, self.num
-        support = [e for e, c in enumerate(num) if c]
-        if len(support) == 1:
-            e = support[0]
-            return _canonical(order, [self.den * c for c in _power(order, order - e)], num[e])
-        y, cofactor = num, None
-        for reps in _galois_tower(order):
-            c = None
-            for k in reps:
-                # k is a unit, so e -> k*e mod N sends the exponents of y
-                # to distinct places: scatter sigma_k(y), then fold once
-                conj = [0] * order
-                for e, v in enumerate(y):
-                    if v:
-                        conj[k * e % order] = v
-                _fold(order, conj)
-                c = conj if c is None else _product(order, c, conj)
-            y = _product(order, y, c)
-            cofactor = c if cofactor is None else _product(order, cofactor, c)
-        # the norm of a nonzero element is a nonzero rational (Phi_N irreducible)
-        assert y[0] and not any(y[1:]), "cyclotomic norm must be a nonzero rational"
-        return _canonical(order, [self.den * c for c in cofactor], y[0])
+        cofactor, norm = _norm_cofactor(self.order, self.num)
+        return _canonical(self.order, [self.den * c for c in cofactor], norm)
 
     def __truediv__(self, other):
         other = _lift(self.order, other)
@@ -439,14 +448,13 @@ class Scalar:
             return NotImplemented
         if k < 0:
             return self.inv() ** (-k)
-        result = _cached_one(self.order)
-        base = self
+        result, base = None, self  # None: the running 1, never multiplied
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
-        return result
+        return _cached_one(self.order) if result is None else result
 
     # -- equality / hashing / display ----------------------------------
 

@@ -7,15 +7,18 @@ only.
 It is kept as a test oracle for lie._span, which pairs each split through
 one bracket table, skips a mirrored split whose candidates are multiples of
 earlier ones and a split whose bracket table cancels, stops once the span
-is full, and keeps the suffix shuffles of B across every alpha.
+is full, and keeps the suffix shuffles of B across every alpha.  It
+reduces with the Scalar reducer of scalar_reducer_oracle, not the
+engine's integer one.
 """
 
 from itertools import product
 
 from nicholslie.freealg import BRAIDED, _multidegree_words, multinomial
 from nicholslie.lie import LieSpan
-from nicholslie.nichols import NicholsVector, _RowReducer, _ShuffleTables, _shuffle_into
+from nicholslie.nichols import NicholsVector, _ShuffleTables, _shuffle_into
 from nicholslie.scalar import Scalar
+from scalar_reducer_oracle import ScalarRowReducer
 
 
 class ProductTables(_ShuffleTables):
@@ -71,7 +74,7 @@ def oracle_span(B, alpha, kind, spans, paired=None) -> LieSpan:
                             _shuffle_into(acc, bc, [(k, -(v * p)) for k, v in fb], fc, one)
                             values = tuple(zero if v is None else v for v in acc)
                             candidates.append((((tb, tc), wb + wc), values))
-    reducer = _RowReducer()
+    reducer = ScalarRowReducer()
     basis, provenance = [], []
     for source, values in candidates:
         if reducer.insert(values):

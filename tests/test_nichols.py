@@ -34,6 +34,7 @@ from nicholslie.scalar import FieldMismatchError, Scalar
 from conftest import matrix_from_strings, random_braiding_matrix, random_scalar, rational_matrix
 from degree_basis_oracle import oracle_basis_of_degree
 from descent_oracle import oracle_pairings
+from scalar_reducer_oracle import normalized_pivots
 
 
 def gen(B, i):
@@ -603,8 +604,10 @@ def test_zero_test_never_walks_a_vanished_branch():
 
 
 def test_pivot_insert_multiplies_only_nonzero_entries(monkeypatch):
-    # a row with k nonzero entries, into an empty reducer: k products by the
-    # lead's inverse (Scalar.inv of a rational multiplies no Scalar)
+    # a row into an empty reducer: over Q it is kept as integers, with no
+    # scalar product; over Q(zeta_8) a lead with z-terms multiplies the row
+    # by its norm cofactor, one product per nonzero entry.  Only nonzero
+    # entries are stored, and the pivot over its lead is the row over its lead.
     mul, calls = Scalar.__mul__, []
 
     def counted(self, other):
@@ -616,8 +619,27 @@ def test_pivot_insert_multiplies_only_nonzero_entries(monkeypatch):
     monkeypatch.setattr(Scalar, "__mul__", counted)
     reducer = _RowReducer()
     assert reducer.insert(row)
-    assert len(calls) == 2
-    assert reducer._by_lead == {1: ((1, Scalar.one(1)), (4, Scalar.from_rational(1, -3)))}
+    assert calls == []
+    assert reducer._by_lead == {1: (1, ((4, -3),))}  # 2 and -6 over their content 2
+    assert normalized_pivots(reducer, 1) == [(1, ((1, Scalar.one(1)), (4, Scalar.from_rational(1, -3))))]
+    assert not any(reducer.reduce(row))
+
+    monkeypatch.undo()
+    products, product = [], nichols._product
+
+    def counted_product(order, a, b):
+        products.append(a)
+        return product(order, a, b)
+
+    zero, z = Scalar.zero(8), Scalar.root_power(8, 1)
+    row = [zero, z + 1, zero, zero, z * z / 2, zero, zero]
+    monkeypatch.setattr(nichols, "_product", counted_product)
+    reducer = _RowReducer()
+    assert reducer.insert(row)
+    assert len(products) == 2
+    assert list(reducer._by_lead) == [1] and [k for k, _ in reducer._by_lead[1][1]] == [4]
+    assert normalized_pivots(reducer, 8) == [(1, ((1, Scalar.one(8)), (4, row[4] / row[1])))]
+    assert not any(reducer.reduce(row))
 
 
 def test_pairing_guardrail():

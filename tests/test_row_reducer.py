@@ -1,10 +1,19 @@
-"""_RowReducer against a test-local reduction that walks its pivots in
-ascending lead order, as a Hypothesis property over Q and Q(zeta_8).
-Each pivot is zero at the leads inserted before it, so walking the
-pivots in insertion order must leave the same residue and keep the same
-pivots.  Rows are sparse, so leads arrive out of order, and some are
-combinations of earlier rows, so some residues vanish.  Derandomized, so
-every run draws the same examples."""
+"""_RowReducer, the integer reducer, against two test-local references,
+as derandomized Hypothesis properties, so every run draws the same
+examples:
+
+- a Scalar reduction that walks its pivots in ascending lead order.  Each
+  pivot is zero at the leads inserted before it, so walking the pivots in
+  insertion order must leave the same residue and keep the same pivots,
+  compared after dividing each by its lead;
+- the Scalar reducer of scalar_reducer_oracle, over orders 1, 3, 8 and 24
+  and rows with denominators: the same rank, leads, residues, zero tests
+  and witnesses solved as monomial_membership solves them.
+
+Rows are sparse, so leads arrive out of order, and some are combinations
+of earlier rows, so some residues vanish."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +22,8 @@ from hypothesis import given, settings, strategies as st
 
 from nicholslie.nichols import _RowReducer
 from nicholslie.scalar import Scalar, euler_phi
+
+from scalar_reducer_oracle import ScalarRowReducer, normalized_pivots
 
 
 def ascending_reduce(pivots, row):
@@ -25,10 +36,11 @@ def ascending_reduce(pivots, row):
 
 
 @st.composite
-def row_lists(draw):
-    order = draw(st.sampled_from((1, 8)))
+def row_lists(draw, orders=(1, 8), dens=(1,)):
+    order = draw(st.sampled_from(orders))
     width = draw(st.integers(1, 6))
-    coeffs = st.lists(st.integers(-2, 2), min_size=euler_phi(order), max_size=euler_phi(order))
+    coeff = st.builds(Fraction, st.integers(-2, 2), st.sampled_from(dens))
+    coeffs = st.lists(coeff, min_size=euler_phi(order), max_size=euler_phi(order))
 
     def entry():
         return Scalar.from_poly(order, draw(coeffs)) if draw(st.booleans()) else Scalar.zero(order)
@@ -41,12 +53,13 @@ def row_lists(draw):
             rows.append([s * x + t * y for x, y in zip(a, b)])
         else:
             rows.append([entry() for _ in range(width)])
-    return rows
+    return order, rows
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
-@given(rows=row_lists())
-def test_insertion_order_reduction_matches_ascending_leads(rows):
+@given(drawn=row_lists())
+def test_insertion_order_reduction_matches_ascending_leads(drawn):
+    order, rows = drawn
     reducer, pivots = _RowReducer(), {}
     for row in rows:
         residue = ascending_reduce(pivots, row)
@@ -56,7 +69,46 @@ def test_insertion_order_reduction_matches_ascending_leads(rows):
         if lead is not None:
             inv = residue[lead].inv()
             pivots[lead] = [v * inv for v in residue]
-        # each pivot is the nonzero (index, value) pairs of the oracle's row
-        assert reducer._by_lead == {
+        # each pivot, divided by its positive integer lead, is the nonzero
+        # (index, value) pairs of the reference's row: no zero entry is stored
+        assert all(D > 0 and all(x for _, x in rest) for D, rest in reducer._by_lead.values())
+        assert dict(normalized_pivots(reducer, order)) == {
             k: tuple((idx, v) for idx, v in enumerate(prow) if v) for k, prow in pivots.items()
         }
+
+
+def witness(reducer_type, basis, target):
+    """The coordinates of target in the independent rows of basis, solved
+    as lie.monomial_membership does: reducing (target | 0) by the rows
+    (basis[k] | e_k) leaves (0 | -witness)."""
+    r = len(basis)
+    zero, one = Scalar.zero(target[0].order), Scalar.one(target[0].order)
+    augmented = reducer_type()
+    for k, row in enumerate(basis):
+        augmented.insert(tuple(row) + (zero,) * k + (one,) + (zero,) * (r - 1 - k))
+    return [-v for v in augmented.reduce(tuple(target) + (zero,) * r)[-r:]]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(drawn=row_lists(orders=(1, 3, 8, 24), dens=(1, 1, 2, 3)))
+def test_integer_reducer_matches_scalar_reducer(drawn):
+    order, rows = drawn
+    reducer, oracle = _RowReducer(), ScalarRowReducer()
+    basis = []
+    for row in rows:
+        residue = oracle.reduce(row)
+        assert reducer.reduce(row) == residue
+        assert reducer.contains(row) == (not any(residue))
+        grew = reducer.insert(row)
+        assert oracle.insert(row) == grew
+        if grew:
+            basis.append(row)
+        assert reducer.rank == oracle.rank
+        assert normalized_pivots(reducer, order) == normalized_pivots(oracle, order)
+    if basis:
+        # a combination with coefficients 1, -2/3, 3, -4/3, ... of the kept rows
+        weights = [Scalar.from_rational(order, Fraction((-1) ** k * (k + 1), 3 if k % 2 else 1))
+                   for k in range(len(basis))]
+        target = [sum((w * row[i] for w, row in zip(weights, basis)), Scalar.zero(order))
+                  for i in range(len(basis[0]))]
+        assert witness(_RowReducer, basis, target) == witness(ScalarRowReducer, basis, target) == weights
