@@ -32,10 +32,12 @@ from .nichols import (
     _ShuffleTables,
     _check_degree,
     _guard,
+    _integer_vector,
     _pairings,
+    _scalars,
     _shuffle_into,
 )
-from .scalar import Scalar
+from .scalar import Scalar, _ring_units
 
 __all__ = [
     "ZERO_IN_NICHOLS",
@@ -140,6 +142,14 @@ def _span(B: BraidingMatrix, alpha: tuple, kind: str) -> LieSpan:
     nothing: each of its candidates is zero.  And the build stops once the
     span has rank m(alpha), since the reducer would refuse every later
     candidate.
+
+    Candidates are built on integers over Z[zeta_N]: each basis vector
+    below is read once per build as an integer row over the lcm of its
+    denominators, a candidate is its pair shuffled through the split's
+    integer table (see nichols), over the two scales times the table's
+    denominator, and the reducer takes that row as it is.  Only a kept
+    candidate becomes scalars, the same values the shuffle over Q(zeta_N)
+    gives.
     """
     key = (alpha, kind)
     if key in B._lie_span_cache:
@@ -151,12 +161,18 @@ def _span(B: BraidingMatrix, alpha: tuple, kind: str) -> LieSpan:
     if (earlier := shapes.get(shape)) is not None:
         span = B._lie_span_cache[key] = _relabel(*earlier, alpha, support)
         return span
-    d, m = sum(alpha), multinomial(alpha)
-    zero, one = Scalar.zero(B.order), Scalar.one(B.order)
+    d, m, order = sum(alpha), multinomial(alpha), B.order
+    one, (zero, unit) = Scalar.one(order), _ring_units(order)
+    vectors = {}  # degree -> its basis vectors as (nonzero integer pairs, scale)
+
+    def integer_vectors(span):
+        if span.degree not in vectors:
+            vectors[span.degree] = [_integer_vector(nv.values) for nv in span.basis]
+        return vectors[span.degree]
 
     def candidates():
         if d == 1:
-            yield (None, (alpha.index(1) + 1,)), (one,)
+            yield (None, (alpha.index(1) + 1,)), [unit], 1
             return
         tables = _ShuffleTables(B, alpha)
         mirrored = set()  # splits gamma > beta with p * p' = 1, met at beta
@@ -168,22 +184,24 @@ def _span(B: BraidingMatrix, alpha: tuple, kind: str) -> LieSpan:
                     p = B.chi(gamma, beta) if kind == BRAIDED else one
                     if gamma > beta and (kind == MINUS or (p * B.chi(beta, gamma)).is_one()):
                         mirrored.add(gamma)
-                    table = tables.bracket(beta, gamma, p)
-                    if table is None:  # every [b, c] here is zero
+                    bracket = tables.bracket(beta, gamma, p)
+                    if bracket is None:  # every [b, c] here is zero
                         continue
-                    fcs = [[(k, v) for k, v in enumerate(nv.values) if v] for nv in right.basis]
-                    for (tb, wb), nv in zip(left.generators_used, left.basis):
-                        fb = [(k, v) for k, v in enumerate(nv.values) if v]
-                        for (tc, wc), fc in zip(right.generators_used, fcs):
-                            acc = [None] * m
-                            _shuffle_into(acc, table, fb, fc, one)
-                            yield ((tb, tc), wb + wc), tuple(zero if v is None else v for v in acc)
+                    table, den = bracket
+                    fcs = integer_vectors(right)
+                    for (tb, wb), (fb, sb) in zip(left.generators_used, integer_vectors(left)):
+                        for (tc, wc), (fc, sc) in zip(right.generators_used, fcs):
+                            acc = [zero] * m
+                            _shuffle_into(acc, table, fb, fc)
+                            yield ((tb, tc), wb + wc), acc, sb * sc * den
 
     reducer = _RowReducer()
     basis, provenance = [], []
-    for source, values in candidates():
-        if reducer.insert(values):
-            basis.append(NicholsVector(alpha, values))
+    for source, acc, den in candidates():
+        # the reducer's layout: at phi(N) > 1 coefficient lists, and 0 for a zero entry
+        row = acc if type(zero) is int else [x.c if x else 0 for x in acc]
+        if reducer.insert_integers(row, order):
+            basis.append(NicholsVector(alpha, tuple(_scalars(order, row, den))))
             provenance.append(source)
             if reducer.rank == m:  # full: every later candidate is refused
                 break

@@ -25,11 +25,16 @@ gamma = alpha - beta, is paired through one table that folds both
 products' interleaving weights, of at most
 m(alpha) * min(prod C(alpha_i, beta_i), m(beta) * m(gamma)) entries,
 m counting the words of a degree (_ShuffleTables.bracket, _shuffle_into).
-The tables are built from the shuffles of suffix pairs of words, which
-depend on B alone and are memoized per matrix.  Exact elimination on the
-vectors, run fraction-free on integers over Z[zeta_N] (_RowReducer),
-gives dim B(V)_alpha and membership, cross-checked by the rank of a
-quantum symmetrizer.  basis_of_degree first eliminates the vectors'
+Writing q_xy^-1 = a_xy / b_xy, every weight is an integer of Z[zeta_N]
+over prod b_ij^(gamma_i * beta_j), which depends on the degrees alone, so
+a table is integer entries over one denominator, and f_b and f_c enter it
+as integer rows over the lcm of their denominators: a candidate row is
+built on integers from the table to the reducer.  The tables are built
+from the shuffles of suffix pairs of words, which depend on B alone and
+are memoized per matrix.  Exact elimination on the vectors, run
+fraction-free on integers over Z[zeta_N] (_RowReducer), gives
+dim B(V)_alpha and membership, cross-checked by the rank of a quantum
+symmetrizer.  basis_of_degree first eliminates the vectors'
 images mod a prime p = 1 (mod N), where zeta_N maps to a primitive N-th
 root of unity: that certificate is one-sided, since independence mod p
 proves full rank over Q(zeta_N) and dependence mod p proves nothing, so
@@ -47,7 +52,7 @@ from .braiding import BraidingMatrix
 from .freealg import (FreeElement, _collect, _multidegree_words, multinomial, word_degree,
                       words_of_multidegree)
 from .scalar import (GuardrailExceeded, Scalar, _cached_one, _canonical, _norm_cofactor, _product,
-                     _residue_field)
+                     _residue_field, _ring, _ring_units, euler_phi)
 
 __all__ = [
     "MAX_TERMS_DEFAULT",
@@ -210,84 +215,110 @@ def _vanishes(B: BraidingMatrix, terms: dict, alpha) -> bool:
     return next(_descent(B, terms, alpha), None) is None
 
 
+def _shuffle_memos(B: BraidingMatrix) -> tuple:
+    """The memos of _ShuffleTables on B: suffix shuffles, factors, and the
+    inverses q_xy^-1 = a_xy / b_xy as a matrix of numerators a (in
+    Z[zeta_N], scalar._ring) and one of positive int denominators b."""
+    inverses = [B.inverse_row(i) for i in range(1, B.n + 1)]
+    return ({}, {}, tuple(tuple(_ring(B.order, e.num) for e in row) for row in inverses),
+            tuple(tuple(e.den for e in row) for row in inverses))
+
+
 class _ShuffleTables:
-    """Pairing tables of the brackets of degree alpha.  bracket(beta, gamma,
-    p) is the table M of [u, v] = v*u - p*u*v over the i-th word u of beta
-    and the j-th word v of gamma: M[i][j] lists the (k, w), w != 0, where w
-    sums the weights prod q_{x,y}^-1 (x of the second factor placed before
-    y of the first) of the interleavings of v*u that spell the k-th dual
-    word of alpha, minus p times those of u*v.  It is None when every entry
-    cancels, and then every bracket of that split is zero in B(V).  A
-    table is built once per split and not kept.  It is read from the
-    shuffles of suffix pairs, which are never enumerated (with repeated
-    letters there are exponentially many) and, like the factors, depend on
-    B and the words alone, so both memos are kept on B (B._shuffle_cache)
-    and shared by every alpha; they hold words and scalars, never B, so
-    they make no reference cycle."""
+    """Pairing tables of the brackets of degree alpha, fraction-free over
+    Z[zeta_N].  Write q_xy^-1 = a_xy / b_xy.  An interleaving of a word u of
+    degree beta with a word v of degree gamma weighs prod q_{x,y}^-1 over
+    the pairs with x of v placed before y of u: the product of a_xy over
+    those pairs and of b_xy over the others, divided by prod b_ij^(gamma_i *
+    beta_j), which depends on (beta, gamma) alone.  So the shuffles of u
+    and v hold integer weights over that denominator.
+
+    bracket(beta, gamma, p) is (M, D) for [u, v] = v*u - p*u*v over the
+    i-th word u of beta and the j-th word v of gamma: M[i][j] lists the
+    (k, w), w != 0, where w / D sums the weights of the interleavings of
+    v*u that spell the k-th dual word of alpha, minus p times those of
+    u*v, with p's numerator and denominator folded into w and D.  It is
+    None when every entry cancels, and then every bracket of that split
+    is zero in B(V).  A table is built once per split and not kept.  It
+    is read from the shuffles of suffix pairs, which are never enumerated
+    (with repeated letters there are exponentially many) and, like the
+    factors and the inverse table, depend on B and the words alone, so all
+    are kept on B (B._shuffle_cache) and shared by every alpha; they hold
+    words and ints, never B, so they make no reference cycle.  Weights are
+    plain ints at phi(N) = 1 and scalar._Cyclotomic otherwise."""
 
     def __init__(self, B: BraidingMatrix, alpha: tuple):
-        self.B, self.one = B, Scalar.one(B.order)
+        self.order, self.one = B.order, _ring_units(B.order)[1]
         self.index = {word: k for k, word in enumerate(_multidegree_words(alpha))}
-        self.memo, self.factors = B._first_use("_shuffle_cache", lambda B: ({}, {}))
+        self.memo, self.factors, self.nums, self.dens = B._first_use("_shuffle_cache", _shuffle_memos)
 
     def bracket(self, beta, gamma, p):
-        index, one = self.index, self.one
-        p = one if p.is_one() else p
+        index, dens = self.index, self.dens
+        d_vu = d_uv = 1  # the denominators of the shuffles of v*u and of u*v
+        for i, row in enumerate(dens):
+            for j, b in enumerate(row):
+                if b != 1:
+                    d_vu *= b ** (beta[i] * gamma[j])
+                    d_uv *= b ** (gamma[i] * beta[j])
+        den = lcm(d_vu, d_uv * p.den)
+        s, c = den // d_vu, _ring(self.order, p.num) * (den // (d_uv * p.den))
         table = []
         vs = _multidegree_words(gamma)
         for u in _multidegree_words(beta):
             row = []
             for v in vs:
-                entry = {index[j]: w for j, w in self.shuffles(v, u)}
+                entry = {index[j]: w * s for j, w in self.shuffles(v, u)}
                 for j, w in self.shuffles(u, v):
-                    if p is not one:
-                        w = p if w is one else w * p
-                    k = index[j]
+                    k, w = index[j], w * c
                     entry[k] = entry[k] - w if k in entry else -w
                 row.append(tuple((k, w) for k, w in entry.items() if w))
             table.append(row)
-        return table if any(map(any, table)) else None
+        return (table, den) if any(map(any, table)) else None
 
     def factor(self, c, u):
-        # prod q_{c,y}^-1 over the letters y of u: the weight of placing c before all of u
-        if (c, u) not in self.factors:
-            f = self.factor(c, u[1:]) if u else self.one
-            g = self.B.inverse_row(c)[u[0] - 1] if u else self.one
-            self.factors[(c, u)] = f if g is self.one else f * g
-        return self.factors[(c, u)]
+        # (prod a_{c,y}, prod b_{y,c}) over the letters y of u: the weight
+        # of placing c before all of u, and the denominator of placing it after
+        out = self.factors.get((c, u))
+        if out is None:
+            if u:
+                a, b = self.factor(c, u[1:])
+                out = a * self.nums[c - 1][u[0] - 1], b * self.dens[u[0] - 1][c - 1]
+            else:
+                out = self.one, 1
+            self.factors[(c, u)] = out
+        return out
 
     def shuffles(self, u, v):
-        # (dual word, weight) pairs: the dual word starts with u's first
-        # letter, or with v's placed before all of u
+        # (dual word, integer weight) pairs: the dual word starts with u's
+        # first letter, placed before all of v, or with v's placed before all of u
         out = self.memo.get((u, v))
         if out is None:
-            one = self.one
             if not u or not v:
-                out = ((u + v, one),)
+                out = ((u + v, self.one),)
             else:
-                acc = {(u[0],) + j: w for j, w in self.shuffles(u[1:], v)}
-                f = self.factor(v[0], u)
+                g, f = self.factor(u[0], v)[1], self.factor(v[0], u)[0]
+                acc = {(u[0],) + j: w * g for j, w in self.shuffles(u[1:], v)}
                 for j, w in self.shuffles(u, v[1:]):
-                    j, w = (v[0],) + j, w if f is one else w * f
+                    j, w = (v[0],) + j, w * f
                     acc[j] = acc[j] + w if j in acc else w
                 out = tuple((j, w) for j, w in acc.items() if w)
             self.memo[(u, v)] = out
         return out
 
 
-def _shuffle_into(acc: list, table, fu, fv, one: Scalar) -> None:
-    """Add into acc (None marks an untouched entry) the pairing vector the
-    table gives u and v, [u, v] for a _ShuffleTables.bracket table: the sum
-    of f_u(i) * f_v(j) * w over the (k, w) of table[i][j], from the nonzero
-    (index, value) pairs of f_u and f_v; unit weights are not multiplied."""
+def _shuffle_into(acc: list, table, fu, fv) -> None:
+    """Add into acc, a list of elements of Z[zeta_N] (plain ints at
+    phi(N) = 1, as the weights), the sum of f_u(i) * f_v(j) * w over the
+    (k, w) of table[i][j], for the rows of a _ShuffleTables.bracket table
+    and the nonzero (index, value) pairs of integer rows f_u and f_v
+    (_integer_vector): the pairing vector of [u, v] times the table's
+    denominator and the scales of f_u and f_v."""
     for i, x in fu:
         row = table[i]
         for j, y in fv:
             xy = x * y
             for k, w in row[j]:
-                w = xy if w is one else xy * w
-                prev = acc[k]
-                acc[k] = w if prev is None else prev + w
+                acc[k] += xy * w
 
 
 def pairing_vector(B: BraidingMatrix, u: FreeElement, max_terms=None) -> NicholsVector:
@@ -331,9 +362,12 @@ class _RowReducer:
     The integer residue over the scale the row gathered (its lcm times
     every D/g) is then exactly the residue of elimination by pivots
     normalized to a leading 1, and each lead is the first nonzero column
-    of a residue, so it depends only on which entries are nonzero.
-    Insertion order is the deterministic pivot choice, and reduce walks
-    the pivots in it (each is zero at the leads inserted before it).
+    of a residue, so it depends only on which entries are nonzero, and
+    the pivot kept for a row is the same for any nonzero rational multiple
+    of it, so insert_integers takes a Lie-span candidate as the integer
+    row it was built as.  Insertion order is the deterministic pivot
+    choice, and reduce walks the pivots in it (each is zero at the leads
+    inserted before it).
     """
 
     def __init__(self):
@@ -343,12 +377,11 @@ class _RowReducer:
     def rank(self) -> int:
         return len(self._by_lead)
 
-    def _eliminate(self, row) -> tuple:
-        """(integer residue, scale) of a nonempty row of scalars of one order."""
-        order, phi = row[0].order, len(row[0].num)
-        scale = lcm(*[x.den for x in row])
-        if phi == 1:
-            r = [x.num[0] * (scale // x.den) for x in row]
+    def _eliminate(self, r, order: int) -> tuple:
+        """(integer residue, the factor it gathered) of a nonempty integer
+        row, which is not changed."""
+        r, scale = list(r), 1
+        if euler_phi(order) == 1:
             for lead, (D, rest) in self._by_lead.items():
                 c = r[lead]
                 if c:
@@ -362,9 +395,6 @@ class _RowReducer:
                         r[idx] -= b * v
                     r[lead] = 0
             return r, scale
-        zeros = (0,) * phi
-        r = [0 if x.num == zeros else x.num if x.den == scale else [c * (scale // x.den) for c in x.num]
-             for x in row]
         for lead, (D, rest) in self._by_lead.items():
             c = r[lead]
             if c:
@@ -387,27 +417,31 @@ class _RowReducer:
         """The residue of a row after elimination by every pivot, as
         scalars; it is all zero exactly when the row lies in the span."""
         order = row[0].order
-        r, scale = self._eliminate(row)
-        zero = Scalar.zero(order)
-        return [_canonical(order, (x,) if type(x) is int else x, scale) if x else zero for x in r]
+        r, scale = _integer_row(row)
+        r, gathered = self._eliminate(r, order)
+        return _scalars(order, r, scale * gathered)
 
     def contains(self, row) -> bool:
         """Whether a row lies in the span, building no scalar."""
-        return not any(self._eliminate(row)[0])
+        return not any(self._eliminate(_integer_row(row)[0], row[0].order)[0])
 
     def insert(self, row) -> bool:
         """Reduce a row and keep it as a new pivot if independent; returns
         True when the rank grew."""
-        r = self._eliminate(row)[0]
+        return self.insert_integers(_integer_row(row)[0], row[0].order)
+
+    def insert_integers(self, row, order: int) -> bool:
+        """insert for a nonempty integer row of the given order, in the
+        layout above, taken as it is."""
+        r = self._eliminate(row, order)[0]
         lead = next((k for k, x in enumerate(r) if x), None)
         if lead is None:
             return False
-        if len(row[0].num) == 1:
+        if euler_phi(order) == 1:
             h = gcd(*r)
             r = [x // h for x in r] if r[lead] > 0 else [-x // h for x in r]
             D = r[lead]
         else:
-            order = row[0].order
             if any(r[lead][1:]):
                 cofactor = _norm_cofactor(order, r[lead])[0]
                 r = [_product(order, x, cofactor) if x else 0 for x in r]
@@ -418,6 +452,34 @@ class _RowReducer:
             D = r[lead][0]
         self._by_lead[lead] = D, tuple((k, r[k]) for k in range(lead + 1, len(r)) if r[k])
         return True
+
+
+def _integer_row(row) -> tuple:
+    """(integer row, scale) of a nonempty row of scalars of one order, in
+    _RowReducer's layout: scaled by the lcm of its denominators, each
+    entry as its phi(N) integer coefficients, a plain int at phi(N) = 1,
+    and 0 for a zero entry at every order."""
+    scale = lcm(*[x.den for x in row])
+    if len(row[0].num) == 1:
+        return [x.num[0] * (scale // x.den) for x in row], scale
+    zeros = (0,) * len(row[0].num)
+    return [0 if x.num == zeros else x.num if x.den == scale else [c * (scale // x.den) for c in x.num]
+            for x in row], scale
+
+
+def _integer_vector(values) -> tuple:
+    """(pairs, scale): the nonzero entries of a row of scalars scaled by
+    the lcm of its denominators, as the (index, element of Z[zeta_N]) pairs
+    that _shuffle_into reads."""
+    r, scale = _integer_row(values)
+    order = values[0].order
+    return [(k, x if type(x) is int else _ring(order, x)) for k, x in enumerate(r) if x], scale
+
+
+def _scalars(order: int, r, den: int) -> list:
+    """The scalars of an integer row in _RowReducer's layout over den."""
+    zero = Scalar.zero(order)
+    return [_canonical(order, (x,) if type(x) is int else x, den) if x else zero for x in r]
 
 
 def _residues(row, p: int, powers) -> list:

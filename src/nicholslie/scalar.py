@@ -195,6 +195,54 @@ def _product(order: int, a, b) -> list:
     return _fold(order, out)
 
 
+class _Cyclotomic:
+    """An element of Z[zeta_N], phi(N) > 1, as the list c of its phi(N)
+    int coefficients: the integer weights of the shuffle tables in nichols,
+    which use plain ints at phi(N) = 1.  It has what they need, +, -,
+    negation, products with an int or another element, and a zero test,
+    and no denominator, so no operation runs a gcd.  A product by 1 is
+    not multiplied out."""
+
+    __slots__ = ("order", "c")
+
+    def __init__(self, order: int, c: list):
+        self.order, self.c = order, c
+
+    def __add__(self, other):
+        return _Cyclotomic(self.order, [x + y for x, y in zip(self.c, other.c)])
+
+    def __sub__(self, other):
+        return _Cyclotomic(self.order, [x - y for x, y in zip(self.c, other.c)])
+
+    def __neg__(self):
+        return _Cyclotomic(self.order, [-x for x in self.c])
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return self if other == 1 else _Cyclotomic(self.order, [other * x for x in self.c])
+        a, b = self.c, other.c
+        if b[0] == 1 and not any(b[1:]):
+            return self
+        if a[0] == 1 and not any(a[1:]):
+            return other
+        return _Cyclotomic(self.order, _product(self.order, a, b))
+
+    def __bool__(self) -> bool:
+        return any(self.c)
+
+
+def _ring(order: int, num):
+    """The element of Z[zeta_N] with int coefficients num: num[0] itself
+    at phi(N) = 1, else a _Cyclotomic."""
+    return num[0] if len(num) == 1 else _Cyclotomic(order, list(num))
+
+
+@lru_cache(maxsize=None)
+def _ring_units(order: int) -> tuple:
+    """(0, 1) of Z[zeta_N] as _ring makes them, shared per order."""
+    return _ring(order, _cached_zero(order).num), _ring(order, _cached_one(order).num)
+
+
 def _power(order: int, k: int) -> list:
     """z^k mod Phi_N as ints (k any integer), folded on its own."""
     return _fold(order, [0] * (k % order) + [1])

@@ -8,7 +8,8 @@ examples:
   compared after dividing each by its lead;
 - the Scalar reducer of scalar_reducer_oracle, over orders 1, 3, 8 and 24
   and rows with denominators: the same rank, leads, residues, zero tests
-  and witnesses solved as monomial_membership solves them.
+  and witnesses solved as monomial_membership solves them, and the same
+  pivots for each row offered as integers through insert_integers.
 
 Rows are sparse, so leads arrive out of order, and some are combinations
 of earlier rows, so some residues vanish."""
@@ -20,7 +21,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from nicholslie.nichols import _RowReducer
+from nicholslie.nichols import _integer_row, _RowReducer
 from nicholslie.scalar import Scalar, euler_phi
 
 from scalar_reducer_oracle import ScalarRowReducer, normalized_pivots
@@ -93,7 +94,7 @@ def witness(reducer_type, basis, target):
 @given(drawn=row_lists(orders=(1, 3, 8, 24), dens=(1, 1, 2, 3)))
 def test_integer_reducer_matches_scalar_reducer(drawn):
     order, rows = drawn
-    reducer, oracle = _RowReducer(), ScalarRowReducer()
+    reducer, oracle, scaled = _RowReducer(), ScalarRowReducer(), _RowReducer()
     basis = []
     for row in rows:
         residue = oracle.reduce(row)
@@ -101,10 +102,17 @@ def test_integer_reducer_matches_scalar_reducer(drawn):
         assert reducer.contains(row) == (not any(residue))
         grew = reducer.insert(row)
         assert oracle.insert(row) == grew
+        # the row as integers times -6, as a Lie-span build offers its
+        # candidates, keeps the same pivots and is left as it was
+        ints = [-6 * x if type(x) is int else [-6 * y for y in x] if x else 0
+                for x in _integer_row(row)[0]]
+        offered = repr(ints)
+        assert scaled.insert_integers(ints, order) == grew and repr(ints) == offered
         if grew:
             basis.append(row)
-        assert reducer.rank == oracle.rank
+        assert reducer.rank == oracle.rank == scaled.rank
         assert normalized_pivots(reducer, order) == normalized_pivots(oracle, order)
+        assert normalized_pivots(scaled, order) == normalized_pivots(oracle, order)
     if basis:
         # a combination with coefficients 1, -2/3, 3, -4/3, ... of the kept rows
         weights = [Scalar.from_rational(order, Fraction((-1) ** k * (k + 1), 3 if k % 2 else 1))
