@@ -49,18 +49,30 @@ def _inverse_rows(B) -> tuple:
     return tuple(tuple(Scalar.one(B.order) if e.is_one() else e.inv() for e in row) for row in B._rows)
 
 
+def _chi_groups(B) -> tuple:
+    """The entries q_ij != 1 grouped by value, as (value, its cells (i, j),
+    0-based), in order of first appearance; values compare as (num, den)."""
+    groups = {}
+    for i, row in enumerate(B._rows):
+        for j, e in enumerate(row):
+            if not e.is_one():
+                groups.setdefault((e.num, e.den), (e, []))[1].append((i, j))
+    return tuple((e, tuple(cells)) for e, cells in groups.values())
+
+
 class BraidingMatrix:
     """Validated matrix of nonzero scalars; entries are 1-based.
 
     It also keeps memos that depend on its entries alone, so that every
     computation on the matrix shares them.  _lie_span_cache and
-    _pairing_row_cache are made with the matrix; _inv_rows, _json,
+    _pairing_row_cache are made with the matrix; _inv_rows, _chi_groups
+    (the entries != 1 grouped by value, which chi reads), _json,
     _shuffle_cache and _shape_cache are made on first use, through
     _first_use, so a matrix that never needs one allocates none.
     """
 
     __slots__ = (
-        "n", "order", "_rows", "_inv_rows", "_json", "_lie_span_cache",
+        "n", "order", "_rows", "_inv_rows", "_chi_groups", "_json", "_lie_span_cache",
         "_pairing_row_cache", "_shuffle_cache", "_shape_cache",
     )
 
@@ -89,6 +101,7 @@ class BraidingMatrix:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_inv_rows", None)
+        object.__setattr__(self, "_chi_groups", None)
         object.__setattr__(self, "_json", None)
         object.__setattr__(self, "_lie_span_cache", {})
         object.__setattr__(self, "_pairing_row_cache", {})
@@ -171,21 +184,20 @@ class BraidingMatrix:
     # -- the bicharacter and friends --------------------------------------
 
     def chi(self, alpha, beta) -> Scalar:
-        """chi(alpha, beta) = prod q_ij^(alpha_i * beta_j) over Z^n x Z^n."""
+        """chi(alpha, beta) = prod q_ij^(alpha_i * beta_j) over Z^n x Z^n,
+        taken as one power per distinct entry q != 1, of the summed
+        exponents of its cells; an entry equal to 1 is skipped."""
         if len(alpha) != self.n or len(beta) != self.n:
             raise ValueError(
                 f"degree vectors must have length {self.n}, got {len(alpha)} and {len(beta)}"
             )
-        one, out = Scalar.one(self.order), None  # None: the running 1, never multiplied
-        for i, a in enumerate(alpha):
-            if not a:
-                continue
-            row = self._rows[i]
-            for j, b in enumerate(beta):
-                if b and row[j] != one:
-                    f = row[j] ** (a * b)
-                    out = f if out is None else out * f
-        return one if out is None else out
+        out = None  # the running 1, never multiplied
+        for value, cells in self._first_use("_chi_groups", _chi_groups):
+            e = sum(alpha[i] * beta[j] for i, j in cells)
+            if e:
+                f = value ** e
+                out = f if out is None else out * f
+        return Scalar.one(self.order) if out is None else out
 
     def p_tilde(self, i: int, j: int) -> Scalar:
         """q_ij * q_ji; equal to 1 exactly when {i,j} is not a pure edge."""

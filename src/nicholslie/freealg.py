@@ -66,6 +66,12 @@ def _multidegree_words(alpha):
     )
 
 
+@lru_cache(maxsize=4096)
+def _word_index(alpha) -> dict:
+    """{word: its place in _multidegree_words(alpha)}, read-only."""
+    return {word: k for k, word in enumerate(_multidegree_words(alpha))}
+
+
 def words_of_multidegree(alpha):
     """All words with the given multidegree, in lexicographic order."""
     return iter(_multidegree_words(tuple(alpha)))

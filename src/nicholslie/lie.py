@@ -59,12 +59,14 @@ NOT_MEMBER = "NotMember"
 class LieSpan:
     """A maximal independent set of bracketing images at one multidegree.
 
-    The basis vectors are all the spans above read: they shuffle them into
-    the pairing vectors of their candidates.  solver is the row reducer
-    that selected the basis; solver.reduce(v) is the exact residue of v,
-    all zero exactly when v lies in the span, and solver.contains(v) is
-    that test, building no scalar.  A span relabelled from an earlier
-    degree of the same shape (see _span) shares that degree's solver, so a
+    solver is the row reducer that selected the basis; solver.reduce(v) is
+    the exact residue of v, all zero exactly when v lies in the span, and
+    solver.contains(v) is that test, building no scalar.  _integer_rows
+    holds each basis vector as the (pairs, scale) integer row of
+    nichols._integer_vector, made once with the span: the spans above read
+    these, not the basis, and shuffle them into the pairing vectors of
+    their candidates.  A span relabelled from an earlier degree of the
+    same shape (see _span) shares that degree's solver and rows, so a
     solver is read-only once its span is built: reduce it, never insert
     into it.
     """
@@ -74,6 +76,7 @@ class LieSpan:
     basis: list = field(repr=False)           # NicholsVector, linearly independent
     generators_used: list = field(repr=False)  # (tree, word) provenance per basis entry
     solver: _RowReducer = field(repr=False, compare=False)
+    _integer_rows: list = field(repr=False, compare=False)  # (pairs, scale) per basis entry
 
     @property
     def dimension(self) -> int:
@@ -143,32 +146,28 @@ def _span(B: BraidingMatrix, alpha: tuple, kind: str) -> LieSpan:
     span has rank m(alpha), since the reducer would refuse every later
     candidate.
 
-    Candidates are built on integers over Z[zeta_N]: each basis vector
-    below is read once per build as an integer row over the lcm of its
-    denominators, a candidate is its pair shuffled through the split's
+    Candidates are built on integers over Z[zeta_N]: a candidate is a pair
+    of integer rows of the spans below shuffled through the split's
     integer table (see nichols), over the two scales times the table's
-    denominator, and the reducer takes that row as it is.  Only a kept
+    denominator, and the reducer takes that row as it is.  A kept
     candidate becomes scalars, the same values the shuffle over Q(zeta_N)
-    gives.
+    gives, and, with the content it shares with its denominator divided
+    out, the span's integer row for it: the lcm-scaled row of those
+    scalars, so every build above reads it as made.  The spans below are
+    read from B's span cache before _span is entered.
     """
-    key = (alpha, kind)
-    if key in B._lie_span_cache:
-        return B._lie_span_cache[key]
-    support, rows = tuple(i for i, a in enumerate(alpha) if a), B._rows
+    key, spans = (alpha, kind), B._lie_span_cache
+    if key in spans:
+        return spans[key]
+    support, q = tuple(i for i, a in enumerate(alpha) if a), B._rows
     shape = (kind, tuple(alpha[i] for i in support),
-             tuple((rows[i][j].num, rows[i][j].den) for i in support for j in support))
+             tuple((q[i][j].num, q[i][j].den) for i in support for j in support))
     shapes = B._first_use("_shape_cache", lambda B: {})
     if (earlier := shapes.get(shape)) is not None:
-        span = B._lie_span_cache[key] = _relabel(*earlier, alpha, support)
+        span = spans[key] = _relabel(*earlier, alpha, support)
         return span
     d, m, order = sum(alpha), multinomial(alpha), B.order
     one, (zero, unit) = Scalar.one(order), _ring_units(order)
-    vectors = {}  # degree -> its basis vectors as (nonzero integer pairs, scale)
-
-    def integer_vectors(span):
-        if span.degree not in vectors:
-            vectors[span.degree] = [_integer_vector(nv.values) for nv in span.basis]
-        return vectors[span.degree]
 
     def candidates():
         if d == 1:
@@ -179,7 +178,8 @@ def _span(B: BraidingMatrix, alpha: tuple, kind: str) -> LieSpan:
         for beta in product(*(range(a + 1) for a in alpha)):
             if 0 < sum(beta) < d and beta not in mirrored:
                 gamma = tuple(a - b for a, b in zip(alpha, beta))
-                left, right = _span(B, beta, kind), _span(B, gamma, kind)
+                left = spans.get((beta, kind)) or _span(B, beta, kind)
+                right = spans.get((gamma, kind)) or _span(B, gamma, kind)
                 if left.basis and right.basis:
                     p = B.chi(gamma, beta) if kind == BRAIDED else one
                     if gamma > beta and (kind == MINUS or (p * B.chi(beta, gamma)).is_one()):
@@ -188,24 +188,25 @@ def _span(B: BraidingMatrix, alpha: tuple, kind: str) -> LieSpan:
                     if bracket is None:  # every [b, c] here is zero
                         continue
                     table, den = bracket
-                    fcs = integer_vectors(right)
-                    for (tb, wb), (fb, sb) in zip(left.generators_used, integer_vectors(left)):
+                    fcs = right._integer_rows
+                    for (tb, wb), (fb, sb) in zip(left.generators_used, left._integer_rows):
                         for (tc, wc), (fc, sc) in zip(right.generators_used, fcs):
                             acc = [zero] * m
                             _shuffle_into(acc, table, fb, fc)
                             yield ((tb, tc), wb + wc), acc, sb * sc * den
 
     reducer = _RowReducer()
-    basis, provenance = [], []
+    basis, provenance, rows = [], [], []
     for source, acc, den in candidates():
         # the reducer's layout: at phi(N) > 1 coefficient lists, and 0 for a zero entry
         row = acc if type(zero) is int else [x.c if x else 0 for x in acc]
         if reducer.insert_integers(row, order):
             basis.append(NicholsVector(alpha, tuple(_scalars(order, row, den))))
             provenance.append(source)
+            rows.append(_integer_vector(order, row, den))
             if reducer.rank == m:  # full: every later candidate is refused
                 break
-    span = B._lie_span_cache[key] = LieSpan(alpha, kind, basis, provenance, reducer)
+    span = spans[key] = LieSpan(alpha, kind, basis, provenance, reducer, rows)
     shapes[shape] = span, support
     return span
 
@@ -213,13 +214,13 @@ def _span(B: BraidingMatrix, alpha: tuple, kind: str) -> LieSpan:
 def _relabel(span: LieSpan, support: tuple, alpha: tuple, onto: tuple) -> LieSpan:
     """span, built on the (0-based) support, as the span at alpha, whose
     support onto has the same shape: letters map increasingly, and the
-    values and the read-only solver are shared."""
+    values, the read-only solver and the integer rows are shared."""
     letter = {i + 1: j + 1 for i, j in zip(support, onto)}
     return LieSpan(
         alpha, span.kind,
         [NicholsVector(alpha, nv.values) for nv in span.basis],
         [(tree, tuple(letter[x] for x in word)) for tree, word in span.generators_used],
-        span.solver,
+        span.solver, span._integer_rows,
     )
 
 

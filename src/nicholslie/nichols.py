@@ -49,8 +49,8 @@ from math import gcd, lcm
 from operator import mul
 
 from .braiding import BraidingMatrix
-from .freealg import (FreeElement, _collect, _multidegree_words, multinomial, word_degree,
-                      words_of_multidegree)
+from .freealg import (FreeElement, _collect, _multidegree_words, _word_index, multinomial,
+                      word_degree, words_of_multidegree)
 from .scalar import (GuardrailExceeded, Scalar, _cached_one, _canonical, _norm_cofactor, _product,
                      _residue_field, _ring, _ring_units, euler_phi)
 
@@ -244,12 +244,14 @@ class _ShuffleTables:
     (with repeated letters there are exponentially many) and, like the
     factors and the inverse table, depend on B and the words alone, so all
     are kept on B (B._shuffle_cache) and shared by every alpha; they hold
-    words and ints, never B, so they make no reference cycle.  Weights are
-    plain ints at phi(N) = 1 and scalar._Cyclotomic otherwise."""
+    words and ints, never B, so they make no reference cycle.  The index
+    of the dual words of alpha depends on alpha alone and is kept per
+    alpha (freealg._word_index).  Weights are plain ints at phi(N) = 1 and
+    scalar._Cyclotomic otherwise."""
 
     def __init__(self, B: BraidingMatrix, alpha: tuple):
         self.order, self.one = B.order, _ring_units(B.order)[1]
-        self.index = {word: k for k, word in enumerate(_multidegree_words(alpha))}
+        self.index = _word_index(alpha)
         self.memo, self.factors, self.nums, self.dens = B._first_use("_shuffle_cache", _shuffle_memos)
 
     def bracket(self, beta, gamma, p):
@@ -290,20 +292,32 @@ class _ShuffleTables:
 
     def shuffles(self, u, v):
         # (dual word, integer weight) pairs: the dual word starts with u's
-        # first letter, placed before all of v, or with v's placed before all of u
+        # first letter, placed before all of v, or with v's placed before all
+        # of u.  When those letters differ no dual word is met twice, and no
+        # weight is 0 (Z[zeta_N] has no zero divisors), so the two halves are
+        # joined as they are, which is what _merged would return
         out = self.memo.get((u, v))
         if out is None:
             if not u or not v:
                 out = ((u + v, self.one),)
             else:
+                x, y = u[:1], v[:1]
                 g, f = self.factor(u[0], v)[1], self.factor(v[0], u)[0]
-                acc = {(u[0],) + j: w * g for j, w in self.shuffles(u[1:], v)}
-                for j, w in self.shuffles(u, v[1:]):
-                    j, w = (v[0],) + j, w * f
-                    acc[j] = acc[j] + w if j in acc else w
-                out = tuple((j, w) for j, w in acc.items() if w)
+                first = [(x + j, w * g) for j, w in self.shuffles(u[1:], v)]
+                second = [(y + j, w * f) for j, w in self.shuffles(u, v[1:])]
+                out = tuple(first + second) if x != y else _merged(first, second)
             self.memo[(u, v)] = out
         return out
+
+
+def _merged(first, second) -> tuple:
+    """The (word, weight) pairs of first, then those of second whose word
+    first lacks, with the weights of a word in both summed and a zero sum
+    dropped; each list names a word at most once."""
+    acc = dict(first)
+    for j, w in second:
+        acc[j] = acc[j] + w if j in acc else w
+    return tuple((j, w) for j, w in acc.items() if w)
 
 
 def _shuffle_into(acc: list, table, fu, fv) -> None:
@@ -467,13 +481,18 @@ def _integer_row(row) -> tuple:
             for x in row], scale
 
 
-def _integer_vector(values) -> tuple:
-    """(pairs, scale): the nonzero entries of a row of scalars scaled by
-    the lcm of its denominators, as the (index, element of Z[zeta_N]) pairs
-    that _shuffle_into reads."""
-    r, scale = _integer_row(values)
-    order = values[0].order
-    return [(k, x if type(x) is int else _ring(order, x)) for k, x in enumerate(r) if x], scale
+def _integer_vector(order: int, r, den: int) -> tuple:
+    """(pairs, scale) of a nonzero integer row r in _RowReducer's layout
+    over den > 0: the nonzero entries of r with the content they share with
+    den divided out, as the (index, element of Z[zeta_N]) pairs that
+    _shuffle_into reads, over den divided by it.  These are the scalars of
+    r over den (_scalars) scaled by the lcm of their denominators, so r and
+    den multiplied by one positive int give the same pairs."""
+    if euler_phi(order) == 1:
+        g = gcd(den, *r)
+        return [(k, x // g) for k, x in enumerate(r) if x], den // g
+    g = gcd(den, *[c for x in r if x for c in x])
+    return [(k, _ring(order, [c // g for c in x])) for k, x in enumerate(r) if x], den // g
 
 
 def _scalars(order: int, r, den: int) -> list:

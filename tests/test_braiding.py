@@ -232,8 +232,15 @@ def test_matrix_attributes_cannot_be_set():
 def test_first_use_memos_are_made_once():
     B = matrix_from_strings([["2", "z"], ["1", "-1"]], 3)
     assert B._lie_span_cache == {} and B._pairing_row_cache == {}
-    for name in ("_inv_rows", "_json", "_shuffle_cache", "_shape_cache"):
+    for name in ("_inv_rows", "_chi_groups", "_json", "_shuffle_cache", "_shape_cache"):
         assert getattr(B, name) is None
     text, row = B.to_json(), B.inverse_row(2)
     assert B.to_json() is text and B.inverse_row(2) is row
     assert B._inv_rows[1] is row
+    # chi's groups: the entries != 1 by value, in order of first appearance
+    B.chi((1, 1), (1, 1))
+    groups = B._chi_groups
+    B.chi((2, 0), (0, 1))
+    assert B._chi_groups is groups
+    assert [(str(value), cells) for value, cells in groups] == [
+        ("2", ((0, 0),)), ("z", ((0, 1),)), ("-1", ((1, 1),))]

@@ -31,6 +31,7 @@ from nicholslie.lie import (
 )
 from nicholslie.nichols import (
     GuardrailExceeded,
+    _integer_row,
     _integer_vector,
     _RowReducer,
     _shuffle_into,
@@ -152,7 +153,8 @@ def test_bracket_table_pairs_the_bracket(rows, order):
             cancelled += 1
             continue
         table, den = table
-        (fu, su), (fv, sv) = (_integer_vector(pairing_vector(B, e).values) for e in (u, v))
+        (fu, su), (fv, sv) = (_integer_vector(order, *_integer_row(pairing_vector(B, e).values))
+                              for e in (u, v))
         acc = [_ring_units(order)[0]] * multinomial(alpha)
         _shuffle_into(acc, table, fu, fv)
         assert tuple(ring_scalar(order, x, su * sv * den) for x in acc) == expected, (beta, gamma)
@@ -693,6 +695,11 @@ def _served_by_shape(B, alpha, kind):
                if k == kind and degree != alpha)
 
 
+def _plain(rows) -> list:
+    """(pairs, scale) integer rows with each element of Z[zeta_N] as its ints."""
+    return [([(k, x if type(x) is int else x.c) for k, x in pairs], scale) for pairs, scale in rows]
+
+
 def assert_matches_former_build(B, kind, monkeypatch):
     calls = {}  # alpha -> the splits beta whose bracket table was asked for, in order
 
@@ -716,6 +723,9 @@ def assert_matches_former_build(B, kind, monkeypatch):
             assert span.basis == expected.basis, alpha
             assert span.generators_used == expected.generators_used, alpha
             assert normalized_pivots(span.solver, B.order) == normalized_pivots(expected.solver, B.order)
+            # the rows kept from the candidates are those read from the scalars
+            assert _plain(span._integer_rows) == _plain(
+                _integer_vector(B.order, *_integer_row(nv.values)) for nv in span.basis), alpha
     skipped = 0
     for alpha, paired in oracle_paired.items():
         asked = calls.pop(alpha, None)
@@ -814,15 +824,21 @@ def test_span_build_offers_no_row_after_full_rank(B, degrees, monkeypatch):
 
 
 # The work of one max_supports(B, 4, "braided") scan over each graph class on a
-# fresh matrix: the bracket tables built, their nonzero entries and the rows
-# offered to the reducer.  The counts are deterministic, and the seed-1 work
-# gates of perfbench see no integer work, so these caps stand in for them: a
-# change may lower a count, never raise it.
-SPAN_WORK_CAPS = {"tables": 251, "entries": 1035, "rows": 404}
+# fresh matrix: the bracket tables built, their nonzero entries, the rows
+# offered to the reducer and the integer rows derived for the spans' basis
+# vectors.  The counts are deterministic, and the seed-1 work gates of
+# perfbench see no integer work, so these caps stand in for them: a change
+# may lower a count, never raise it.  Each integer row is derived once, in
+# the build that keeps its vector, and never again by a build that pairs it.
+SPAN_WORK_CAPS = {"tables": 251, "entries": 1035, "rows": 404, "derived": 240}
+# The suffix shuffles that go through _merged, a dict merge: those of two
+# words with the same first letter, where a dual word can repeat; any other
+# pair joins its two halves as they are.
+SUFFIX_SHUFFLE_MERGES = 50
 
 
 def test_span_builds_stay_within_their_work_caps(monkeypatch):
-    counts = dict.fromkeys(SPAN_WORK_CAPS, 0)
+    counts = dict.fromkeys([*SPAN_WORK_CAPS, "kept", "merges"], 0)
 
     class CountingTables(_ShuffleTables):
         def bracket(self, beta, gamma, p):
@@ -835,13 +851,25 @@ def test_span_builds_stay_within_their_work_caps(monkeypatch):
     class CountingReducer(_RowReducer):
         def insert_integers(self, row, order):
             counts["rows"] += 1
-            return super().insert_integers(row, order)
+            grew = super().insert_integers(row, order)
+            counts["kept"] += grew
+            return grew
+
+    def counting(name, function):
+        def counted(*args):
+            counts[name] += 1
+            return function(*args)
+        return counted
 
     monkeypatch.setattr("nicholslie.lie._ShuffleTables", CountingTables)
     monkeypatch.setattr("nicholslie.lie._RowReducer", CountingReducer)
+    monkeypatch.setattr("nicholslie.lie._integer_vector", counting("derived", _integer_vector))
+    monkeypatch.setattr("nicholslie.nichols._merged", counting("merges", nichols._merged))
     for n, edges in GRAPH_CLASSES:
         max_supports(realize_graph(n, edges), 4, BRAIDED)
     assert all(0 < counts[k] <= cap for k, cap in SPAN_WORK_CAPS.items()), counts
+    assert counts["derived"] <= counts["kept"], counts
+    assert counts["merges"] == SUFFIX_SHUFFLE_MERGES, counts
 
 
 def test_member_test_matches_monomial_membership():
@@ -950,7 +978,7 @@ def test_two_edges_build_each_shape_once():
     B = realize_graph(4, [(1, 2), (3, 4)])
     for low, high in (((1, 1, 0, 0), (0, 0, 1, 1)), ((2, 1, 0, 0), (0, 0, 2, 1))):
         low, high = lie_span(B, low, BRAIDED), lie_span(B, high, BRAIDED)
-        assert high.solver is low.solver and high.basis
+        assert high.solver is low.solver and high._integer_rows is low._integer_rows and high.basis
         assert [nv.values for nv in high.basis] == [nv.values for nv in low.basis]
         assert all(nv.degree == high.degree for nv in high.basis)
         assert high.generators_used == [(tree, tuple(x + 2 for x in word))
