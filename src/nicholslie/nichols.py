@@ -81,15 +81,21 @@ MAX_DEGREE = 200
 SHORT_ROW_LETTERS = 3
 
 
-def _guard(needed: int, max_terms, what: str, *args) -> None:
-    """GuardrailExceeded if needed exceeds the cap (ValueError unless an int >= 0); entry points only.
-    Its text is what.format(*args), formatted only on a refusal: a cached
-    Lie span is looked up through here on every call."""
+def _cap(max_terms) -> int:
+    """The size cap max_terms names: MAX_TERMS_DEFAULT for None, else
+    max_terms itself, which must be an int >= 0 (ValueError otherwise)."""
     cap = MAX_TERMS_DEFAULT if max_terms is None else max_terms
     if type(cap) is not int:  # not isinstance(): a bool is no cap
         raise ValueError(f"max_terms must be an int >= 0, got {cap!r}")
     if cap < 0:
         raise ValueError(f"max_terms must be >= 0, got {cap}")
+    return cap
+
+
+def _guard(needed: int, max_terms, what: str, *args) -> None:
+    """GuardrailExceeded if needed exceeds the cap (see _cap); entry points only.
+    Its text is what.format(*args), formatted only on a refusal."""
+    cap = _cap(max_terms)
     if needed > cap:
         raise GuardrailExceeded(what.format(*args), needed, cap)
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import asdict, dataclass, field
-from functools import cache
 
 from .braiding import BraidingMatrix
 from .freealg import (
@@ -44,8 +43,8 @@ from .freealg import (
     words_of_total_degree,
 )
 from .graphs import AUGMENTED, PURE, build_graph, components, is_connected_monomial, support
-from .lie import _check_d_max, _member_test, max_supports
-from .nichols import GuardrailExceeded, _check_degree, _guard, _vanishes
+from .lie import _check_d_max, _degrees, _first_member, _is_member, max_supports
+from .nichols import GuardrailExceeded, _cap, _check_degree, _guard, _vanishes
 from .scalar import Scalar
 
 __all__ = [
@@ -121,17 +120,10 @@ def check_theorem_equivalences(B: BraidingMatrix, d_max=None, max_terms=None) ->
 
     def check():
         a = len(components(build_graph(B, PURE))) == 1
-
-        member = cache(_member_test(B, BRAIDED, max_terms))  # (b) and (c) are asked again for (d)
-
-        b = member(tuple(range(n, 0, -1)))
-        c = member(tuple(range(1, n + 1)))
-        full = frozenset(range(1, n + 1))
-        witness = next(
-            (word for length in range(n, d_max + 1) for word in words_of_total_degree(n, length)
-             if frozenset(word) == full and member(word)),
-            None,
-        )
+        cap = _cap(max_terms)
+        b = _is_member(B, tuple(range(n, 0, -1)), BRAIDED, cap)
+        c = _is_member(B, tuple(range(1, n + 1)), BRAIDED, cap)
+        witness = _full_support_witness(B, d_max, cap)
         d = witness is not None
         evidence = {
             "graph_connected": a,
@@ -143,6 +135,35 @@ def check_theorem_equivalences(B: BraidingMatrix, d_max=None, max_terms=None) ->
         return (CONFIRMED if a == b == c == d else COUNTEREXAMPLE), evidence
 
     return _report(B, "thm-equiv", f"d_max={d_max}", f"n={n} order={B.order} d_max={d_max}", check)
+
+
+def _full_support_witness(B: BraidingMatrix, d_max: int, cap: int):
+    """The lex-first braided member word of full support at the least
+    length <= d_max, or None.
+
+    The full-support degrees of each length are walked in the order the
+    lex scan of its words first meets them (lie._degrees), each giving its
+    first member word (lie._first_member), up to a degree whose least word
+    comes after the best one so far.  A refused span sends the length back
+    to that word scan from its start, as in lie.max_supports.
+    """
+    n = B.n
+    for length in range(n, d_max + 1):
+        best = None
+        try:
+            for alpha, least in _degrees(n, length):
+                if best is not None and least > best:
+                    break
+                if all(alpha):
+                    word = _first_member(B, alpha, BRAIDED, cap)
+                    if word is not None and (best is None or word < best):
+                        best = word
+        except GuardrailExceeded:
+            best = next((word for word in words_of_total_degree(n, length)
+                         if len(set(word)) == n and _is_member(B, word, BRAIDED, cap)), None)
+        if best is not None:
+            return best
+    return None
 
 
 def check_theorem_max_support(B: BraidingMatrix, d_max=None, max_terms=None) -> VerificationReport:

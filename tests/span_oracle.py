@@ -174,5 +174,5 @@ def oracle_span(B, alpha, kind, spans, paired=None) -> LieSpan:
         if reducer.insert(values):
             basis.append(NicholsVector(alpha, values))
             provenance.append(source)
-    span = spans[alpha] = LieSpan(alpha, kind, basis, provenance, reducer, None)
+    span = spans[alpha] = LieSpan(alpha, kind, basis, provenance, reducer, None, None, None)
     return span

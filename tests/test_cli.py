@@ -321,16 +321,17 @@ def test_cmd_bracket_honors_max_terms_before_expansion(matrix_file, capsys):
 
 
 def test_cmd_ismember_long_word_refused_by_candidate_count(matrix_file, capsys):
-    # the recursive build pairs at most (14 - 1) * 1 candidates at (14,);
-    # that count is compared with the cap before any bracket is built
+    # the build of (14,) first builds the spans below it, each under its own
+    # guard: (k,) pairs k - 1 candidates of one word through k - 1 table
+    # entries, so (7,) is the first refused, before any bracket of it is built
     code, out = run(
         ["ismember", "--input", matrix_file('{"n":1,"cyclotomic_order":1,"q":[["2"]]}'),
          "--monomial", " ".join(["x1"] * 14), "--lie", "braided", "--max-terms", "5"]
     )
     assert code == 3 and out == ""
     assert capsys.readouterr().err == (
-        "inconclusive: Lie span at degree (14,) (13 candidates x 1 words): "
-        "needs 13 entries, cap is 5\n"
+        "inconclusive: Lie span at degree (7,) (6 candidates x 1 words, 6 table entries): "
+        "needs 6 entries, cap is 5\n"
     )
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import random
 from itertools import permutations, product
+from math import comb, prod
 
 import pytest
 
@@ -42,7 +43,7 @@ from nicholslie.nichols import (
 from nicholslie.scalar import Scalar, _ring_units
 
 from conftest import matrix_from_strings, random_braiding_matrix, random_scalar, rational_matrix
-from max_supports_oracle import oracle_is_member, oracle_max_supports
+from max_supports_oracle import oracle_equivalence_evidence, oracle_max_supports
 from scalar_reducer_oracle import ScalarRowReducer, normalized_pivots
 from span_oracle import divided_table, oracle_span, ring_scalar
 
@@ -255,13 +256,18 @@ def test_membership_span_cache_is_per_matrix():
 
 
 def test_membership_cached_span_honors_tighter_cap():
+    # a span cached at the default cap refuses cap 5 with the text of a
+    # matrix that has cached nothing
     B = rational_matrix([[2, 2], [2, 2]])
     assert monomial_membership(B, (1, 2, 1), BRAIDED).status == MEMBER
-    with pytest.raises(GuardrailExceeded) as info:
-        monomial_membership(B, (1, 2, 1), BRAIDED, max_terms=5)
-    assert str(info.value) == (
-        "Lie span at degree (2, 1) (6 candidates x 3 words): needs 18 entries, cap is 5"
-    )
+    refusals = []
+    for matrix in (B, rational_matrix([[2, 2], [2, 2]])):
+        with pytest.raises(GuardrailExceeded) as info:
+            monomial_membership(matrix, (1, 2, 1), BRAIDED, max_terms=5)
+        refusals.append(str(info.value))
+    assert refusals == [
+        "Lie span at degree (2, 1) (6 candidates x 3 words, 18 table entries): needs 18 entries, cap is 5"
+    ] * 2
 
 
 def test_membership_zero_status():
@@ -466,31 +472,29 @@ def test_zero_word_matrices_meet_zero_words():
 @scan_matrices
 def test_max_supports_match_word_by_word_loop(build, monkeypatch):
     # separate matrices, so neither scan reads spans the other built; the
-    # scan asks lie_span about a degree whose span is empty only once
-    entered = {}
+    # degree scan asks for the first member of each degree at most once
+    asked = []
 
     def counted(B, alpha, *args):
-        span = lie_span(B, alpha, *args)
-        entered.setdefault(alpha, []).append(span.dimension)
-        return span
+        asked.append(alpha)
+        return first_member(B, alpha, *args)
 
+    first_member = lie._first_member
     expected = oracle_max_supports(build(), 4, BRAIDED)
-    monkeypatch.setattr("nicholslie.lie.lie_span", counted)
+    monkeypatch.setattr("nicholslie.lie._first_member", counted)
     assert max_supports(build(), 4, BRAIDED) == expected
-    empty = [dims for dims in entered.values() if dims[0] == 0]
-    assert all(dims == [0] for dims in empty)
+    assert asked and len(asked) == len(set(asked))
     B = build()
     if B.order == 1:
         assert expected == components(build_graph(B, PURE))
 
 
 @scan_matrices
-def test_theorem_equivalences_evidence_matches_word_by_word_loop(build, monkeypatch):
+def test_theorem_equivalences_evidence_matches_word_by_word_loop(build):
     B = build()
-    got = verify.check_theorem_equivalences(B, d_max=B.n + 1).to_dict()
-    monkeypatch.setattr(verify, "_member_test", lambda B, kind, max_terms:
-                        lambda word: oracle_is_member(B, word, kind, max_terms))
-    assert verify.check_theorem_equivalences(build(), d_max=B.n + 1).to_dict() == got
+    report = verify.check_theorem_equivalences(B, d_max=B.n + 1)
+    assert report.evidence == oracle_equivalence_evidence(build(), B.n + 1)
+    assert report.verdict in (verify.CONFIRMED, verify.COUNTEREXAMPLE)
 
 
 @pytest.mark.parametrize("n, edges", [(2, [(1, 2)]), (3, [(1, 2), (2, 3)])])
@@ -502,6 +506,38 @@ def test_max_supports_stops_at_the_full_support(n, edges):
     for d_max in range(n, n + 3):
         assert max_supports(realize_graph(n, edges), d_max, BRAIDED) == full
         assert oracle_max_supports(realize_graph(n, edges), d_max, BRAIDED) == full
+
+
+def test_degree_walk_skips_only_what_a_member_met_earlier_covers(monkeypatch):
+    # take the first member of (1, 1, 1) to be x2 x1 x3: (1, 0, 2), whose
+    # least word x1 x3 x3 the word scan meets before it, is still asked, and
+    # (0, 2, 1), whose least word x2 x2 x3 comes after it, is covered
+    asked = []
+    members = {(1, 0, 0): (1,), (0, 1, 0): (2,), (0, 0, 1): (3,), (1, 1, 1): (2, 1, 3)}
+
+    def first_member(B, alpha, kind, cap):
+        asked.append(alpha)
+        return members.get(alpha)
+
+    monkeypatch.setattr("nicholslie.lie._first_member", first_member)
+    assert max_supports(realize_graph(3, []), 3, BRAIDED) == [(1, 2, 3)]
+    assert asked[-2:] == [(1, 1, 1), (1, 0, 2)]
+
+
+def test_a_build_that_pairs_nothing_makes_no_shuffle_tables(monkeypatch):
+    # x1^2 = x2^2 = 0 and q12 q21 = 1: (2, 0) and (1, 1) pair their
+    # generators, and every split of (2, 1) has an empty side
+    made = []
+
+    class Recording(_ShuffleTables):
+        def __init__(self, B, alpha):
+            made.append(alpha)
+            super().__init__(B, alpha)
+
+    monkeypatch.setattr("nicholslie.lie._ShuffleTables", Recording)
+    B = BraidingMatrix.from_strings([["-1", "1"], ["1", "-1"]], 1)
+    assert lie_span(B, (2, 1), BRAIDED).dimension == 0
+    assert made == [(2, 0), (1, 1)]
 
 
 CACHED_SCAN_GRAPHS = [
@@ -540,15 +576,25 @@ def test_scans_enter_monomial_membership_only_on_a_span_refusal(monkeypatch):
     assert asked == []
 
 
-def test_max_supports_skips_zero_words_beyond_the_span_guard():
-    # x1^2 = x2^2 = 0 and q12 q21 = 1: every word at (2, 1) and (1, 2) is
-    # zero, and the span guard there needs 2 * 3 * 3 = 18 > 10 entries
-    B = BraidingMatrix.from_strings([["-1", "1"], ["1", "-1"]], 1)
-    assert max_supports(B, 3, BRAIDED, max_terms=10) == [(1,), (2,)]
+def test_max_supports_skips_zero_words_beyond_the_span_guard(monkeypatch):
+    # x1^2 = x2^2 = 0 and q12 q21 = 1: every span above degree 1 is empty and
+    # every word at (2, 1) and (1, 2) is zero.  The largest need is 2, at
+    # (1, 1), so at cap 10 no span is refused, and no word is paired
+    def refuse(*args):
+        raise AssertionError("paired a word")
+
+    rows = [["-1", "1"], ["1", "-1"]]
+    monkeypatch.setattr("nicholslie.lie._pairings", refuse)
+    assert max_supports(BraidingMatrix.from_strings(rows, 1), 3, BRAIDED, max_terms=10) == [(1,), (2,)]
+    monkeypatch.undo()
     with pytest.raises(GuardrailExceeded) as exc:
-        max_supports(BraidingMatrix.from_strings([["-1", "1"], ["1", "-1"]], 1), 3, BRAIDED,
-                     max_terms=2)
-    assert str(exc.value) == "Lie span at degree (1, 1) (2 candidates x 2 words): needs 4 entries, cap is 2"
+        max_supports(BraidingMatrix.from_strings(rows, 1), 3, BRAIDED, max_terms=1)
+    # at cap 1 the span at (1, 1) is refused, so x1 x2 goes to
+    # monomial_membership, whose pairing vector of 2 entries is refused first
+    assert str(exc.value) == "pairing vector at degree (1, 1): needs 2 entries, cap is 1"
+    with pytest.raises(GuardrailExceeded) as oracle_exc:
+        oracle_max_supports(BraidingMatrix.from_strings(rows, 1), 3, BRAIDED, max_terms=1)
+    assert str(oracle_exc.value) == str(exc.value)
 
 
 def test_equivalence_booleans_small_battery():
@@ -599,21 +645,27 @@ def test_shuffle_kernel_lives_in_nichols():
 
 
 def test_lie_span_guard_precedes_candidate_build(monkeypatch):
-    # 14 letters give at most (14 - 1) * 1 candidates; the cap must refuse
-    # them from the count alone, without building a single bracket
-    def refuse(*args):
-        raise AssertionError(f"built a bracket of {args[:2]}")
+    # the spans below (14,) are built first, each under its own guard; (k,)
+    # pairs k - 1 candidates of one word through k - 1 table entries, so the
+    # first refused is (7,), before its shuffle tables are made
+    made = []
 
-    monkeypatch.setattr("nicholslie.lie._ShuffleTables", refuse)
+    class Recording(_ShuffleTables):
+        def __init__(self, B, alpha):
+            made.append(alpha)
+            super().__init__(B, alpha)
+
+    monkeypatch.setattr("nicholslie.lie._ShuffleTables", Recording)
     B = rational_matrix([[2]])
     with pytest.raises(GuardrailExceeded) as info:
         lie_span(B, (14,), BRAIDED, max_terms=5)
     assert str(info.value) == (
-        "Lie span at degree (14,) (13 candidates x 1 words): needs 13 entries, cap is 5"
+        "Lie span at degree (7,) (6 candidates x 1 words, 6 table entries): needs 6 entries, cap is 5"
     )
-    # the patch stands in front of the build: admitted, it is what runs first
-    with pytest.raises(AssertionError, match=r"^built a bracket of "):
-        lie_span(B, (14,), BRAIDED)
+    assert made == [(2,), (3,), (4,), (5,), (6,)]
+    # admitted, the refused degree is what is built next
+    lie_span(B, (7,), BRAIDED, max_terms=6)
+    assert made == [(2,), (3,), (4,), (5,), (6,), (7,)]
 
 
 @pytest.mark.parametrize("rows, order", [
@@ -626,20 +678,57 @@ def test_lie_span_guard_precedes_candidate_build(monkeypatch):
     ([["z", "z^3", "1"], ["z^5", "-1", "z"], ["1", "z^7", "z^2"]], 8),
 ])
 @pytest.mark.parametrize("kind", [BRAIDED, MINUS])
-def test_lie_span_candidates_within_guard_bound(rows, order, kind):
-    # the candidates paired at alpha are sum over splits of dim L_beta *
-    # dim L_gamma; the guard sizes them by (d - 1) * multinomial(alpha)
+def test_lie_span_candidates_within_guard_bound(rows, order, kind, monkeypatch):
+    # a build at alpha pairs the splits whose spans are both nonempty, less
+    # the mirrored ones; its guard counts those too and needs the larger of
+    # (sum dim L_beta * dim L_gamma) * m(alpha) and the table bound,
+    # m(alpha) * min(prod C(alpha_i, beta_i), m(beta) * m(gamma)) summed
+    # over those splits, never more than (d - 1) * m(alpha)^2, and its span
+    # keeps that need.  The candidates it offers, times m(alpha), and the
+    # entries of the tables it makes never exceed it
+    offered, entries, building = {}, {}, []
+    build = lie._build
+
+    def recorded(B, alpha, *args):
+        building.append(alpha)
+        try:
+            return build(B, alpha, *args)
+        finally:
+            building.pop()
+
+    class CountingTables(_ShuffleTables):
+        def bracket(self, beta, gamma, p):
+            table = super().bracket(beta, gamma, p)
+            cells = sum(len(entry) for row in table[0] for entry in row) if table else 0
+            entries[building[-1]] = entries.get(building[-1], 0) + cells
+            return table
+
+    class CountingReducer(_RowReducer):
+        def insert_integers(self, row, order):
+            offered[building[-1]] = offered.get(building[-1], 0) + 1
+            return super().insert_integers(row, order)
+
+    monkeypatch.setattr("nicholslie.lie._build", recorded)
+    monkeypatch.setattr("nicholslie.lie._ShuffleTables", CountingTables)
+    monkeypatch.setattr("nicholslie.lie._RowReducer", CountingReducer)
     B = matrix_from_strings(rows, order)
     for d in range(2, 5):
         for alpha in (a for a in product(range(d + 1), repeat=B.n) if sum(a) == d):
             lie_span(B, alpha, kind)
-            dims = {deg: span.dimension for (deg, k), span in B._lie_span_cache.items()
-                    if k == kind}
-            paired = sum(
-                dims[beta] * dims[tuple(a - b for a, b in zip(alpha, beta))]
-                for beta in product(*(range(a + 1) for a in alpha)) if 0 < sum(beta) < d
-            )
-            assert paired <= (d - 1) * multinomial(alpha), alpha
+    spans = {degree: span for (degree, k), span in B._lie_span_cache.items() if k == kind}
+    for alpha in offered.keys() - {a for a in offered if sum(a) == 1}:
+        m, paired, cells = multinomial(alpha), 0, 0
+        for beta in product(*(range(a + 1) for a in alpha)):
+            gamma = tuple(a - b for a, b in zip(alpha, beta))
+            if 0 < sum(beta) < sum(alpha):
+                left, right = spans[beta], spans[gamma]
+                if left.basis and right.basis:
+                    paired += left.dimension * right.dimension
+                    cells += m * min(prod(map(comb, alpha, beta)), multinomial(beta) * multinomial(gamma))
+        need = max(paired * m, cells)
+        assert need == spans[alpha]._need[0] <= spans[alpha]._top, alpha
+        assert offered[alpha] * m <= need and entries.get(alpha, 0) <= need <= (sum(alpha) - 1) * m * m, alpha
+    assert entries
 
 
 BAD_BRACKET_KIND = "bracket kind must be 'braided' or 'minus', got 'classical'"
@@ -874,16 +963,15 @@ def test_span_builds_stay_within_their_work_caps(monkeypatch):
 
 def test_member_test_matches_monomial_membership():
     # every word of degree <= 4, against monomial_membership on a fresh
-    # matrix: empty spans, full spans (only a zero test) and the solver
+    # matrix: empty spans, full spans (no pairing) and the solver
     met = set()
     for rows, order in SPAN_BUILD_MATRICES:
         for kind in (BRAIDED, MINUS):
             B, oracle_B = (matrix_from_strings(rows, order) for _ in range(2))
-            is_member = lie._member_test(B, kind, None)
             for d in range(1, 5):
                 for word in product(range(1, B.n + 1), repeat=d):
-                    expected = oracle_is_member(oracle_B, word, kind)
-                    assert is_member(word) == expected, (rows, kind, word)
+                    expected = monomial_membership(oracle_B, word, kind).status == MEMBER
+                    assert lie._is_member(B, word, kind, 10**6) == expected, (rows, kind, word)
                     span = B._lie_span_cache[(word_degree(word, B.n), kind)]
                     if d > 1:
                         met.add("full" if span.dimension == multinomial(span.degree) else
