@@ -232,9 +232,6 @@ def _build(B: BraidingMatrix, alpha: tuple, kind: str, cap: int) -> LieSpan:
     """
     d, m, order = sum(alpha), multinomial(alpha), B.order
     one, (zero, unit) = Scalar.one(order), _ring_units(order)
-    # m(alpha) * min(prod C(alpha_i, beta_i), m(beta) * m(gamma)), as
-    # prod C(alpha_i, beta_i) = m(beta) * m(gamma) * C(d, |beta|) / m(alpha)
-    cells = [min(comb(d, k), m) for k in range(d)]
     splits, top, entries = [], 0, 0
     paired = 1 if d == 1 else 0  # degree 1 pairs its generator
     for beta, gamma, left, right in _splits(B, alpha, kind, cap):
@@ -245,7 +242,9 @@ def _build(B: BraidingMatrix, alpha: tuple, kind: str, cap: int) -> LieSpan:
         if left.basis and right.basis:
             splits.append((beta, gamma, left, right))
             paired += left.dimension * right.dimension
-            entries += _words(beta) * _words(gamma) * cells[sum(beta)]
+            # m(alpha) * min(prod C(alpha_i, beta_i), m(beta) * m(gamma)), as
+            # prod C(alpha_i, beta_i) = m(beta) * m(gamma) * C(d, |beta|) / m(alpha)
+            entries += _words(beta) * _words(gamma) * min(comb(d, sum(beta)), m)
     need = (max(paired * m, entries), paired, m, entries)
     if need[0] > cap:
         raise _exceeded(alpha, need, cap)

@@ -123,7 +123,8 @@ def check_theorem_equivalences(B: BraidingMatrix, d_max=None, max_terms=None) ->
         cap = _cap(max_terms)
         b = _is_member(B, tuple(range(n, 0, -1)), BRAIDED, cap)
         c = _is_member(B, tuple(range(1, n + 1)), BRAIDED, cap)
-        witness = _full_support_witness(B, d_max, cap)
+        # the ascending word is the least word of full support
+        witness = tuple(range(1, n + 1)) if c else _full_support_witness(B, d_max, cap)
         d = witness is not None
         evidence = {
             "graph_connected": a,
