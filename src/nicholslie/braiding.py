@@ -45,7 +45,7 @@ def _read_document(text: str, what: str, fields) -> dict:
 
 
 def _inverse_rows(B) -> tuple:
-    # a function, not a closure made per inverse_row call: that is the hot path
+    # an entry equal to 1 is not inverted: its inverse is the shared one
     return tuple(tuple(Scalar.one(B.order) if e.is_one() else e.inv() for e in row) for row in B._rows)
 
 
@@ -67,13 +67,13 @@ class BraidingMatrix:
     computation on the matrix shares them.  _lie_span_cache and
     _pairing_row_cache are made with the matrix; _inv_rows, _chi_groups
     (the entries != 1 grouped by value, which chi reads), _json,
-    _shuffle_cache and _shape_cache are made on first use, through
-    _first_use, so a matrix that never needs one allocates none.
+    _descent_table, _shuffle_cache and _shape_cache are made on first use,
+    through _first_use, so a matrix that never needs one allocates none.
     """
 
     __slots__ = (
         "n", "order", "_rows", "_inv_rows", "_chi_groups", "_json", "_lie_span_cache",
-        "_pairing_row_cache", "_shuffle_cache", "_shape_cache",
+        "_pairing_row_cache", "_descent_table", "_shuffle_cache", "_shape_cache",
     )
 
     def __init__(self, rows):
@@ -105,6 +105,7 @@ class BraidingMatrix:
         object.__setattr__(self, "_json", None)
         object.__setattr__(self, "_lie_span_cache", {})
         object.__setattr__(self, "_pairing_row_cache", {})
+        object.__setattr__(self, "_descent_table", None)
         object.__setattr__(self, "_shuffle_cache", None)
         object.__setattr__(self, "_shape_cache", None)
 
@@ -168,9 +169,8 @@ class BraidingMatrix:
         return self._rows[i - 1][j - 1]
 
     def inverse_row(self, i: int):
-        """q_ij^-1 for j=1..n; hot-loop accessor.  An entry equal to 1 is
-        the shared Scalar.one(order), never inverted, so callers skip unit
-        factors by identity."""
+        """q_ij^-1 for j=1..n, made once per matrix; the integer tables of
+        the descent and of the Lie-span builds are read off these."""
         return self._first_use("_inv_rows", _inverse_rows)[i - 1]
 
     def _first_use(self, name: str, make):

@@ -37,6 +37,7 @@ from .nichols import (
     _ShuffleTables,
     _cap,
     _check_degree,
+    _degree_den,
     _guard,
     _integer_vector,
     _pairings,
@@ -67,7 +68,7 @@ class LieSpan:
 
     solver is the row reducer that selected the basis; solver.reduce(v) is
     the exact residue of v, all zero exactly when v lies in the span, and
-    solver.contains(v) is that test, building no scalar.  _integer_rows
+    solver.contains(r, order) is that test on an integer row.  _integer_rows
     holds each basis vector as the (pairs, scale) integer row of
     nichols._integer_vector, made once with the span: the spans above read
     these, not the basis, and shuffle them into the pairing vectors of
@@ -314,14 +315,15 @@ def monomial_membership(B: BraidingMatrix, word, kind: str, max_terms=None) -> M
         raise ValueError("membership of the empty word is undefined")
     alpha = _check_degree(B, word_degree(word, B.n))
     _guard(multinomial(alpha), max_terms, "pairing vector at degree {}", alpha)
-    target = _pairings(B, {word: Scalar.one(B.order)}, alpha)
+    target = _pairings(B, {word: _ring_units(B.order)[1]}, alpha)
     if not any(target):
         return MembershipReport(word, ZERO_IN_NICHOLS)
     span = lie_span(B, alpha, kind, max_terms)
-    if not span.solver.contains(target):
+    if not span.solver.contains(target, B.order):
         return MembershipReport(word, NOT_MEMBER, span=span)
     # The basis is independent, so the witness is unique: reducing
     # (target | 0) by the rows (basis[k] | e_k) leaves (0 | -witness).
+    target = tuple(_scalars(B.order, target, _degree_den(B, alpha)))
     r = len(span.basis)
     zero, one = Scalar.zero(B.order), Scalar.one(B.order)
     augmented = _RowReducer()
@@ -347,8 +349,8 @@ def _member(B: BraidingMatrix, span: LieSpan, word: tuple) -> bool:
         return True
     if not span.basis:
         return False
-    target = _pairings(B, {word: Scalar.one(B.order)}, span.degree)
-    return any(target) and span.solver.contains(target)
+    target = _pairings(B, {word: _ring_units(B.order)[1]}, span.degree)
+    return any(target) and span.solver.contains(target, B.order)
 
 
 def _first_member(B: BraidingMatrix, alpha: tuple, kind: str, cap: int):

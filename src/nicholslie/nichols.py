@@ -8,14 +8,21 @@ and a homogeneous element is zero in B(V) exactly when every iterated
 derivation down to degree zero vanishes.  Its pairing vector f
 (NicholsVector) holds those values: entry k belongs to the k-th dual
 word j of its degree in lexicographic order, and is the scalar left by
-applying D_{j_1} first, then D_{j_2}, and so on.  For an element, one
-descent (_descent) yields its nonzero values in that order, applying D_i
-down to three letters and reading the memoized pairing rows of the words
-left; a vanished branch yields nothing.  So the zero test is whether the
-descent has a first value.  For a product u*v, u of degree beta, the
-quantum shuffle (M. Rosso, Invent. Math. 133, 1998) fills it from f_u
-and f_v alone, summing over the position sets S of j that spell a word
-of degree beta:
+applying D_{j_1} first, then D_{j_2}, and so on.  The descent runs on
+integers of Z[zeta_N] (ints at phi(N) = 1, else scalar._Cyclotomic),
+fraction-free (compare E. H. Bareiss, Math. Comp. 22, 1968): with
+q_xy^-1 = a_xy / b_xy and g_xy = lcm(b_xy, b_yx), D_i weighs the x_i at
+place k of a word w by prod_{l<k} a'_{i,w_l} * prod_{l>k} g_{i,w_l},
+a' = a * g / b, over prod_{l!=k} g_{i,w_l}, fixed by the degree.  As g is
+symmetric, the pairing values of degree alpha share one denominator
+(_degree_den), and scalars are made only where a caller reads them.  One
+descent (_descent) yields the nonzero values in dual-word order, applying
+D_i down to three letters and reading the memoized pairing rows of the
+words left; a vanished branch yields nothing, so the zero test is whether
+the descent has a first value.  For a product u*v, u of degree beta, the
+quantum shuffle (M. Rosso, Invent. Math. 133, 1998) fills it from f_u and
+f_v alone, summing over the position sets S of j that spell a word of
+degree beta:
 
     f_uv(j) = sum_S f_u(j_S) * f_v(j_not_S) * prod q_{j_k, j_l}^-1
               (over k not in S, l in S, l > k).
@@ -25,33 +32,31 @@ gamma = alpha - beta, is paired through one table that folds both
 products' interleaving weights, of at most
 m(alpha) * min(prod C(alpha_i, beta_i), m(beta) * m(gamma)) entries,
 m counting the words of a degree (_ShuffleTables.bracket, _shuffle_into).
-Writing q_xy^-1 = a_xy / b_xy, every weight is an integer of Z[zeta_N]
-over prod b_ij^(gamma_i * beta_j), which depends on the degrees alone, so
-a table is integer entries over one denominator, and f_b and f_c enter it
-as integer rows over the lcm of their denominators: a candidate row is
-built on integers from the table to the reducer.  The tables are built
-from the shuffles of suffix pairs of words, which depend on B alone and
-are memoized per matrix.  Exact elimination on the vectors, run
-fraction-free on integers over Z[zeta_N] (_RowReducer), gives
-dim B(V)_alpha and membership, cross-checked by the rank of a quantum
-symmetrizer.  basis_of_degree first eliminates the vectors'
-images mod a prime p = 1 (mod N), where zeta_N maps to a primitive N-th
-root of unity: that certificate is one-sided, since independence mod p
-proves full rank over Q(zeta_N) and dependence mod p proves nothing, so
-any other degree is eliminated exactly.  The symmetrizer rank stays exact:
-it is the independent check of that map.
+Every weight is an integer of Z[zeta_N] over prod b_ij^(gamma_i * beta_j),
+which depends on the degrees alone, so a table is integer entries over
+one denominator, and f_b and f_c enter it as integer rows over the lcm of
+their denominators: a candidate row is built on integers from the table
+to the reducer.  The tables are built from the shuffles of suffix pairs
+of words, which depend on B alone and are memoized per matrix.  Exact
+elimination on integer rows (_RowReducer) gives dim B(V)_alpha and
+membership, cross-checked by the rank of a quantum symmetrizer, whose rows
+are integers too.  basis_of_degree first eliminates the images of its
+integer rows mod a prime p = 1 (mod N), zeta_N mapped to a primitive N-th
+root of unity: a one-sided certificate, since independence mod p proves
+full rank over Q(zeta_N) and dependence mod p proves nothing, so any other
+degree is eliminated exactly.  The symmetrizer rank stays exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from itertools import accumulate
+from math import comb, gcd, lcm
 from operator import mul
 
 from .braiding import BraidingMatrix
-from .freealg import (FreeElement, _collect, _multidegree_words, _word_index, multinomial,
-                      word_degree, words_of_multidegree)
-from .scalar import (GuardrailExceeded, Scalar, _cached_one, _canonical, _norm_cofactor, _product,
+from .freealg import FreeElement, _collect, _multidegree_words, _word_index, multinomial, word_degree
+from .scalar import (GuardrailExceeded, Scalar, _canonical, _Cyclotomic, _norm_cofactor, _product,
                      _residue_field, _ring, _ring_units, euler_phi)
 
 __all__ = [
@@ -134,25 +139,54 @@ def _homogeneous_degree(B: BraidingMatrix, u: FreeElement):
     return None if deg is None else _check_degree(B, deg)
 
 
+def _descent_table(B: BraidingMatrix) -> tuple:
+    """(rows, pairs) of the descent on B (see the module docstring):
+    rows[i - 1] is (a'_iy, an int where rational; g_iy, or None if all 1)
+    over y, pairs the (x, y, g_xy), 0-based x <= y, with g_xy != 1."""
+    inverses = [B.inverse_row(i) for i in range(1, B.n + 1)]
+    rows = []
+    for i, row in enumerate(inverses):
+        g = [lcm(e.den, inverses[j][i].den) for j, e in enumerate(row)]
+        a = [[c * (h // e.den) for c in e.num] for e, h in zip(row, g)]
+        rows.append(([x[0] if not any(x[1:]) else _Cyclotomic(B.order, x) for x in a],
+                     None if g.count(1) == len(g) else g))
+    return tuple(rows), tuple((x, y, h) for x, (_, g) in enumerate(rows) if g
+                              for y, h in enumerate(g) if y >= x and h != 1)
+
+
+def _degree_den(B: BraidingMatrix, alpha) -> int:
+    """The denominator of the pairing values of degree alpha of an integer
+    element: prod_{x<y} g_xy^(alpha_x * alpha_y) * prod_x g_xx^C(alpha_x, 2)."""
+    den = 1
+    if sum(alpha) > 1:  # a single letter pairs no two, and needs no table
+        for x, y, h in B._first_use("_descent_table", _descent_table)[1]:
+            den *= h ** (alpha[x] * alpha[y] if x != y else comb(alpha[x], 2))
+    return den
+
+
 def _skew(B: BraidingMatrix, i: int, terms: dict) -> dict:
-    # D_i on a word -> scalar map: one pass per word.  At each x_i the
-    # running product of q_{i, w_l}^{-1} over the prefix takes the letters
+    # D_i on a word -> Z[zeta_N] map: one pass per word.  At each x_i the
+    # running product of a'_{i, w_l} over the prefix takes the letters
     # since the last x_i (from done on), so nothing is multiplied past the
-    # last x_i or in a word without one; unit factors are skipped.  The
+    # last x_i or in a word without one; factors 1 are skipped.  Where a
+    # g_iy != 1, each x_i also takes its suffix product of g.  The
     # accumulation is inlined: this is the innermost loop of every descent.
-    inv_row, one = B.inverse_row(i), _cached_one(B.order)
+    a, g = B._first_use("_descent_table", _descent_table)[0][i - 1]
     out = {}
     for word, coeff in terms.items():
         running, done = coeff, 0
+        if g is not None:  # tails[k] = prod g_{i, w_l} over l > k
+            tails = list(accumulate([g[x - 1] for x in word[:0:-1]], mul, initial=1))[::-1]
         for k, letter in enumerate(word):
             if letter == i:
                 for x in word[done:k]:
-                    if (f := inv_row[x - 1]) is not one:
+                    if (f := a[x - 1]) != 1:
                         running = running * f
                 done = k
+                w = running if g is None else running * tails[k]
                 reduced = word[:k] + word[k + 1:]
                 acc = out.get(reduced)
-                acc = running if acc is None else acc + running
+                acc = w if acc is None else acc + w
                 if acc:
                     out[reduced] = acc
                 elif reduced in out:
@@ -160,11 +194,24 @@ def _skew(B: BraidingMatrix, i: int, terms: dict) -> dict:
     return out
 
 
+def _integer_terms(order: int, terms: dict) -> tuple:
+    """(word -> element of Z[zeta_N], scale) of a word -> scalar map: its
+    scalars times scale, the lcm of their denominators."""
+    scale = lcm(*[x.den for x in terms.values()])
+    return {w: _ring(order, x.num if x.den == scale else [c * (scale // x.den) for c in x.num])
+            for w, x in terms.items()}, scale
+
+
 def skew_derivation(B: BraidingMatrix, i: int, u: FreeElement) -> FreeElement:
     """D_i(u): lowers the multidegree by e_i; zero when u contains no x_i."""
     word_degree((i,), B.n)  # the letter check
-    _homogeneous_degree(B, u)
-    return FreeElement._of(u.n, u.order, _skew(B, i, u.terms))
+    deg = _homogeneous_degree(B, u)
+    terms, scale = _integer_terms(u.order, u.terms)
+    out = _skew(B, i, terms)
+    if out:  # over scale and the g_{i, y} of every letter but one x_i
+        scale *= _degree_den(B, deg) // _degree_den(B, deg[:i - 1] + (deg[i - 1] - 1,) + deg[i:])
+    values = _scalars(u.order, [v if type(v) is int else v.c for v in out.values()], scale)
+    return FreeElement._of(u.n, u.order, dict(zip(out, values)))
 
 
 def _pairing_row(B: BraidingMatrix, word) -> tuple:
@@ -173,20 +220,20 @@ def _pairing_row(B: BraidingMatrix, word) -> tuple:
     rows = B._pairing_row_cache
     row = rows.get(word)
     if row is None:
-        if len(word) == 1:
-            row = ((0, Scalar.one(B.order)),)
-        else:
-            row = tuple(_descent(B, {word: Scalar.one(B.order)}, word_degree(word, B.n), rows=False))
+        one = _ring_units(B.order)[1]
+        row = ((0, one),) if len(word) == 1 else tuple(
+            _descent(B, {word: one}, word_degree(word, B.n), rows=False))
         rows[word] = row
     return row
 
 
-def _descent(B: BraidingMatrix, terms: dict, alpha, offset=0, rows=True):
-    """The nonzero values of the pairing vector of a word -> scalar map of
-    degree alpha, as (offset + index, value) pairs in dual-word order;
-    nothing for a vanished branch.  The block of dual words starting with
-    i is D_i(terms) descended; with rows, a degree of at most
-    SHORT_ROW_LETTERS letters instead sums the memoized rows of its words."""
+def _descent(B: BraidingMatrix, terms: dict, alpha, offset=0, rows=True, charge=None):
+    """The nonzero values, over _degree_den(B, alpha), of the pairing vector
+    of a word -> Z[zeta_N] map of degree alpha, as (offset + index, value)
+    pairs in dual-word order; nothing for a vanished branch.  The block of
+    dual words starting with i is D_i(terms) descended, after charge (if
+    any) of the words the step emits, len(terms) * alpha_i; with rows, a
+    degree of at most SHORT_ROW_LETTERS letters sums its words' rows."""
     if not terms:
         return
     d, m = sum(alpha), multinomial(alpha)
@@ -201,24 +248,27 @@ def _descent(B: BraidingMatrix, terms: dict, alpha, offset=0, rows=True):
         return
     for idx, count in enumerate(alpha):
         if count:
+            if charge:
+                charge(len(terms) * count)
             reduced = alpha[:idx] + (count - 1,) + alpha[idx + 1:]
-            yield from _descent(B, _skew(B, idx + 1, terms), reduced, offset)
+            yield from _descent(B, _skew(B, idx + 1, terms), reduced, offset, True, charge)
             offset += m * count // d  # multinomial(reduced)
 
 
-def _pairings(B: BraidingMatrix, terms: dict, alpha) -> tuple:
-    """The pairing vector of a word -> scalar map of degree alpha: the
+def _pairings(B: BraidingMatrix, terms: dict, alpha) -> list:
+    """The pairing vector of a word -> Z[zeta_N] map of degree alpha as an
+    integer row in _RowReducer's layout, over _degree_den(B, alpha): the
     values of _descent, zero elsewhere."""
-    values = [Scalar.zero(B.order)] * multinomial(alpha)
+    row = [0] * multinomial(alpha)
     for k, v in _descent(B, terms, alpha):
-        values[k] = v
-    return tuple(values)
+        row[k] = v if type(v) is int else v.c
+    return row
 
 
-def _vanishes(B: BraidingMatrix, terms: dict, alpha) -> bool:
+def _vanishes(B: BraidingMatrix, terms: dict, alpha, charge=None) -> bool:
     """Whether a word -> scalar map of degree alpha is zero in B(V): its
     descent ends at the first nonzero value."""
-    return next(_descent(B, terms, alpha), None) is None
+    return next(_descent(B, _integer_terms(B.order, terms)[0], alpha, charge=charge), None) is None
 
 
 def _shuffle_memos(B: BraidingMatrix) -> tuple:
@@ -347,7 +397,8 @@ def pairing_vector(B: BraidingMatrix, u: FreeElement, max_terms=None) -> Nichols
     if deg is None:
         raise ValueError("the zero element has no well-defined pairing degree")
     _guard(multinomial(deg), max_terms, "pairing vector at degree {}", deg)
-    return NicholsVector(deg, _pairings(B, u.terms, deg))
+    terms, scale = _integer_terms(B.order, u.terms)
+    return NicholsVector(deg, tuple(_scalars(B.order, _pairings(B, terms, deg), scale * _degree_den(B, deg))))
 
 
 def word_pairing_vector(B: BraidingMatrix, word, max_terms=None) -> NicholsVector:
@@ -355,14 +406,24 @@ def word_pairing_vector(B: BraidingMatrix, word, max_terms=None) -> NicholsVecto
     return pairing_vector(B, FreeElement.from_word(B.n, B.order, word), max_terms)
 
 
-def is_zero_in_nichols(B: BraidingMatrix, u: FreeElement) -> bool:
+def is_zero_in_nichols(B: BraidingMatrix, u: FreeElement, max_terms=None) -> bool:
     """Whether a homogeneous element maps to zero in B(V).
 
     Depth-first descent with early exit: u = 0 iff D_i(u) = 0 in B(V)
-    for every generator i occurring in its degree.
+    for every generator i occurring in its degree.  The cap (see _cap)
+    bounds the words the D_i steps of the call emit, t * alpha_i on t words
+    of degree alpha (not the memoized short rows, shared by all calls on
+    B): GuardrailExceeded before the step that would pass it.
     """
+    cap, spent = _cap(max_terms), [0]
     deg = _homogeneous_degree(B, u)
-    return deg is None or _vanishes(B, u.terms, deg)
+
+    def charge(words):
+        spent[0] += words
+        if spent[0] > cap:
+            raise GuardrailExceeded(f"pairing descent at degree {deg}", spent[0], cap, "words")
+
+    return deg is None or _vanishes(B, u.terms, deg, charge)
 
 
 class _RowReducer:
@@ -441,9 +502,10 @@ class _RowReducer:
         r, gathered = self._eliminate(r, order)
         return _scalars(order, r, scale * gathered)
 
-    def contains(self, row) -> bool:
-        """Whether a row lies in the span, building no scalar."""
-        return not any(self._eliminate(_integer_row(row)[0], row[0].order)[0])
+    def contains(self, row, order: int) -> bool:
+        """Whether a nonempty integer row of the given order, in the layout
+        above, lies in the span; it builds no scalar."""
+        return not any(self._eliminate(row, order)[0])
 
     def insert(self, row) -> bool:
         """Reduce a row and keep it as a new pivot if independent; returns
@@ -507,22 +569,6 @@ def _scalars(order: int, r, den: int) -> list:
     return [_canonical(order, (x,) if type(x) is int else x, den) if x else zero for x in r]
 
 
-def _residues(row, p: int, powers) -> list:
-    """The images mod p of a row of scalars under scalar._residue_field's
-    map: num / den goes to (sum num[e] * rho^e) / den, read from the ints;
-    None when p divides a denominator, where the map is undefined."""
-    out = []
-    for x in row:
-        v = sum(map(mul, x.num, powers))
-        den = x.den
-        if den != 1:
-            if den % p == 0:
-                return None
-            v *= pow(den, -1, p)
-        out.append(v % p)
-    return out
-
-
 def _insert_mod_p(pivots: list, row: list, p: int) -> bool:
     """_RowReducer.insert over F_p on a row of ints mod p, the pivots kept
     as (lead, nonzero (index, value) pairs) in insertion order."""
@@ -545,50 +591,66 @@ def basis_of_degree(B: BraidingMatrix, alpha, max_terms=None):
     Every word of the multidegree is paired once, in lexicographic order,
     and the returned pivots are those of exact elimination with
     first-nonzero pivoting in that order, so they are deterministic.  The
-    rows are first mapped to F_p (scalar._residue_field) and eliminated
-    there, up to the first one that is dependent mod p or whose
-    denominator p divides.  The certificate is one-sided: if every row
-    stays independent mod p, the m x m minor is nonzero mod p, hence over
-    Q(zeta_N), and the answer is every word with rank m, as exact
-    elimination would find it.  Otherwise all rows are eliminated exactly,
-    since a partial result mod p decides nothing.
+    integer rows, over the one denominator of the degree, are first mapped
+    to F_p (scalar._residue_field: sum c_e * z^e goes to sum c_e * rho^e)
+    and eliminated there, up to the first one that is dependent mod p.
+    The certificate is one-sided: if every row stays independent mod p,
+    the m x m minor is nonzero mod p, hence over Q(zeta_N), and the answer
+    is every word with rank m, as exact elimination would find it.
+    Otherwise all rows are eliminated exactly, since a partial result mod
+    p decides nothing.
     """
     alpha = _check_degree(B, alpha)
     m = multinomial(alpha)
     _guard(m * m, max_terms, "elimination at degree {}", alpha)
-    one = Scalar.one(B.order)
+    one = _ring_units(B.order)[1]
     p, powers = _residue_field(B.order)
     words = _multidegree_words(alpha)
     rows = [_pairings(B, {word: one}, alpha) for word in words]
     pivots = []
-    images = (_residues(row, p, powers) for row in rows)
-    if all(image is not None and _insert_mod_p(pivots, image, p) for image in images):
+    images = ([(x if type(x) is int else sum(map(mul, x, powers))) % p for x in row] for row in rows)
+    if all(_insert_mod_p(pivots, image, p) for image in images):
         return words, m
     reducer = _RowReducer()
-    return tuple(word for word, row in zip(words, rows) if reducer.insert(row)), reducer.rank
+    return tuple(word for word, row in zip(words, rows) if reducer.insert_integers(row, B.order)), reducer.rank
 
 
 # -- quantum symmetrizer oracle ---------------------------------------------
 
 
-def _symmetrize(B: BraidingMatrix, terms: dict, d: int) -> dict:
-    """Quantum symmetrizer S_d on the first d places of a word -> scalar map:
-    S_d = (S_{d-1} ox id) o (1 + C_{d-1} + C_{d-1}C_{d-2} + ... + C_{d-1}...C_1),
-    C_k swapping the letters a, b at places k, k+1 with the factor q_ab.  So
-    C_{d-1}...C_j moves letter w_j to place d with the factor prod q_{w_j w_l}
-    over j < l <= d, in increasing l: a bijection on words, one pass per word."""
-    if d <= 1:
-        return terms
+def _symmetrizer_rows(B: BraidingMatrix, alpha):
+    """The quantum symmetrizer S_d of each word w of degree alpha, in lex
+    order, as an integer row in _RowReducer's layout over prod den(q_{w_j
+    w_l}) (j < l).  S_d = (S_{d-1} ox id) o (1 + C_{d-1} + ... + C_{d-1}
+    ...C_1), C_k swapping the letters a, b at places k, k+1 with the factor
+    q_ab, so a stage moves one letter of the first d places to place d, one
+    pass per word.  Each pair of places is met once and weighs num(q_ab)
+    where its a passes its b, den(q_ab) where it stays before."""
+    order, one = B.order, _ring_units(B.order)[1]
+    nums = [[_ring(order, e.num) if any(e.num[1:]) else e.num[0] for e in row] for row in B._rows]
+    dens = [[e.den for e in row] for row in B._rows]
+    index = _word_index(alpha)
 
-    def moved():
-        for j in range(d - 1, 0, -1):
-            for word, coeff in terms.items():
-                a = word[j - 1]
-                for b in word[j:d]:
-                    coeff = coeff * B.entry(a, b)
-                yield word[:j - 1] + word[j:d] + (a,) + word[d:], coeff
+    def moved(terms, d):
+        for word, coeff in terms.items():
+            for j in range(d):
+                a, c = word[j], coeff
+                for b in word[:j]:
+                    if (f := dens[b - 1][a - 1]) != 1:
+                        c = c * f
+                for b in word[j + 1:d]:
+                    if (f := nums[a - 1][b - 1]) != 1:
+                        c = c * f
+                yield word[:j] + word[j + 1:d] + (a,) + word[d:], c
 
-    return _symmetrize(B, _collect(moved(), dict(terms)), d - 1)
+    for word in index:
+        terms = {word: one}
+        for d in range(len(word), 1, -1):
+            terms = _collect(moved(terms, d))
+        row = [0] * len(index)
+        for w, c in terms.items():
+            row[index[w]] = c if type(c) is int else c.c
+        yield row
 
 
 def symmetrizer_rank_oracle(B: BraidingMatrix, alpha, max_terms=None) -> int:
@@ -598,14 +660,8 @@ def symmetrizer_rank_oracle(B: BraidingMatrix, alpha, max_terms=None) -> int:
     basis_of_degree's rank.
     """
     alpha = _check_degree(B, alpha)
-    d = sum(alpha)
-    m = multinomial(alpha)
-    _guard(m * m, max_terms, "symmetrizer at degree {}", alpha)
-    words = list(words_of_multidegree(alpha))
-    one = Scalar.one(B.order)
-    zero = Scalar.zero(B.order)
+    _guard(multinomial(alpha) ** 2, max_terms, "symmetrizer at degree {}", alpha)
     reducer = _RowReducer()
-    for word in words:
-        image = _symmetrize(B, {word: one}, d)
-        reducer.insert([image.get(w, zero) for w in words])
+    for row in _symmetrizer_rows(B, alpha):
+        reducer.insert_integers(row, B.order)
     return reducer.rank

@@ -39,6 +39,7 @@ from nicholslie.nichols import (
     _ShuffleTables,
     basis_of_degree,
     pairing_vector,
+    symmetrizer_rank_oracle,
 )
 from nicholslie.scalar import Scalar, _ring_units
 
@@ -959,6 +960,69 @@ def test_span_builds_stay_within_their_work_caps(monkeypatch):
     assert all(0 < counts[k] <= cap for k, cap in SPAN_WORK_CAPS.items()), counts
     assert counts["derived"] <= counts["kept"], counts
     assert counts["merges"] == SUFFIX_SHUFFLE_MERGES, counts
+
+
+# The matrices of perfbench's zeroness-mixed workload (augmented graph split
+# {1,2} | {3} or discrete; orders 1, 3 and 8), copied so that the caps below
+# do not move with the benchmark
+ZERONESS_MATRICES = [
+    ([["2", "1"], ["1", "-1"]], 1),
+    ([["-1", "1"], ["1", "-1"]], 1),
+    ([["z", "1"], ["1", "z^2"]], 3),
+    ([["z", "1"], ["1", "z^3"]], 8),
+    ([["-1", "1"], ["1", "z^2"]], 8),
+    ([["2", "2", "1"], ["2", "2", "1"], ["1", "1", "2"]], 1),
+    ([["-1", "2", "1"], ["2", "-1", "1"], ["1", "1", "-1"]], 1),
+    ([["z", "z^2", "1"], ["z", "-1", "1"], ["1", "1", "z"]], 3),
+    ([["z", "z^3", "1"], ["z^5", "-1", "1"], ["1", "1", "z^2"]], 8),
+    ([["z", "2", "1"], ["2", "z", "1"], ["1", "1", "2"]], 8),
+    ([["2", "1", "1"], ["1", "-1", "1"], ["1", "1", "2"]], 1),
+    ([["z", "1", "1"], ["1", "z", "1"], ["1", "1", "z"]], 3),
+    ([["z", "1", "1"], ["1", "z^2", "1"], ["1", "1", "z^3"]], 8),
+    ([["-1", "1", "1"], ["1", "2", "1"], ["1", "1", "z^4"]], 8),
+]
+DIMENSION_MATRICES = [([["-1", "z^3"], ["z^2", "z^7"]], 24),
+                      ([["2", "z^8", "1"], ["-1", "z^3", "z^8"], ["1", "2", "-1"]], 24)]
+# The integer work of the pairing descent and the symmetrizer, which the
+# traced scalar counts do not see: D_i steps and the words they emit, misses
+# of the short-row memo, and symmetrizer rows
+DESCENT_WORK_CAPS = {"steps": 177908, "emitted": 1866345, "row misses": 407, "symmetrizer rows": 150}
+
+
+def test_descent_and_symmetrizer_stay_within_their_work_caps(monkeypatch):
+    counts = dict.fromkeys(DESCENT_WORK_CAPS, 0)
+    skew, pairing_row, symmetrizer_rows = nichols._skew, nichols._pairing_row, nichols._symmetrizer_rows
+
+    def counted_skew(B, i, terms):
+        counts["steps"] += 1
+        counts["emitted"] += sum(word.count(i) for word in terms)
+        return skew(B, i, terms)
+
+    def counted_row(B, word):
+        counts["row misses"] += word not in B._pairing_row_cache
+        return pairing_row(B, word)
+
+    def counted_rows(B, alpha):
+        for row in symmetrizer_rows(B, alpha):
+            counts["symmetrizer rows"] += 1
+            yield row
+
+    monkeypatch.setattr(nichols, "_skew", counted_skew)
+    monkeypatch.setattr(nichols, "_pairing_row", counted_row)
+    monkeypatch.setattr(nichols, "_symmetrizer_rows", counted_rows)
+    for rows, order in ZERONESS_MATRICES:
+        B = matrix_from_strings(rows, order)
+        for d in range(2, 6):
+            for w in product(range(1, B.n + 1), repeat=d):
+                verify.check_prop_all_bracketings(B, w)
+                for cut in range(1, d):
+                    verify.check_prop_disconnected_pair(B, w[:cut], w[cut:])
+    for rows, order in DIMENSION_MATRICES:
+        B = matrix_from_strings(rows, order)
+        for alpha in product(range(5), repeat=B.n):
+            if 1 <= sum(alpha) <= 4:
+                assert basis_of_degree(B, alpha)[1] == symmetrizer_rank_oracle(B, alpha), alpha
+    assert all(0 < counts[k] <= cap for k, cap in DESCENT_WORK_CAPS.items()), counts
 
 
 def test_member_test_matches_monomial_membership():

@@ -29,12 +29,13 @@ from nicholslie.nichols import (
     symmetrizer_rank_oracle,
     word_pairing_vector,
 )
-from nicholslie.scalar import FieldMismatchError, Scalar
+from nicholslie.scalar import FieldMismatchError, Scalar, _Cyclotomic, _ring_units
 
 from conftest import matrix_from_strings, random_braiding_matrix, random_scalar, rational_matrix
 from degree_basis_oracle import oracle_basis_of_degree
 from descent_oracle import oracle_pairings
-from scalar_reducer_oracle import normalized_pivots
+from scalar_reducer_oracle import ScalarRowReducer, normalized_pivots
+from symmetrizer_oracle import oracle_symmetrizer_row
 
 
 def gen(B, i):
@@ -277,13 +278,13 @@ def test_basis_deterministic(rng):
 
 
 class CountingReducer(_RowReducer):
-    """_RowReducer counting the rows inserted into any instance."""
+    """_RowReducer counting the integer rows inserted into any instance."""
 
     inserted = 0
 
-    def insert(self, row):
+    def insert_integers(self, row, order):
         CountingReducer.inserted += 1
-        return super().insert(row)
+        return super().insert_integers(row, order)
 
 
 def degrees_up_to(n, d):
@@ -316,16 +317,19 @@ def test_certified_basis_matches_exact_elimination(order, monkeypatch):
     assert seen["full"] and seen["deficient"], seen
 
 
-@pytest.mark.parametrize("q, reason", [(6, "1 + 1/q = 7/6 is 0 mod 7"), (7, "1/7 has no image mod 7")])
+@pytest.mark.parametrize("q, reason", [(6, "1 + 1/q = 7/6 is 0 mod 7"), (7, "1/7 has no image mod 7"),
+                                       (-8, "1 + 1/q = 7/8 is 0 mod 7 as the integer 7 over 8")])
 def test_certificate_falls_back_at_a_small_prime(q, reason, monkeypatch):
-    # with p = 7 at order 1, the one row at (2,) is dependent mod p or has a
-    # denominator p divides, and the exact fallback must still find rank 1
+    # with p = 7 at order 1, the one row at (2,), 1 + 1/q, is read as the
+    # integer q + 1 over q; the exact fallback runs exactly when q + 1 is 0
+    # mod p, so a denominator p divides (q = 7) no longer forces it, and the
+    # answer is rank 1 either way
     monkeypatch.setattr(nichols, "_residue_field", lambda order: (7, (1,)))
     monkeypatch.setattr(nichols, "_RowReducer", CountingReducer)
     CountingReducer.inserted = 0
     B = rational_matrix([[q]])
     assert basis_of_degree(B, (2,)) == oracle_basis_of_degree(B, (2,)) == (((1, 1),), 1), reason
-    assert CountingReducer.inserted == 1
+    assert CountingReducer.inserted == ((q + 1) % 7 == 0), reason
 
 
 def test_fallback_keeps_the_rows_before_it(monkeypatch):
@@ -424,6 +428,35 @@ def test_oracle_agreement_small_battery():
     assert checked >= 40
 
 
+# Entries whose inverses have different denominators in the two orders of a
+# pair, so the descent's g_xy = lcm(b_xy, b_yx) and the symmetrizer's den(q_ab)
+# differ from 1; at order 1, "2*z+1" is 3 and "-z^3" is -1
+ASYMMETRIC_ENTRIES = ("1", "-1", "2", "1/3", "-3/2", "2*z+1", "-z^3", "z")
+
+
+def _matrix_and_degree(st, order):
+    """A Hypothesis strategy: a matrix of rank n <= 3 over Q(zeta_order)
+    with ASYMMETRIC_ENTRIES, and a degree of total 1..5."""
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 3))
+        B = matrix_from_strings(
+            [[draw(st.sampled_from(ASYMMETRIC_ENTRIES)) for _ in range(n)] for _ in range(n)], order)
+        total = draw(st.sampled_from((5, 4, 3, 2, 1)))
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+        return B, tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
+
+    return cases()
+
+
+def _derandomized_property(strategy, check, examples):
+    """Run check over a derandomized Hypothesis strategy."""
+    hypothesis = pytest.importorskip("hypothesis")
+    hypothesis.settings(derandomize=True, max_examples=examples, deadline=None)(
+        hypothesis.given(strategy)(check))()
+
+
 @pytest.mark.parametrize("order", [1, 3, 8, 24])
 def test_pairing_matrix_equals_symmetrizer_of_inverse_transpose(order):
     # The pairing matrix <y_v, x_w> (skew-derivation descent) equals,
@@ -431,28 +464,41 @@ def test_pairing_matrix_equals_symmetrizer_of_inverse_transpose(order):
     # B'_ij = q_ji^-1.  basis_of_degree and symmetrizer_rank_oracle thus
     # rank one matrix built by two different constructions; both stay,
     # the second as the independent oracle for the first.
-    from nicholslie.braiding import BraidingMatrix
-    from nicholslie.nichols import _symmetrize
+    st = pytest.importorskip("hypothesis.strategies")
 
-    rng = random.Random(order)
-    degrees_by_n = {
-        2: [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)],
-        3: [(1, 1, 1), (2, 1, 1), (1, 0, 2), (2, 2, 1)],
-    }
-    checked = 0
-    for n, degrees in degrees_by_n.items():
-        B = random_braiding_matrix(rng, n, order)
+    def check(case):
+        B, alpha = case
+        n = B.n
         B_dual = BraidingMatrix(
             [[B.entry(j, i).inv() for j in range(1, n + 1)] for i in range(1, n + 1)]
         )
-        for alpha in degrees:
-            words = list(words_of_multidegree(alpha))
-            for w in words:
-                values = pairing_vector(B, word(B, w)).values
-                image = _symmetrize(B_dual, {w: Scalar.one(order)}, sum(alpha))
-                assert list(values) == [image.get(v, Scalar.zero(order)) for v in words]
-                checked += len(words)
-    assert checked == 4 + 9 + 36 + 16 + 100 + 36 + 144 + 9 + 900
+        for w in words_of_multidegree(alpha):
+            assert list(pairing_vector(B, word(B, w)).values) == oracle_symmetrizer_row(B_dual, w), (B, w)
+
+    _derandomized_property(_matrix_and_degree(st, order), check, 40)
+
+
+@pytest.mark.parametrize("order", [1, 3, 8, 24])
+def test_symmetrizer_rows_match_scalar_oracle(order):
+    # each fraction-free row is the oracle's row of scalars times
+    # prod den(q_{w_j w_l}) over the pairs of places j < l of its word, and
+    # the integer rank is the rank of the oracle's rows
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def check(case):
+        B, alpha = case
+        oracle = ScalarRowReducer()
+        for w, row in zip(words_of_multidegree(alpha), nichols._symmetrizer_rows(B, alpha)):
+            den = 1
+            for j, a in enumerate(w):
+                for b in w[j + 1:]:
+                    den *= B.entry(a, b).den
+            expected = oracle_symmetrizer_row(B, w)
+            assert nichols._scalars(order, row, den) == expected, (B, w)
+            oracle.insert(expected)
+        assert symmetrizer_rank_oracle(B, alpha) == oracle.rank, (B, alpha)
+
+    _derandomized_property(_matrix_and_degree(st, order), check, 40)
 
 
 def test_nichols_vector_values_align_with_words():
@@ -537,19 +583,21 @@ def test_skew_derivation_index_range():
 
 def test_derivation_multiplies_only_up_to_the_last_matching_letter(monkeypatch):
     # D_i multiplies the running prefix factor up to each x_i it meets and no
-    # further: over q = [[1, 2], [3, 4]], q_11^-1 = 1 is skipped, so D_1 of
+    # further: over q = [[1, z], [-1, z^2]] at order 3 every inverse is in
+    # Z[zeta_3], so every g_ij is 1 and the running products are the only
+    # products of the integer elements; q_11^-1 = 1 is skipped, so D_1 of
     # x1 x2 x2 x2 and of x2 x2 make no product, and D_2 of x1 x2 x1 x2 makes
     # 3, one for the x1 before the first x2 and two for the x2 x1 before the second
-    B = matrix_from_strings([["1", "2"], ["3", "4"]], 1)
-    one = Scalar.one(1)
-    B.inverse_row(1), B.inverse_row(2)  # made on first use, before counting
-    mul, calls = Scalar.__mul__, []
+    B = matrix_from_strings([["1", "z"], ["-1", "z^2"]], 3)
+    one = _ring_units(3)[1]
+    nichols._skew(B, 1, {})  # the descent table, made on first use, before counting
+    mul, calls = _Cyclotomic.__mul__, []
 
     def counted(self, other):
         calls.append(other)
         return mul(self, other)
 
-    monkeypatch.setattr(Scalar, "__mul__", counted)
+    monkeypatch.setattr(_Cyclotomic, "__mul__", counted)
     counts = []
     for i, letters in ((1, (1, 2, 2, 2)), (1, (2, 2)), (2, (1, 2, 1, 2))):
         calls.clear()
@@ -557,12 +605,26 @@ def test_derivation_multiplies_only_up_to_the_last_matching_letter(monkeypatch):
         counts.append(len(calls))
     assert counts == [0, 0, 3]
     monkeypatch.undo()
-    assert nichols._skew(B, 1, {(1, 2, 2, 2): one}) == {(2, 2, 2): one}
+
+    def scalars(terms):
+        return {w: Scalar(3, v.c) for w, v in terms.items()}
+
+    assert scalars(nichols._skew(B, 1, {(1, 2, 2, 2): one})) == {(2, 2, 2): Scalar.one(3)}
     assert nichols._skew(B, 1, {(2, 2): one}) == {}
-    assert nichols._skew(B, 2, {(1, 2, 1, 2): one}) == {
-        (1, 1, 2): Scalar.from_rational(1, Fraction(1, 3)),   # q21^-1
-        (1, 2, 1): Scalar.from_rational(1, Fraction(1, 36)),  # q21^-1 q22^-1 q21^-1
+    assert scalars(nichols._skew(B, 2, {(1, 2, 1, 2): one})) == {
+        (1, 1, 2): B.entry(2, 1).inv(),                                          # q21^-1
+        (1, 2, 1): B.entry(2, 1).inv() * B.entry(2, 2).inv() * B.entry(2, 1).inv(),
     }
+
+
+def test_derivation_weighs_suffixes_over_one_denominator():
+    # over q = [[2, 3], [5, 1]], q_12^-1 = 1/3 and q_21^-1 = 1/5 give
+    # g_12 = g_21 = 15 and q_11^-1 = 1/2 gives g_11 = 2: D_1 of x1 x2 x1 weighs
+    # its first x1 by g_12 g_11 = 30 and its second by a'_11 a'_12 = 1 * 5, over
+    # g_12 g_11 = 30, which skew_derivation reads as the scalars 1 and 1/6
+    B = matrix_from_strings([["2", "3"], ["5", "1"]], 1)
+    assert nichols._skew(B, 1, {(1, 2, 1): 1}) == {(2, 1): 30, (1, 2): 5}
+    assert skew_derivation(B, 1, word(B, (1, 2, 1))) == word(B, (2, 1)) + word(B, (1, 2), Fraction(1, 6))
 
 
 def test_zero_test_exits_before_the_full_descent(monkeypatch):
@@ -586,6 +648,25 @@ def test_zero_test_exits_before_the_full_descent(monkeypatch):
         counts.append((run(B, u), len(calls)))
     (zero, zero_calls), (_, vector_calls) = counts
     assert not zero and 0 < zero_calls < vector_calls
+
+
+def test_zero_test_refuses_a_descent_past_its_word_budget():
+    # (x1 x2)^100 is nonzero, and the first branch of its descent emits about
+    # C(100, j) * (100 - j) words at its j-th step: the default cap charges
+    # 100, 9900 and 485100 words and refuses the fourth step before it runs
+    B = rational_matrix([[2, 3], [5, -1]])
+    with pytest.raises(GuardrailExceeded) as exc:
+        is_zero_in_nichols(B, word(B, (1, 2) * 100))
+    assert str(exc.value) == "pairing descent at degree (100, 100): needs 16180000 words, cap is 1000000"
+    # a step on t words of degree alpha emits t * alpha_i: over q11 = q22 = -1,
+    # D_1 of x1 x1 x2^20 x1^18 emits 20 words that cancel, and D_2 emits 20 more
+    B = rational_matrix([[-1, 1], [1, -1]])
+    u = word(B, (1, 1) + (2,) * 20 + (1,) * 18)
+    assert is_zero_in_nichols(B, u, max_terms=40)
+    with pytest.raises(GuardrailExceeded, match=r"^pairing descent at degree \(20, 20\): needs 40 words, cap is 39$"):
+        is_zero_in_nichols(B, u, max_terms=39)
+    with pytest.raises(ValueError, match="^max_terms must be >= 0, got -1$"):
+        is_zero_in_nichols(B, u, max_terms=-1)
 
 
 def test_zero_test_never_walks_a_vanished_branch():
@@ -778,7 +859,10 @@ def test_pairing_row_memo_holds_only_short_words():
     rows = B._pairing_row_cache
     assert rows and all(1 <= len(w) <= SHORT_ROW_LETTERS for w in rows)
     assert len(rows) <= B.n + B.n ** 2 + B.n ** 3
-    # a row is the pairing vector of its word, as (index, value) pairs
+    # a row is the pairing vector of its word, as (index, value) pairs of
+    # integers over the denominator of its degree
     for w, row in rows.items():
-        dense = oracle_pairings(B, word(B, w), word_degree(w, B.n))
-        assert row == tuple((k, v) for k, v in enumerate(dense) if v)
+        alpha = word_degree(w, B.n)
+        dense = oracle_pairings(B, word(B, w), alpha)
+        values = nichols._scalars(B.order, [v.c for _, v in row], nichols._degree_den(B, alpha))
+        assert [(k, v) for (k, _), v in zip(row, values)] == [(k, v) for k, v in enumerate(dense) if v]

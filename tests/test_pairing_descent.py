@@ -12,10 +12,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from nicholslie.braiding import BraidingMatrix
 from nicholslie.freealg import FreeElement, braided_bracket
-from nicholslie.nichols import _descent, is_zero_in_nichols, pairing_vector
+from nicholslie.nichols import (_degree_den, _descent, _integer_terms, _scalars, is_zero_in_nichols,
+                                pairing_vector, skew_derivation)
 from nicholslie.scalar import parse_scalar
 
-from descent_oracle import oracle_pairings
+from descent_oracle import oracle_pairings, oracle_skew
 
 ORDERS = (1, 3, 8, 24)
 # roots of unity of small order make branches vanish and brackets cancel;
@@ -68,5 +69,12 @@ def test_pairing_vector_matches_descent_oracle(case):
     # is_zero first, so pairing_vector also reads rows memoized by another call
     assert is_zero_in_nichols(B, elem) == (not any(expected))
     assert pairing_vector(B, elem).values == expected
-    # the descent yields the nonzero values alone, in dual-word order
-    assert tuple(_descent(B, elem.terms, elem.degree())) == tuple((k, v) for k, v in enumerate(expected) if v)
+    # the descent yields the nonzero values alone, in dual-word order, as
+    # integers over the scale of the terms and the denominator of the degree
+    alpha = elem.degree()
+    terms, scale = _integer_terms(B.order, elem.terms)
+    pairs = tuple(_descent(B, terms, alpha))
+    values = _scalars(B.order, [v if type(v) is int else v.c for _, v in pairs], scale * _degree_den(B, alpha))
+    assert tuple(zip([k for k, _ in pairs], values)) == tuple((k, v) for k, v in enumerate(expected) if v)
+    for i in range(1, B.n + 1):
+        assert skew_derivation(B, i, elem) == oracle_skew(B, i, elem)
