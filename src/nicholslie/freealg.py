@@ -272,8 +272,10 @@ def minus_bracket(x: FreeElement, y: FreeElement) -> FreeElement:
     return FreeElement._of(x.n, x.order, _commutator(x.terms, y.terms, Scalar.one(x.order)))
 
 
-def _commutator(x: dict, y: dict, p: Scalar) -> dict:
-    """y*x - p * x*y on word -> scalar maps, in one pass over the term pairs."""
+def _commutator(x: dict, y: dict, p) -> dict:
+    """y*x - p * x*y on word -> coefficient maps, in one pass over the term
+    pairs: Scalars with p a Scalar, or ints with p = 1 (the classical
+    bracket of int maps, whose coefficients stay in Z)."""
     xs, ys = x.items(), y.items()
     scaled = [(wx, -(cx * p)) for wx, cx in xs]  # -p folded into x once
     return _collect(chain(
@@ -330,10 +332,11 @@ def _fold_bracketing(tree, word, leaf, node):
 
 
 def _bracketing_terms(B: BraidingMatrix, tree, word: tuple, kind: str) -> dict:
-    """Word -> scalar map of a bracketing of a checked word: _commutator
+    """Word -> coefficient map of a bracketing of a checked word: _commutator
     at each node, with p = 1 (minus) or chi(deg y, deg x) read off one
-    word of each side (braided; a zero side gives zero)."""
-    one = Scalar.one(B.order)
+    word of each side (braided; a zero side gives zero).  The leaves are
+    int 1 for minus, so its map is word -> int, and Scalar 1 for braided."""
+    one = 1 if kind == MINUS else Scalar.one(B.order)
 
     def braided(x, y):
         if not x or not y:
@@ -346,11 +349,12 @@ def _bracketing_terms(B: BraidingMatrix, tree, word: tuple, kind: str) -> dict:
 
 
 def apply_bracketing(B: BraidingMatrix, tree, word, kind: str) -> FreeElement:
-    """Evaluate a full bracketing of a word with the chosen bracket."""
+    """Evaluate a full bracketing of a word with the chosen bracket; the
+    checked constructor lifts a minus bracketing's ints to Scalars."""
     _check_choice(kind, (BRAIDED, MINUS), "bracket kind")
     word = tuple(word)
     word_degree(word, B.n)
-    return FreeElement._of(B.n, B.order, _bracketing_terms(B, tree, word, kind))
+    return FreeElement(B.n, B.order, _bracketing_terms(B, tree, word, kind))
 
 
 def format_bracketing(tree, word) -> str:

@@ -266,9 +266,26 @@ def _pairings(B: BraidingMatrix, terms: dict, alpha) -> list:
 
 
 def _vanishes(B: BraidingMatrix, terms: dict, alpha, charge=None) -> bool:
-    """Whether a word -> scalar map of degree alpha is zero in B(V): its
-    descent ends at the first nonzero value."""
-    return next(_descent(B, _integer_terms(B.order, terms)[0], alpha, charge=charge), None) is None
+    """Whether a word -> int map of degree alpha (a classical bracket) is
+    zero in B(V): each int is lifted into Z[zeta_N] once (scalar._ring, a
+    plain int at phi(N) = 1), and the descent, charged to charge (if any,
+    see _word_charge), ends at its first nonzero value."""
+    pad = [0] * (euler_phi(B.order) - 1)
+    lifted = {w: _ring(B.order, [c, *pad]) for w, c in terms.items()}
+    return next(_descent(B, lifted, alpha, charge=charge), None) is None
+
+
+def _word_charge(cap: int, alpha):
+    """The charge of one descent at degree alpha (see _descent):
+    GuardrailExceeded once the words charged to it pass cap."""
+    spent = [0]
+
+    def charge(words):
+        spent[0] += words
+        if spent[0] > cap:
+            raise GuardrailExceeded(f"pairing descent at degree {alpha}", spent[0], cap, "words")
+
+    return charge
 
 
 def _shuffle_memos(B: BraidingMatrix) -> tuple:
@@ -415,15 +432,10 @@ def is_zero_in_nichols(B: BraidingMatrix, u: FreeElement, max_terms=None) -> boo
     of degree alpha (not the memoized short rows, shared by all calls on
     B): GuardrailExceeded before the step that would pass it.
     """
-    cap, spent = _cap(max_terms), [0]
+    cap = _cap(max_terms)
     deg = _homogeneous_degree(B, u)
-
-    def charge(words):
-        spent[0] += words
-        if spent[0] > cap:
-            raise GuardrailExceeded(f"pairing descent at degree {deg}", spent[0], cap, "words")
-
-    return deg is None or _vanishes(B, u.terms, deg, charge)
+    return deg is None or next(_descent(B, _integer_terms(B.order, u.terms)[0], deg,
+                                        charge=_word_charge(cap, deg)), None) is None
 
 
 class _RowReducer:

@@ -200,8 +200,9 @@ class _Cyclotomic:
     int coefficients: the integer weights of the shuffle tables in nichols,
     which use plain ints at phi(N) = 1.  It has what they need, +, -,
     negation, products with an int or another element, and a zero test,
-    and no denominator, so no operation runs a gcd.  A product by 1 is
-    not multiplied out."""
+    and no denominator, so no operation runs a gcd.  A product with a
+    rational element (no z-terms) scales the other operand's coefficients,
+    and a product by 1 is the other operand itself."""
 
     __slots__ = ("order", "c")
 
@@ -221,10 +222,10 @@ class _Cyclotomic:
         if type(other) is int:
             return self if other == 1 else _Cyclotomic(self.order, [other * x for x in self.c])
         a, b = self.c, other.c
-        if b[0] == 1 and not any(b[1:]):
-            return self
-        if a[0] == 1 and not any(a[1:]):
-            return other
+        if not any(b[1:]):
+            return self if b[0] == 1 else _Cyclotomic(self.order, [b[0] * x for x in a])
+        if not any(a[1:]):
+            return other if a[0] == 1 else _Cyclotomic(self.order, [a[0] * x for x in b])
         return _Cyclotomic(self.order, _product(self.order, a, b))
 
     def __bool__(self) -> bool:

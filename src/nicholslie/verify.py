@@ -44,8 +44,7 @@ from .freealg import (
 )
 from .graphs import AUGMENTED, PURE, build_graph, components, is_connected_monomial, support
 from .lie import _check_d_max, _degrees, _first_member, _is_member, max_supports
-from .nichols import GuardrailExceeded, _cap, _check_degree, _guard, _vanishes
-from .scalar import Scalar
+from .nichols import GuardrailExceeded, _cap, _check_degree, _guard, _vanishes, _word_charge
 
 __all__ = [
     "CONFIRMED",
@@ -211,13 +210,12 @@ def check_prop_disconnected_pair(B: BraidingMatrix, u_word, v_word, max_terms=No
                     }
         _check_degree(B, deg)
         _guard(multinomial(deg), max_terms, "pairing descent at degree {}", deg)
-        one = Scalar.one(B.order)
-        bracket = _commutator({u_word: one}, {v_word: one}, one)  # [u, v]-
-        if _vanishes(B, bracket, deg):
+        bracket = _commutator({u_word: 1}, {v_word: 1}, 1)  # [u, v]- on ints
+        if _vanishes(B, bracket, deg, _word_charge(_cap(max_terms), deg)):
             return CONFIRMED, {"bracket_vanishes": True}
         return COUNTEREXAMPLE, {
             "bracket": f"[{_word_str(u_word)}, {_word_str(v_word)}]-",
-            "element": str(FreeElement._of(B.n, B.order, bracket)),
+            "element": str(FreeElement(B.n, B.order, bracket)),
         }
 
     instance = f"n={B.n} order={B.order} u={_word_str(u_word)} v={_word_str(v_word)}"
@@ -244,12 +242,13 @@ def check_prop_all_bracketings(B: BraidingMatrix, word, max_terms=None) -> Verif
         m = multinomial(deg)
         _guard(n_trees * m, max_terms, "bracketing descent at degree {} ({} bracketings x {} dual words)",
                deg, n_trees, m)
+        cap = _cap(max_terms)
         for tree in enumerate_bracketings(len(word)):
-            terms = _bracketing_terms(B, tree, word, MINUS)
-            if not _vanishes(B, terms, deg):
+            terms = _bracketing_terms(B, tree, word, MINUS)  # word -> int
+            if not _vanishes(B, terms, deg, _word_charge(cap, deg)):
                 return COUNTEREXAMPLE, {
                     "bracketing": format_bracketing(tree, word),
-                    "element": str(FreeElement._of(B.n, B.order, terms)),
+                    "element": str(FreeElement(B.n, B.order, terms)),
                 }
         return CONFIRMED, {"bracketings_checked": n_trees}
 

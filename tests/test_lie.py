@@ -19,7 +19,7 @@ from nicholslie.freealg import (
     word_degree,
     words_of_multidegree,
 )
-from nicholslie import lie, nichols, verify
+from nicholslie import freealg, lie, nichols, verify
 from nicholslie.graphs import PURE, build_graph, components, realize_graph
 from nicholslie.lie import (
     MEMBER,
@@ -983,15 +983,18 @@ ZERONESS_MATRICES = [
 ]
 DIMENSION_MATRICES = [([["-1", "z^3"], ["z^2", "z^7"]], 24),
                       ([["2", "z^8", "1"], ["-1", "z^3", "z^8"], ["1", "2", "-1"]], 24)]
-# The integer work of the pairing descent and the symmetrizer, which the
-# traced scalar counts do not see: D_i steps and the words they emit, misses
-# of the short-row memo, and symmetrizer rows
-DESCENT_WORK_CAPS = {"steps": 177908, "emitted": 1866345, "row misses": 407, "symmetrizer rows": 150}
+# The integer work of the pairing descent, the symmetrizer and the prop
+# checks' classical brackets, which the traced scalar counts do not see: D_i
+# steps and the words they emit, misses of the short-row memo, symmetrizer
+# rows, and the term pairs len(x) * len(y) of every _commutator call
+DESCENT_WORK_CAPS = {"steps": 177908, "emitted": 1866345, "row misses": 407, "symmetrizer rows": 150,
+                     "bracket term pairs": 252821}
 
 
 def test_descent_and_symmetrizer_stay_within_their_work_caps(monkeypatch):
     counts = dict.fromkeys(DESCENT_WORK_CAPS, 0)
     skew, pairing_row, symmetrizer_rows = nichols._skew, nichols._pairing_row, nichols._symmetrizer_rows
+    commutator = freealg._commutator
 
     def counted_skew(B, i, terms):
         counts["steps"] += 1
@@ -1007,9 +1010,15 @@ def test_descent_and_symmetrizer_stay_within_their_work_caps(monkeypatch):
             counts["symmetrizer rows"] += 1
             yield row
 
+    def counted_commutator(x, y, p):
+        counts["bracket term pairs"] += len(x) * len(y)
+        return commutator(x, y, p)
+
     monkeypatch.setattr(nichols, "_skew", counted_skew)
     monkeypatch.setattr(nichols, "_pairing_row", counted_row)
     monkeypatch.setattr(nichols, "_symmetrizer_rows", counted_rows)
+    monkeypatch.setattr(freealg, "_commutator", counted_commutator)
+    monkeypatch.setattr(verify, "_commutator", counted_commutator)
     for rows, order in ZERONESS_MATRICES:
         B = matrix_from_strings(rows, order)
         for d in range(2, 6):

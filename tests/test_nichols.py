@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import nicholslie
-from nicholslie import nichols
+from nicholslie import nichols, scalar
 from nicholslie.braiding import BraidingMatrix
 from nicholslie.freealg import (BRAIDED, FreeElement, braided_bracket, multinomial, word_degree,
                                 words_of_multidegree)
@@ -615,6 +615,30 @@ def test_derivation_multiplies_only_up_to_the_last_matching_letter(monkeypatch):
         (1, 1, 2): B.entry(2, 1).inv(),                                          # q21^-1
         (1, 2, 1): B.entry(2, 1).inv() * B.entry(2, 2).inv() * B.entry(2, 1).inv(),
     }
+
+
+@pytest.mark.parametrize("order", [3, 8, 24])
+def test_ring_product_with_a_rational_element_is_a_scaling(monkeypatch, order):
+    # a product of elements of Z[zeta_N] with a factor that has no z-terms
+    # scales the other factor's ints: no schoolbook product, same value
+    rng = random.Random(order)
+    phi = len(Scalar.one(order).num)
+    cases = []
+    for _ in range(20):
+        a = [rng.randint(-9, 9) for _ in range(phi)]
+        a[1] = a[1] or 1  # a has a z-term
+        for r in (rng.randint(-9, 9), 1):
+            rational = [r] + [0] * (phi - 1)
+            cases += [(a, rational), (rational, a)]
+    product, calls = scalar._product, []
+    monkeypatch.setattr(scalar, "_product", lambda *args: calls.append(args) or product(*args))
+    got = [_Cyclotomic(order, x) * _Cyclotomic(order, y) for x, y in cases]
+    assert calls == []
+    _Cyclotomic(order, a) * _Cyclotomic(order, a)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    for (x, y), z in zip(cases, got):
+        assert Scalar(order, z.c) == Scalar(order, x) * Scalar(order, y)
 
 
 def test_derivation_weighs_suffixes_over_one_denominator():

@@ -12,6 +12,7 @@ from nicholslie.freealg import (
     minus_bracket,
 )
 from nicholslie.graphs import realize_graph
+from nicholslie.scalar import Scalar
 from nicholslie.verify import (
     CONFIRMED,
     COUNTEREXAMPLE,
@@ -27,6 +28,7 @@ from nicholslie.verify import (
     sample_grid_matrices,
 )
 
+from bracket_oracle import oracle_bracketing
 from conftest import matrix_from_strings, rational_matrix
 
 
@@ -189,13 +191,14 @@ def test_prop_brackets_needs_length_two():
 
 def _nonzero_for(monkeypatch, chosen):
     """Make the checks' zero test report the chosen free-algebra elements,
-    and only them, as nonzero in B(V)."""
+    and only them, as nonzero in B(V).  The checks hand the zero test word
+    -> int maps and a word charge, passed on to every other zero test."""
     vanishes = verify._vanishes
 
-    def patched(B, terms, alpha):
+    def patched(B, terms, alpha, charge):
         if any(terms == c.terms for c in chosen):
             return False
-        return vanishes(B, terms, alpha)
+        return vanishes(B, terms, alpha, charge)
 
     monkeypatch.setattr(verify, "_vanishes", patched)
 
@@ -229,6 +232,51 @@ def test_prop_pair_counterexample_names_the_bracket(monkeypatch):
     assert report.verdict == COUNTEREXAMPLE
     assert report.evidence == {"bracket": "[x1 x2, x3 x1]-", "element": str(bracket)}
     assert check_prop_disconnected_pair(B, v, u).verdict == CONFIRMED  # another bracket
+
+
+def test_prop_checks_charge_each_descent_against_the_cap():
+    # [x1^5, x2]- needs 6 dual words, which the entry guard allows at cap 29,
+    # but its descent emits 30 words: the check is Inconclusive, naming the
+    # descent, the words and the cap
+    B = rational_matrix([[2, 1], [1, 2]])
+    u = (1,) * 5
+    assert check_prop_disconnected_pair(B, u, (2,), max_terms=30).verdict == CONFIRMED
+    report = check_prop_disconnected_pair(B, u, (2,), max_terms=29)
+    assert report.verdict == INCONCLUSIVE
+    assert report.evidence == {"guardrail": "pairing descent at degree (5, 1): needs 30 words, cap is 29"}
+    # each of the 42 bracketings of x1 x1 x2 x1 x2 x2 has its own charge: none
+    # emits more than 259 words, though together they emit 3,844 against the cap 840
+    word = (1, 1, 2, 1, 2, 2)
+    assert check_prop_all_bracketings(B, word, max_terms=840).verdict == CONFIRMED
+    assert check_prop_all_bracketings(B, word, max_terms=839).verdict == INCONCLUSIVE  # the entry guard
+
+
+def test_prop_checks_run_no_scalar_arithmetic(monkeypatch):
+    # over Q(zeta_8) the brackets are word -> int maps and the descent runs on
+    # Z[zeta_8]: a check that files no Counterexample does no Scalar arithmetic
+    B = matrix_from_strings([["z", "1", "z^3"], ["1", "-1", "2"], ["z^5", "2", "1/3"]], 8)
+    words = [(1, 2), (2, 1, 2), (1, 2, 1, 2), (2, 2, 1, 1, 2), (1, 3), (3, 3, 3), (1, 2, 3)]
+    pairs = [((1,), (2,)), ((1, 1), (2, 1)), ((2, 1, 2), (1, 1)), ((1,), (3,)), ((3,), (3, 3))]
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__"):
+        def counted(self, *args, _op=getattr(Scalar, name), _name=name):
+            calls.append(_name)
+            return _op(self, *args)
+        monkeypatch.setattr(Scalar, name, counted)
+    verdicts = set()
+    for report in ([check_prop_all_bracketings(B, w) for w in words]
+                   + [check_prop_disconnected_pair(B, u, v) for u, v in pairs]):
+        verdicts.add(report.verdict)
+        assert report.verdict != COUNTEREXAMPLE
+    assert verdicts == {CONFIRMED, PRECONDITION_NOT_MET}
+    assert calls == []
+    # a Counterexample's element text is the only place its Scalars are made
+    monkeypatch.setattr(verify, "_vanishes", lambda B, terms, alpha, charge: not terms)
+    report = check_prop_all_bracketings(B, (1, 2, 1))
+    assert report.verdict == COUNTEREXAMPLE
+    tree = enumerate_bracketings(3)[0]
+    assert report.evidence == {"bracketing": "[x1,[x2,x1]]",
+                               "element": str(oracle_bracketing(B, tree, (1, 2, 1), MINUS))}
 
 
 def test_prop_checks_run_without_bracket_or_zeroness_api(monkeypatch):
