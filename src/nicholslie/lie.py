@@ -7,9 +7,12 @@ L_gamma, beta + gamma = alpha}, which is how it is built, each [b, c]
 paired from the stored pairing vectors of b and c by the quantum
 shuffle of nichols; a degree of the same shape as an earlier one (the
 same exponents and principal submatrix on its support) takes that span,
-relabelled.  Monomial membership is an exact linear solve against that
-span, and the scans of max_supports and of verify's thm-equiv walk
-multidegrees, pairing words only where a span is neither empty nor full.
+relabelled; a build makes no scalar, and a span makes its basis of
+scalars on first read.  Monomial membership is an exact linear solve
+against that span.  max_supports and verify's thm-equiv scan
+multidegrees, pairing words only where a span is neither empty nor full,
+and share the walk of the full-support degrees (_full_support_witness),
+which max_supports runs first.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ MEMBER = "Member"
 NOT_MEMBER = "NotMember"
 
 
-@dataclass
+@dataclass(eq=False)
 class LieSpan:
     """A maximal independent set of bracketing images at one multidegree.
 
@@ -71,25 +74,46 @@ class LieSpan:
     solver.contains(r, order) is that test on an integer row.  _integer_rows
     holds each basis vector as the (pairs, scale) integer row of
     nichols._integer_vector, made once with the span: the spans above read
-    these, not the basis, and shuffle them into the pairing vectors of
-    their candidates.  A span relabelled from an earlier degree of the
-    same shape (see _span) shares that degree's solver and rows, so a
-    solver is read-only once its span is built: reduce it, never insert
-    into it.
+    these, and shuffle them into the pairing vectors of their candidates.
+    basis, the same vectors as NicholsVectors of scalars of the given
+    order, is made from them on first read, so a build makes no scalar.
+    A span relabelled from an earlier degree of the same shape (see _span)
+    shares that degree's solver and rows, so a solver is read-only once
+    its span is built: reduce it, never insert into it.  Spans compare by
+    degree, kind, basis and provenance.
     """
 
     degree: tuple
     kind: str
-    basis: list = field(repr=False)           # NicholsVector, linearly independent
     generators_used: list = field(repr=False)  # (tree, word) provenance per basis entry
-    solver: _RowReducer = field(repr=False, compare=False)
-    _integer_rows: list = field(repr=False, compare=False)  # (pairs, scale) per basis entry
-    _need: tuple = field(repr=False, compare=False)  # (entries, candidates, words, table entries)
-    _top: int = field(repr=False, compare=False)  # the largest need of its build and those below
+    solver: _RowReducer = field(repr=False)
+    _integer_rows: list = field(repr=False)  # (pairs, scale) per basis entry
+    _order: int = field(repr=False)
+    _need: tuple = field(repr=False)  # (entries, candidates, words, table entries)
+    _top: int = field(repr=False)  # the largest need of its build and those below
+    _basis: list = field(default=None, init=False, repr=False)
+
+    @property
+    def basis(self) -> list:
+        """NicholsVectors, linearly independent, one per provenance entry."""
+        if self._basis is None:
+            m, self._basis = _words(self.degree), []
+            for pairs, scale in self._integer_rows:
+                row = [0] * m
+                for k, x in pairs:
+                    row[k] = x if type(x) is int else x.c
+                self._basis.append(NicholsVector(self.degree, tuple(_scalars(self._order, row, scale))))
+        return self._basis
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.generators_used)
+
+    def __eq__(self, other):
+        if not isinstance(other, LieSpan):
+            return NotImplemented
+        return ((self.degree, self.kind, self.generators_used, self.basis)
+                == (other.degree, other.kind, other.generators_used, other.basis))
 
 
 @dataclass
@@ -225,14 +249,15 @@ def _build(B: BraidingMatrix, alpha: tuple, kind: str, cap: int) -> LieSpan:
     Candidates are built on integers over Z[zeta_N]: a candidate is a pair
     of integer rows of the spans below shuffled through the split's
     integer table (see nichols), over the two scales times the table's
-    denominator, and the reducer takes that row as it is.  A kept
-    candidate becomes scalars, the same values the shuffle over Q(zeta_N)
-    gives, and, with the content it shares with its denominator divided
-    out, the span's integer row for it: the lcm-scaled row of those
-    scalars, so every build above reads it as made.
+    denominator, and the reducer takes that row as it is; p and p' are
+    read as integer pairs too (_ShuffleTables.chi), so a build makes no
+    scalar.  A kept candidate, with the content it shares with its
+    denominator divided out, is the span's integer row for it: the
+    lcm-scaled row of the scalars the shuffle over Q(zeta_N) gives, so
+    every build above reads it as made.
     """
-    d, m, order = sum(alpha), multinomial(alpha), B.order
-    one, (zero, unit) = Scalar.one(order), _ring_units(order)
+    d, m, order = sum(alpha), _words(alpha), B.order
+    zero, unit = _ring_units(order)
     splits, top, entries = [], 0, 0
     paired = 1 if d == 1 else 0  # degree 1 pairs its generator
     for beta, gamma, left, right in _splits(B, alpha, kind, cap):
@@ -240,7 +265,7 @@ def _build(B: BraidingMatrix, alpha: tuple, kind: str, cap: int) -> LieSpan:
             top = max(top, left._top, right._top)
             if top > cap:  # a cached span below refuses
                 raise _refusal(B, left if left._top > cap else right, cap)
-        if left.basis and right.basis:
+        if left.dimension and right.dimension:
             splits.append((beta, gamma, left, right))
             paired += left.dimension * right.dimension
             # m(alpha) * min(prod C(alpha_i, beta_i), m(beta) * m(gamma)), as
@@ -254,13 +279,13 @@ def _build(B: BraidingMatrix, alpha: tuple, kind: str, cap: int) -> LieSpan:
         if d == 1:
             yield (None, (alpha.index(1) + 1,)), [unit], 1
         elif splits:
-            tables = _ShuffleTables(B, alpha)
+            tables = _ShuffleTables(B)
             mirrored = set()  # splits gamma > beta with p * p' = 1, met at beta
             for beta, gamma, left, right in splits:
                 if beta in mirrored:
                     continue
-                p = B.chi(gamma, beta) if kind == BRAIDED else one
-                if gamma > beta and (kind == MINUS or (p * B.chi(beta, gamma)).is_one()):
+                p = tables.chi(gamma, beta) if kind == BRAIDED else (unit, 1)
+                if gamma > beta and (kind == MINUS or tables.inverses(p, tables.chi(beta, gamma))):
                     mirrored.add(gamma)
                 bracket = tables.bracket(beta, gamma, p)
                 if bracket is None:  # every [b, c] here is zero
@@ -274,30 +299,28 @@ def _build(B: BraidingMatrix, alpha: tuple, kind: str, cap: int) -> LieSpan:
                         yield ((tb, tc), wb + wc), acc, sb * sc * den
 
     reducer = _RowReducer()
-    basis, provenance, rows = [], [], []
+    provenance, rows = [], []
     for source, acc, den in candidates():
         # the reducer's layout: at phi(N) > 1 coefficient lists, and 0 for a zero entry
         row = acc if type(zero) is int else [x.c if x else 0 for x in acc]
         if reducer.insert_integers(row, order):
-            basis.append(NicholsVector(alpha, tuple(_scalars(order, row, den))))
             provenance.append(source)
             rows.append(_integer_vector(order, row, den))
             if reducer.rank == m:  # full: every later candidate is refused
                 break
-    return LieSpan(alpha, kind, basis, provenance, reducer, rows, need, max(top, need[0]))
+    return LieSpan(alpha, kind, provenance, reducer, rows, order, need, max(top, need[0]))
 
 
 def _relabel(span: LieSpan, support: tuple, alpha: tuple, onto: tuple) -> LieSpan:
     """span, built on the (0-based) support, as the span at alpha, whose
     support onto has the same shape: letters map increasingly, and the
-    values, the read-only solver, the integer rows and the needs are
-    shared."""
+    read-only solver, the integer rows (so the basis values) and the needs
+    are shared."""
     letter = {i + 1: j + 1 for i, j in zip(support, onto)}
     return LieSpan(
         alpha, span.kind,
-        [NicholsVector(alpha, nv.values) for nv in span.basis],
         [(tree, tuple(letter[x] for x in word)) for tree, word in span.generators_used],
-        span.solver, span._integer_rows, span._need, span._top,
+        span.solver, span._integer_rows, span._order, span._need, span._top,
     )
 
 
@@ -347,7 +370,7 @@ def _member(B: BraidingMatrix, span: LieSpan, word: tuple) -> bool:
     """
     if span.dimension == _words(span.degree):
         return True
-    if not span.basis:
+    if not span.dimension:
         return False
     target = _pairings(B, {word: _ring_units(B.order)[1]}, span.degree)
     return any(target) and span.solver.contains(target, B.order)
@@ -357,7 +380,7 @@ def _first_member(B: BraidingMatrix, alpha: tuple, kind: str, cap: int):
     """The lex-first member word of degree alpha, or None; the words of an
     empty span are not listed."""
     span = _span(B, alpha, kind, cap)
-    words = words_of_multidegree(alpha) if span.basis else ()
+    words = words_of_multidegree(alpha) if span.dimension else ()
     return next((word for word in words if _member(B, span, word)), None)
 
 
@@ -398,32 +421,75 @@ def _check_d_max(d_max, least: int, bound: str) -> None:
         raise ValueError(f"d_max must be at least {bound}")
 
 
+def _full_support_witness(B: BraidingMatrix, d_max: int, kind: str, cap: int, scan=True):
+    """The lex-first member word of full support at the least length <=
+    d_max, or None.
+
+    The full-support degrees of each length are walked in the order the
+    lex scan of its words first meets them (_degrees), each giving its
+    first member word (_first_member), up to a degree whose least word
+    comes after the best one so far.  A refused span sends the length back
+    to that word scan from its start, as in max_supports, or, without
+    scan, raises.
+    """
+    n = B.n
+    for length in range(n, d_max + 1):
+        best = None
+        try:
+            for alpha, least in _degrees(n, length):
+                if best is not None and least > best:
+                    break
+                if all(alpha):
+                    word = _first_member(B, alpha, kind, cap)
+                    if word is not None and (best is None or word < best):
+                        best = word
+        except GuardrailExceeded:
+            if not scan:
+                raise
+            best = next((word for word in words_of_total_degree(n, length)
+                         if len(set(word)) == n and _is_member(B, word, kind, cap)), None)
+        if best is not None:
+            return best
+    return None
+
+
 def max_supports(B: BraidingMatrix, d_max: int, kind: str, max_terms=None):
     """Inclusion-maximal supports of member monomials of total degree <= d_max.
 
     This is the answer of a scan of the words in increasing total degree,
     lexicographically within a degree, that skips a word whose support is
     contained in that of a member word met earlier, and that ends once
-    the full support is a member.  A word's support and the dimension of
-    its Lie span belong to its multidegree, so the scan walks the degrees
-    of each length in the order the word scan first meets them (_degrees).
-    A degree is skipped where a member word met before its lex-least word
-    covers its support.  Otherwise its span is looked up: an empty one has
-    no member, a full one has its least word as the first, and only a
-    span between the two has its words paired, in lex order, up to the
-    first member (see _member).  Each Lie span, and each lower span it is
-    built from, is built once per multidegree and kept in B's span cache.
+    the full support is a member.  So the full-support degrees are walked
+    first (_full_support_witness, without its word scan): a member there
+    is the answer [1..n].  Otherwise the scan walks the degrees of each
+    length in the order the word scan first meets them (_degrees), as a
+    word's support and the dimension of its Lie span belong to its
+    multidegree, and asks no full-support degree again.  A degree is
+    skipped where a member word met before its lex-least word covers its
+    support.  Otherwise its span is looked up: an empty one has no
+    member, a full one has its least word as the first, and only a span
+    between the two has its words paired, in lex order, up to the first
+    member (see _member).  Each Lie span, and each lower span it is built
+    from, is built once per multidegree and kept in B's span cache.
 
     A degree whose span is refused ends the degree walk of its length:
     that length is scanned again word by word from its start, each word
     answered by monomial_membership where its span is refused (see
     _is_member).  A member word counts for a word only when met before
     it, so those the degree walk found later in lex order cover nothing
-    here, and a refusal raises the text the word scan would raise.
+    here, and a refusal raises the text the word scan would raise.  Where
+    the full-support walk meets a refusal, the scan walks every degree,
+    full-support ones included.
     """
     _check_choice(kind, (BRAIDED, MINUS), "bracket kind")
     _check_d_max(d_max, 1, "1")
     n, cap = B.n, _cap(max_terms)
+    try:
+        if _full_support_witness(B, d_max, kind, cap, scan=False) is not None:
+            return [tuple(range(1, n + 1))]
+        walked = True  # no full-support degree up to d_max has a member
+    except GuardrailExceeded:
+        walked = False
     found = []  # (support, (length, word)) per member word found
 
     def covered(support, key):
@@ -433,7 +499,7 @@ def max_supports(B: BraidingMatrix, d_max: int, kind: str, max_terms=None):
         try:
             for alpha, least in _degrees(n, d):
                 support = frozenset(least)
-                if not covered(support, (d, least)):
+                if not (walked and len(support) == n or covered(support, (d, least))):
                     word = _first_member(B, alpha, kind, cap)
                     if word is not None:
                         found.append((support, (d, word)))

@@ -37,7 +37,9 @@ which depends on the degrees alone, so a table is integer entries over
 one denominator, and f_b and f_c enter it as integer rows over the lcm of
 their denominators: a candidate row is built on integers from the table
 to the reducer.  The tables are built from the shuffles of suffix pairs
-of words, which depend on B alone and are memoized per matrix.  Exact
+of words, which depend on B alone and are memoized per matrix with each
+dual word as its lex index, and p is read from B's entries as an integer
+pair, so a table is built with no dual word and no scalar made.  Exact
 elimination on integer rows (_RowReducer) gives dim B(V)_alpha and
 membership, cross-checked by the rank of a quantum symmetrizer, whose rows
 are integers too.  basis_of_degree first eliminates the images of its
@@ -50,6 +52,7 @@ degree is eliminated exactly.  The symmetrizer rank stays exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate
 from math import comb, gcd, lcm
 from operator import mul
@@ -289,62 +292,93 @@ def _word_charge(cap: int, alpha):
 
 
 def _shuffle_memos(B: BraidingMatrix) -> tuple:
-    """The memos of _ShuffleTables on B: suffix shuffles, factors, and the
+    """The memos of _ShuffleTables on B: suffix shuffles, factors, the
     inverses q_xy^-1 = a_xy / b_xy as a matrix of numerators a (in
-    Z[zeta_N], scalar._ring) and one of positive int denominators b."""
+    Z[zeta_N], scalar._ring) and one of positive int denominators b, and
+    the entries q_xy as such (numerator, denominator) pairs, None for 1."""
     inverses = [B.inverse_row(i) for i in range(1, B.n + 1)]
     return ({}, {}, tuple(tuple(_ring(B.order, e.num) for e in row) for row in inverses),
-            tuple(tuple(e.den for e in row) for row in inverses))
+            tuple(tuple(e.den for e in row) for row in inverses),
+            tuple(tuple(None if e.is_one() else (_ring(B.order, e.num), e.den) for e in row)
+                  for row in B._rows))
+
+
+@lru_cache(maxsize=4096)
+def _blocks(alpha) -> tuple:
+    """Per letter x, the index in the lex order of the words of alpha of
+    the first word that starts with x: sum m(alpha - e_y) over y < x, each
+    m(alpha - e_y) = m(alpha) * alpha_y / |alpha|."""
+    m, d = multinomial(alpha), sum(alpha)
+    return tuple(accumulate((m * a // d for a in alpha[:-1]), initial=0))
 
 
 class _ShuffleTables:
-    """Pairing tables of the brackets of degree alpha, fraction-free over
-    Z[zeta_N].  Write q_xy^-1 = a_xy / b_xy.  An interleaving of a word u of
-    degree beta with a word v of degree gamma weighs prod q_{x,y}^-1 over
-    the pairs with x of v placed before y of u: the product of a_xy over
-    those pairs and of b_xy over the others, divided by prod b_ij^(gamma_i *
-    beta_j), which depends on (beta, gamma) alone.  So the shuffles of u
-    and v hold integer weights over that denominator.
+    """Pairing tables of the brackets on B, fraction-free over Z[zeta_N].
+    Write q_xy^-1 = a_xy / b_xy.  An interleaving of a word u of degree beta
+    with a word v of degree gamma weighs prod q_{x,y}^-1 over the pairs
+    with x of v placed before y of u: the product of a_xy over those pairs
+    and of b_xy over the others, divided by prod b_ij^(gamma_i * beta_j),
+    which depends on (beta, gamma) alone.  So the shuffles of u and v hold
+    integer weights over that denominator.
 
-    bracket(beta, gamma, p) is (M, D) for [u, v] = v*u - p*u*v over the
-    i-th word u of beta and the j-th word v of gamma: M[i][j] lists the
-    (k, w), w != 0, where w / D sums the weights of the interleavings of
-    v*u that spell the k-th dual word of alpha, minus p times those of
-    u*v, with p's numerator and denominator folded into w and D.  It is
-    None when every entry cancels, and then every bracket of that split
-    is zero in B(V).  A table is built once per split and not kept.  It
-    is read from the shuffles of suffix pairs, which are never enumerated
-    (with repeated letters there are exponentially many) and, like the
-    factors and the inverse table, depend on B and the words alone, so all
-    are kept on B (B._shuffle_cache) and shared by every alpha; they hold
-    words and ints, never B, so they make no reference cycle.  The index
-    of the dual words of alpha depends on alpha alone and is kept per
-    alpha (freealg._word_index).  Weights are plain ints at phi(N) = 1 and
-    scalar._Cyclotomic otherwise."""
+    chi(alpha, beta) is chi as a pair (a, b), a in Z[zeta_N] and b > 0 an
+    int with no common content, the Scalar's num and den, read from the
+    entries' pairs; inverses(p, p') tests p * p' = 1 on two such pairs.
+    bracket(beta, gamma, p) is (M, D) for [u, v] = v*u - p*u*v, p such a
+    pair, over the i-th word u of beta and the j-th word v of gamma:
+    M[i][j] lists the (k, w), w != 0, where w / D sums the weights of the
+    interleavings of v*u that spell the k-th dual word of alpha = beta +
+    gamma, minus p times those of u*v, with p's numerator and denominator
+    folded into w and D.  It is None when every entry cancels, and then
+    every bracket of that split is zero in B(V).  A table is built once per
+    split and not kept.  It is read from the shuffles of suffix pairs,
+    which are never enumerated (with repeated letters there are
+    exponentially many) and hold each dual word as its lex index among the
+    words of its degree, so no dual word is built: x * j has the index of
+    j plus the offset of x's block (_blocks), and a lone word the index
+    freealg._word_index gives it.  Like the factors and the integer entry
+    tables, they depend on B and the words alone, so all are kept on B
+    (B._shuffle_cache) and shared by every alpha; they hold words and
+    ints, never B, so they make no reference cycle.  Weights are plain ints
+    at phi(N) = 1 and scalar._Cyclotomic otherwise."""
 
-    def __init__(self, B: BraidingMatrix, alpha: tuple):
-        self.order, self.one = B.order, _ring_units(B.order)[1]
-        self.index = _word_index(alpha)
-        self.memo, self.factors, self.nums, self.dens = B._first_use("_shuffle_cache", _shuffle_memos)
+    def __init__(self, B: BraidingMatrix):
+        self.order, self.one, self.letters = B.order, _ring_units(B.order)[1], range(1, B.n + 1)
+        self.memo, self.factors, self.nums, self.dens, self.entries = B._first_use(
+            "_shuffle_cache", _shuffle_memos)
+
+    def chi(self, alpha, beta) -> tuple:
+        num, den = self.one, 1
+        for a, row in zip(alpha, self.entries):
+            if a:
+                for b, entry in zip(beta, row):
+                    if b and entry:
+                        num, den = num * entry[0] ** (a * b), den * entry[1] ** (a * b)
+        content = (num,) if type(num) is int else num.c
+        g = gcd(den, *content)
+        return (num, den) if g == 1 else (_ring(self.order, [c // g for c in content]), den // g)
+
+    def inverses(self, p, q) -> bool:
+        return not (p[0] * q[0] - self.one * (p[1] * q[1]))
 
     def bracket(self, beta, gamma, p):
-        index, dens = self.index, self.dens
+        (num, p_den), dens = p, self.dens
         d_vu = d_uv = 1  # the denominators of the shuffles of v*u and of u*v
         for i, row in enumerate(dens):
             for j, b in enumerate(row):
                 if b != 1:
                     d_vu *= b ** (beta[i] * gamma[j])
                     d_uv *= b ** (gamma[i] * beta[j])
-        den = lcm(d_vu, d_uv * p.den)
-        s, c = den // d_vu, _ring(self.order, p.num) * (den // (d_uv * p.den))
+        den = lcm(d_vu, d_uv * p_den)
+        s, c = den // d_vu, num * (den // (d_uv * p_den))
         table = []
         vs = _multidegree_words(gamma)
         for u in _multidegree_words(beta):
             row = []
             for v in vs:
-                entry = {index[j]: w * s for j, w in self.shuffles(v, u)}
-                for j, w in self.shuffles(u, v):
-                    k, w = index[j], w * c
+                entry = {k: w * s for k, w in self.shuffles(v, u)}
+                for k, w in self.shuffles(u, v):
+                    w = w * c
                     entry[k] = entry[k] - w if k in entry else -w
                 row.append(tuple((k, w) for k, w in entry.items() if w))
             table.append(row)
@@ -364,29 +398,34 @@ class _ShuffleTables:
         return out
 
     def shuffles(self, u, v):
-        # (dual word, integer weight) pairs: the dual word starts with u's
-        # first letter, placed before all of v, or with v's placed before all
-        # of u.  When those letters differ no dual word is met twice, and no
-        # weight is 0 (Z[zeta_N] has no zero divisors), so the two halves are
-        # joined as they are, which is what _merged would return
+        # (dual-word index, integer weight) pairs: the dual word starts with
+        # u's first letter, placed before all of v, or with v's placed before
+        # all of u, and x * j has the index of j plus the offset of x's block
+        # (_blocks).  When those letters differ the two halves lie in
+        # different blocks, and no weight is 0 (Z[zeta_N] has no zero
+        # divisors), so they are joined as they are, which is what _merged
+        # would return
         out = self.memo.get((u, v))
         if out is None:
             if not u or not v:
-                out = ((u + v, self.one),)
+                w = u or v
+                out = ((_word_index(tuple(map(w.count, self.letters)))[w], self.one),)
             else:
-                x, y = u[:1], v[:1]
-                g, f = self.factor(u[0], v)[1], self.factor(v[0], u)[0]
-                first = [(x + j, w * g) for j, w in self.shuffles(u[1:], v)]
-                second = [(y + j, w * f) for j, w in self.shuffles(u, v[1:])]
+                x, y = u[0], v[0]
+                blocks = _blocks(tuple(map((u + v).count, self.letters)))
+                g, f = self.factor(x, v)[1], self.factor(y, u)[0]
+                ox, oy = blocks[x - 1], blocks[y - 1]
+                first = [(ox + j, w * g) for j, w in self.shuffles(u[1:], v)]
+                second = [(oy + j, w * f) for j, w in self.shuffles(u, v[1:])]
                 out = tuple(first + second) if x != y else _merged(first, second)
             self.memo[(u, v)] = out
         return out
 
 
 def _merged(first, second) -> tuple:
-    """The (word, weight) pairs of first, then those of second whose word
-    first lacks, with the weights of a word in both summed and a zero sum
-    dropped; each list names a word at most once."""
+    """The (dual-word index, weight) pairs of first, then those of second
+    whose index first lacks, with the weights of an index in both summed
+    and a zero sum dropped; each list names an index at most once."""
     acc = dict(first)
     for j, w in second:
         acc[j] = acc[j] + w if j in acc else w

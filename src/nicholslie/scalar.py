@@ -199,10 +199,10 @@ class _Cyclotomic:
     """An element of Z[zeta_N], phi(N) > 1, as the list c of its phi(N)
     int coefficients: the integer weights of the shuffle tables in nichols,
     which use plain ints at phi(N) = 1.  It has what they need, +, -,
-    negation, products with an int or another element, and a zero test,
-    and no denominator, so no operation runs a gcd.  A product with a
-    rational element (no z-terms) scales the other operand's coefficients,
-    and a product by 1 is the other operand itself."""
+    negation, products with an int or another element, positive powers
+    and a zero test, and no denominator, so no operation runs a gcd.  A
+    product with a rational element (no z-terms) scales the other
+    operand's coefficients, and a product by 1 is the other operand itself."""
 
     __slots__ = ("order", "c")
 
@@ -227,6 +227,15 @@ class _Cyclotomic:
         if not any(a[1:]):
             return other if a[0] == 1 else _Cyclotomic(self.order, [a[0] * x for x in b])
         return _Cyclotomic(self.order, _product(self.order, a, b))
+
+    def __pow__(self, k: int):
+        # k >= 1, by squaring
+        out, base = None, self
+        while k:
+            if k & 1:
+                out = base if out is None else out * base
+            base, k = base * base if k > 1 else base, k >> 1
+        return out
 
     def __bool__(self) -> bool:
         return any(self.c)

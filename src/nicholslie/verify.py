@@ -40,10 +40,9 @@ from .freealg import (
     format_bracketing,
     multinomial,
     word_degree,
-    words_of_total_degree,
 )
 from .graphs import AUGMENTED, PURE, build_graph, components, is_connected_monomial, support
-from .lie import _check_d_max, _degrees, _first_member, _is_member, max_supports
+from .lie import _check_d_max, _full_support_witness, _is_member, max_supports
 from .nichols import GuardrailExceeded, _cap, _check_degree, _guard, _vanishes, _word_charge
 
 __all__ = [
@@ -110,7 +109,9 @@ def check_theorem_equivalences(B: BraidingMatrix, d_max=None, max_terms=None) ->
     (c) x_1 x_2 ... x_n is a member,
     (d) some member monomial of total degree <= d_max has full support.
 
-    A full-support monomial needs degree >= n, so d_max < n is rejected.
+    (d) reads the ascending word when it is a member, else the full-support
+    walk that lie.max_supports runs first (lie._full_support_witness).  A
+    full-support monomial needs degree >= n, so d_max < n is rejected.
     """
     n = B.n
     if d_max is None:
@@ -123,7 +124,7 @@ def check_theorem_equivalences(B: BraidingMatrix, d_max=None, max_terms=None) ->
         b = _is_member(B, tuple(range(n, 0, -1)), BRAIDED, cap)
         c = _is_member(B, tuple(range(1, n + 1)), BRAIDED, cap)
         # the ascending word is the least word of full support
-        witness = tuple(range(1, n + 1)) if c else _full_support_witness(B, d_max, cap)
+        witness = tuple(range(1, n + 1)) if c else _full_support_witness(B, d_max, BRAIDED, cap)
         d = witness is not None
         evidence = {
             "graph_connected": a,
@@ -135,35 +136,6 @@ def check_theorem_equivalences(B: BraidingMatrix, d_max=None, max_terms=None) ->
         return (CONFIRMED if a == b == c == d else COUNTEREXAMPLE), evidence
 
     return _report(B, "thm-equiv", f"d_max={d_max}", f"n={n} order={B.order} d_max={d_max}", check)
-
-
-def _full_support_witness(B: BraidingMatrix, d_max: int, cap: int):
-    """The lex-first braided member word of full support at the least
-    length <= d_max, or None.
-
-    The full-support degrees of each length are walked in the order the
-    lex scan of its words first meets them (lie._degrees), each giving its
-    first member word (lie._first_member), up to a degree whose least word
-    comes after the best one so far.  A refused span sends the length back
-    to that word scan from its start, as in lie.max_supports.
-    """
-    n = B.n
-    for length in range(n, d_max + 1):
-        best = None
-        try:
-            for alpha, least in _degrees(n, length):
-                if best is not None and least > best:
-                    break
-                if all(alpha):
-                    word = _first_member(B, alpha, BRAIDED, cap)
-                    if word is not None and (best is None or word < best):
-                        best = word
-        except GuardrailExceeded:
-            best = next((word for word in words_of_total_degree(n, length)
-                         if len(set(word)) == n and _is_member(B, word, BRAIDED, cap)), None)
-        if best is not None:
-            return best
-    return None
 
 
 def check_theorem_max_support(B: BraidingMatrix, d_max=None, max_terms=None) -> VerificationReport:

@@ -14,13 +14,13 @@ neither the integer kernel nor the integer reducer it checks: it reduces
 with the Scalar reducer of scalar_reducer_oracle.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from nicholslie.freealg import BRAIDED, _multidegree_words, multinomial
-from nicholslie.lie import LieSpan
 from nicholslie.nichols import NicholsVector
-from nicholslie.scalar import Scalar
+from nicholslie.scalar import Scalar, _ring
 from scalar_reducer_oracle import ScalarRowReducer
 
 
@@ -99,6 +99,12 @@ def shuffle_into(acc: list, table, fu, fv, one) -> None:
                 acc[k] = w if prev is None else prev + w
 
 
+def ring_pair(p: Scalar) -> tuple:
+    """A Scalar as the (numerator in Z[zeta_N], denominator) pair that
+    nichols._ShuffleTables.bracket takes for p."""
+    return _ring(p.order, p.num), p.den
+
+
 def ring_scalar(order, w, den) -> Scalar:
     """An integer weight of nichols's tables (a plain int, or a
     scalar._Cyclotomic with coefficients w.c) divided by den, as a Scalar."""
@@ -136,7 +142,22 @@ class ProductTables(ScalarTables):
         return self.tables[key]
 
 
-def oracle_span(B, alpha, kind, spans, paired=None) -> LieSpan:
+@dataclass
+class OracleSpan:
+    """The former lie.LieSpan, whose basis of NicholsVectors was made with it."""
+
+    degree: tuple
+    kind: str
+    basis: list
+    generators_used: list
+    solver: ScalarRowReducer
+
+    @property
+    def dimension(self) -> int:
+        return len(self.basis)
+
+
+def oracle_span(B, alpha, kind, spans, paired=None) -> OracleSpan:
     """L_alpha, memoized in spans (a dict keyed by degree, one kind only);
     each split beta whose two spans are nonempty is appended to
     paired[alpha] when paired is a dict."""
@@ -174,5 +195,5 @@ def oracle_span(B, alpha, kind, spans, paired=None) -> LieSpan:
         if reducer.insert(values):
             basis.append(NicholsVector(alpha, values))
             provenance.append(source)
-    span = spans[alpha] = LieSpan(alpha, kind, basis, provenance, reducer, None, None, None)
+    span = spans[alpha] = OracleSpan(alpha, kind, basis, provenance, reducer)
     return span

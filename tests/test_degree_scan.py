@@ -3,8 +3,8 @@ word scans of tests/max_supports_oracle.py, as a derandomized Hypothesis
 property, and the refusals of lie_span against a matrix that has cached
 nothing.
 
-Matrices of rank <= 4 are drawn at orders 1, 3 and 8 from a palette with
-entries such as 1/3 and 2*z+1.  Each pair of letters is a non-edge
+Matrices of rank <= 4 are drawn at orders 1, 3, 8 and 24 from a palette
+with entries such as 1/3 and 2*z+1.  Each pair of letters is a non-edge
 (q_ij = q_ji = 1), an edge drawn from the palette, or an augmented-only
 pair (q_ji = q_ij^-1, q_ij != 1 allowed), and a diagonal of -1 or of a
 root of unity makes zero words.  Each case is run at the default cap and
@@ -32,6 +32,7 @@ PALETTES = {
     1: ("1/3", "2", "-1", "3/2", "-2"),
     3: ("z", "2*z+1", "-1", "1/3", "z^2", "-z"),
     8: ("z", "2*z+1", "-1", "1/3", "z^3", "z^4", "-z^2"),
+    24: ("z^3", "z^8", "-1", "1/3", "2*z+1"),
 }
 
 

@@ -5,6 +5,7 @@ import gc
 import random
 from itertools import permutations, product
 from math import comb, prod
+from operator import add
 
 import pytest
 
@@ -46,7 +47,7 @@ from nicholslie.scalar import Scalar, _ring_units
 from conftest import matrix_from_strings, random_braiding_matrix, random_scalar, rational_matrix
 from max_supports_oracle import oracle_equivalence_evidence, oracle_max_supports
 from scalar_reducer_oracle import ScalarRowReducer, normalized_pivots
-from span_oracle import divided_table, oracle_span, ring_scalar
+from span_oracle import divided_table, oracle_span, ring_pair, ring_scalar
 
 
 CONNECTED = [["2", "z"], ["z", "2"]]        # q12 q21 = z^2 != 1
@@ -149,7 +150,7 @@ def test_bracket_table_pairs_the_bracket(rows, order):
         p = (B.chi(gamma, beta), one, random_scalar(rng, order, nonzero=True))[trial % 3]
         bracket = v * u - (u * v).scale(p)
         expected = pairing_vector(B, bracket).values if bracket else (zero,) * multinomial(alpha)
-        table = _ShuffleTables(B, alpha).bracket(beta, gamma, p)
+        table = _ShuffleTables(B).bracket(beta, gamma, ring_pair(p))
         if table is None:
             assert not any(expected), (beta, gamma)
             cancelled += 1
@@ -190,7 +191,7 @@ def test_rank_one_shuffle_weight_is_gaussian_binomial(entry, order, d_max, vanis
     binomials = _gaussian_binomials(q, d_max)
 
     def bracket(d, k):  # the integer table divided by its denominator
-        return divided_table(order, _ShuffleTables(B, (d,)).bracket((k,), (d - k,), B.chi((d - k,), (k,))))
+        return divided_table(order, _ShuffleTables(B).bracket((k,), (d - k,), ring_pair(B.chi((d - k,), (k,)))))
 
     for d in range(2, d_max + 1):
         for k in range(1, d):
@@ -509,20 +510,40 @@ def test_max_supports_stops_at_the_full_support(n, edges):
         assert oracle_max_supports(realize_graph(n, edges), d_max, BRAIDED) == full
 
 
-def test_degree_walk_skips_only_what_a_member_met_earlier_covers(monkeypatch):
-    # take the first member of (1, 1, 1) to be x2 x1 x3: (1, 0, 2), whose
-    # least word x1 x3 x3 the word scan meets before it, is still asked, and
-    # (0, 2, 1), whose least word x2 x2 x3 comes after it, is covered
+def _stub_first_members(monkeypatch, members) -> list:
+    """Patch lie._first_member to answer from members (None elsewhere); the
+    degrees it is asked for, in order, are appended to the returned list."""
     asked = []
-    members = {(1, 0, 0): (1,), (0, 1, 0): (2,), (0, 0, 1): (3,), (1, 1, 1): (2, 1, 3)}
 
     def first_member(B, alpha, kind, cap):
         asked.append(alpha)
         return members.get(alpha)
 
     monkeypatch.setattr("nicholslie.lie._first_member", first_member)
-    assert max_supports(realize_graph(3, []), 3, BRAIDED) == [(1, 2, 3)]
-    assert asked[-2:] == [(1, 1, 1), (1, 0, 2)]
+    return asked
+
+
+def test_a_full_support_member_ends_the_scan(monkeypatch):
+    # the full-support degrees are walked first: (1, 1) has no member, the
+    # first member of (2, 1) is x1 x2 x1, and (1, 2), whose least word
+    # x1 x2 x2 comes after it, is not asked; nor is any other degree
+    asked = _stub_first_members(monkeypatch, {(2, 1): (1, 2, 1)})
+    assert max_supports(realize_graph(2, []), 5, BRAIDED) == [(1, 2)]
+    assert asked == [(1, 1), (2, 1)]
+
+
+def test_degree_walk_skips_only_what_a_member_met_earlier_covers(monkeypatch):
+    # no full-support member: (1, 1, 1, 1), the one full-support degree up
+    # to length 4, is asked first and only once.  Take the first member of
+    # (1, 1, 1, 0) to be x2 x1 x3: (1, 0, 2, 0), whose least word x1 x3 x3
+    # the word scan meets before it, is still asked, and (0, 2, 1, 0), whose
+    # least word x2 x2 x3 comes after it, is covered
+    members = {(1, 0, 0, 0): (1,), (0, 1, 0, 0): (2,), (0, 0, 1, 0): (3,), (0, 0, 0, 1): (4,),
+               (1, 1, 1, 0): (2, 1, 3)}
+    asked = _stub_first_members(monkeypatch, members)
+    assert max_supports(realize_graph(4, []), 4, BRAIDED) == [(1, 2, 3), (4,)]
+    assert asked[0] == (1, 1, 1, 1) and asked.count((1, 1, 1, 1)) == 1
+    assert (1, 0, 2, 0) in asked[asked.index((1, 1, 1, 0)):] and (0, 2, 1, 0) not in asked
 
 
 def test_a_build_that_pairs_nothing_makes_no_shuffle_tables(monkeypatch):
@@ -531,9 +552,9 @@ def test_a_build_that_pairs_nothing_makes_no_shuffle_tables(monkeypatch):
     made = []
 
     class Recording(_ShuffleTables):
-        def __init__(self, B, alpha):
-            made.append(alpha)
-            super().__init__(B, alpha)
+        def bracket(self, beta, gamma, p):
+            made.append(tuple(map(add, beta, gamma)))
+            return super().bracket(beta, gamma, p)
 
     monkeypatch.setattr("nicholslie.lie._ShuffleTables", Recording)
     B = BraidingMatrix.from_strings([["-1", "1"], ["1", "-1"]], 1)
@@ -649,12 +670,12 @@ def test_lie_span_guard_precedes_candidate_build(monkeypatch):
     # the spans below (14,) are built first, each under its own guard; (k,)
     # pairs k - 1 candidates of one word through k - 1 table entries, so the
     # first refused is (7,), before its shuffle tables are made
-    made = []
+    made = {}
 
     class Recording(_ShuffleTables):
-        def __init__(self, B, alpha):
-            made.append(alpha)
-            super().__init__(B, alpha)
+        def bracket(self, beta, gamma, p):
+            made[tuple(map(add, beta, gamma))] = True
+            return super().bracket(beta, gamma, p)
 
     monkeypatch.setattr("nicholslie.lie._ShuffleTables", Recording)
     B = rational_matrix([[2]])
@@ -663,10 +684,10 @@ def test_lie_span_guard_precedes_candidate_build(monkeypatch):
     assert str(info.value) == (
         "Lie span at degree (7,) (6 candidates x 1 words, 6 table entries): needs 6 entries, cap is 5"
     )
-    assert made == [(2,), (3,), (4,), (5,), (6,)]
+    assert list(made) == [(2,), (3,), (4,), (5,), (6,)]
     # admitted, the refused degree is what is built next
     lie_span(B, (7,), BRAIDED, max_terms=6)
-    assert made == [(2,), (3,), (4,), (5,), (6,), (7,)]
+    assert list(made) == [(2,), (3,), (4,), (5,), (6,), (7,)]
 
 
 @pytest.mark.parametrize("rows, order", [
@@ -794,12 +815,8 @@ def assert_matches_former_build(B, kind, monkeypatch):
     calls = {}  # alpha -> the splits beta whose bracket table was asked for, in order
 
     class Recording(_ShuffleTables):
-        def __init__(self, B, alpha):
-            super().__init__(B, alpha)
-            self.calls = calls.setdefault(alpha, [])
-
         def bracket(self, beta, gamma, p):
-            self.calls.append(beta)
+            calls.setdefault(tuple(map(add, beta, gamma)), []).append(beta)
             return super().bracket(beta, gamma, p)
 
     monkeypatch.setattr("nicholslie.lie._ShuffleTables", Recording)
@@ -874,14 +891,14 @@ def test_bracket_table_cancels_exactly_at_cross_block_splits(B, blocks):
     cancelled = 0
     for alpha in product(range(4), repeat=B.n):
         if 2 <= sum(alpha) <= 4:
-            tables = _ShuffleTables(B, alpha)
+            tables = _ShuffleTables(B)
             for beta in product(*(range(a + 1) for a in alpha)):
                 if 0 < sum(beta) < sum(alpha):
                     gamma = tuple(a - b for a, b in zip(alpha, beta))
                     supports = [{i for i, c in enumerate(e, 1) if c} for e in (beta, gamma)]
                     cross = any(supports[0] <= b and supports[1] <= c
                                 for b in blocks for c in blocks if b is not c)
-                    table = tables.bracket(beta, gamma, B.chi(gamma, beta))
+                    table = tables.bracket(beta, gamma, ring_pair(B.chi(gamma, beta)))
                     assert (table is None) == cross, (alpha, beta)
                     cancelled += cross
     assert cancelled
@@ -913,6 +930,70 @@ def test_span_build_offers_no_row_after_full_rank(B, degrees, monkeypatch):
         assert lie_span(B, (1, 1, 1, 1), BRAIDED).dimension == 24
 
 
+@pytest.mark.parametrize("order, block", [
+    (1, [["-1", "2"], ["3", "2"]]),
+    (3, [["z", "z"], ["z", "-1"]]),
+    (8, [["z", "z^2"], ["z^3", "-1"]]),
+    (24, [["z^3", "z^8"], ["2*z+1", "-1"]]),
+])
+def test_basis_made_on_first_read_is_the_eager_basis(order, block):
+    # two copies of one block, so the spans on {3, 4} are relabelled from
+    # those on {1, 2}: no span, built or relabelled, has made its basis
+    # before it is read, and the basis it then makes is the one the former
+    # build made with the span
+    rows = [r + ["1", "1"] for r in block] + [["1", "1"] + r for r in block]
+    B, oracle_B = matrix_from_strings(rows, order), matrix_from_strings(rows, order)
+    degrees = [a for a in product(range(4), repeat=4) if 1 <= sum(a) <= 3]
+    for kind in (BRAIDED, MINUS):
+        spans = {}
+        for alpha in degrees:
+            lie_span(B, alpha, kind)
+        for alpha in degrees:
+            span = B._lie_span_cache[(alpha, kind)]
+            assert span._basis is None, (kind, alpha)
+            expected = oracle_span(oracle_B, alpha, kind, spans)
+            assert span.basis == expected.basis and span.dimension == expected.dimension, (kind, alpha)
+        assert _served_by_shape(B, (0, 0, 1, 1), kind) and _served_by_shape(B, (0, 0, 2, 1), kind)
+
+
+# Scalar operations a scan could run; BraidingMatrix.chi is the braided
+# brackets' own, and span builds read chi as integer pairs instead
+SCALAR_OPERATIONS = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                     "__pow__", "__eq__", "is_one", "inv")
+
+
+def test_scans_run_no_scalar_arithmetic(monkeypatch):
+    # with B's first-use memos made (its inverse table, and the integer
+    # tables of the descent and of the shuffles), max_supports builds every
+    # span and pairs every word on integers: no Scalar operation, no
+    # canonical scalar and no chi, over the 15 graph classes and Cartan A3
+    # at zeta_3 and zeta_8
+    a3 = [["z", "z^-1", "1"], ["1", "z", "z^-1"], ["1", "1", "z"]]
+    matrices = [realize_graph(n, edges) for n, edges in GRAPH_CLASSES] + [
+        matrix_from_strings(a3, order) for order in (3, 8)]
+    expected = [max_supports(BraidingMatrix(B._rows), 4, BRAIDED) for B in matrices]
+    for B in matrices:
+        B.inverse_row(1)
+        B._first_use("_descent_table", nichols._descent_table)
+        B._first_use("_shuffle_cache", nichols._shuffle_memos)
+        _ring_units(B.order)
+    calls = []
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls.append(name)
+            return function(*args)
+        return wrapper
+
+    for name in SCALAR_OPERATIONS:
+        monkeypatch.setattr(Scalar, name, counted(name, getattr(Scalar, name)))
+    for module in ("scalar", "nichols"):
+        monkeypatch.setattr(f"nicholslie.{module}._canonical", counted("_canonical", nichols._canonical))
+    monkeypatch.setattr(BraidingMatrix, "chi", counted("chi", BraidingMatrix.chi))
+    assert [max_supports(B, 4, BRAIDED) for B in matrices] == expected
+    assert calls == []
+
+
 # The work of one max_supports(B, 4, "braided") scan over each graph class on a
 # fresh matrix: the bracket tables built, their nonzero entries, the rows
 # offered to the reducer and the integer rows derived for the spans' basis
@@ -920,11 +1001,11 @@ def test_span_build_offers_no_row_after_full_rank(B, degrees, monkeypatch):
 # perfbench see no integer work, so these caps stand in for them: a change
 # may lower a count, never raise it.  Each integer row is derived once, in
 # the build that keeps its vector, and never again by a build that pairs it.
-SPAN_WORK_CAPS = {"tables": 251, "entries": 1035, "rows": 404, "derived": 240}
+SPAN_WORK_CAPS = {"tables": 242, "entries": 1028, "rows": 399, "derived": 235}
 # The suffix shuffles that go through _merged, a dict merge: those of two
 # words with the same first letter, where a dual word can repeat; any other
 # pair joins its two halves as they are.
-SUFFIX_SHUFFLE_MERGES = 50
+SUFFIX_SHUFFLE_MERGES = 46
 
 
 def test_span_builds_stay_within_their_work_caps(monkeypatch):

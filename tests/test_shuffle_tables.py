@@ -3,7 +3,9 @@ Z[zeta_N] and one denominator per split, against the former Scalar-weight
 tables of span_oracle.ScalarTables, as a derandomized Hypothesis property:
 every split of a drawn degree, each integer table divided by its
 denominator, must be the Scalar table entry for entry, and None exactly
-where the Scalar table is None.
+where the Scalar table is None.  Its chi, an integer pair, must be
+BraidingMatrix.chi in lowest terms, and its p * p' = 1 test must agree
+with the Scalar product.
 
 Matrices are drawn over orders 1, 3, 8 and 24 with entries that are signed
 roots of unity or have denominators 2 and 3 and negative coefficients; the
@@ -24,7 +26,7 @@ from nicholslie.braiding import BraidingMatrix
 from nicholslie.nichols import _ShuffleTables
 from nicholslie.scalar import Scalar, euler_phi
 
-from span_oracle import ScalarTables, divided_table
+from span_oracle import ScalarTables, divided_table, ring_pair, ring_scalar
 
 P_CHOICES = ("chi", "one", "drawn")
 
@@ -73,16 +75,20 @@ def q(order, *entries):
 def test_integer_tables_are_the_scalar_tables(case):
     rows, alpha, p_choice, drawn = case
     B = BraidingMatrix(rows)
-    tables, oracle = _ShuffleTables(B, alpha), ScalarTables(BraidingMatrix(rows), alpha)
+    tables, oracle = _ShuffleTables(B), ScalarTables(BraidingMatrix(rows), alpha)
     for beta in product(*(range(a + 1) for a in alpha)):
         if 0 < sum(beta) < sum(alpha):
             gamma = tuple(a - b for a, b in zip(alpha, beta))
             p = {"chi": B.chi(gamma, beta), "one": Scalar.one(B.order), "drawn": drawn}[p_choice]
-            result = tables.bracket(beta, gamma, p)
+            result = tables.bracket(beta, gamma, ring_pair(p))
             expected = oracle.bracket(beta, gamma, p)
             assert divided_table(B.order, result) == expected, (beta, p)
             if result is not None:
                 assert result[1] > 0 and all(w for row in result[0] for entry in row for _, w in entry)
+            # chi on the entries' integer pairs, in lowest terms, and its p * p' = 1 test
+            chi, mirror = tables.chi(gamma, beta), tables.chi(beta, gamma)
+            assert ring_scalar(B.order, *chi) == B.chi(gamma, beta) and chi[1] == B.chi(gamma, beta).den
+            assert tables.inverses(chi, mirror) == (B.chi(gamma, beta) * B.chi(beta, gamma)).is_one()
 
 
 def test_the_examples_cancel_where_chosen():
@@ -91,5 +97,5 @@ def test_the_examples_cancel_where_chosen():
                               ([[Scalar.root_power(3, 1)]], (3,), (1,))):
         B = BraidingMatrix(rows)
         gamma = tuple(a - b for a, b in zip(alpha, beta))
-        assert _ShuffleTables(B, alpha).bracket(beta, gamma, B.chi(gamma, beta)) is None
+        assert _ShuffleTables(B).bracket(beta, gamma, ring_pair(B.chi(gamma, beta))) is None
         assert ScalarTables(B, alpha).bracket(beta, gamma, B.chi(gamma, beta)) is None
