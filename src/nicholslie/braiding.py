@@ -12,8 +12,9 @@ Matrices are immutable after validation and safe to share.
 from __future__ import annotations
 
 import json
+from math import gcd
 
-from .scalar import Scalar, parse_scalar
+from .scalar import Scalar, _canonical, _ring, _ring_units, parse_scalar
 
 __all__ = ["InvalidMatrixError", "BraidingMatrix"]
 
@@ -49,30 +50,20 @@ def _inverse_rows(B) -> tuple:
     return tuple(tuple(Scalar.one(B.order) if e.is_one() else e.inv() for e in row) for row in B._rows)
 
 
-def _chi_groups(B) -> tuple:
-    """The entries q_ij != 1 grouped by value, as (value, its cells (i, j),
-    0-based), in order of first appearance; values compare as (num, den)."""
-    groups = {}
-    for i, row in enumerate(B._rows):
-        for j, e in enumerate(row):
-            if not e.is_one():
-                groups.setdefault((e.num, e.den), (e, []))[1].append((i, j))
-    return tuple((e, tuple(cells)) for e, cells in groups.values())
-
-
 class BraidingMatrix:
     """Validated matrix of nonzero scalars; entries are 1-based.
 
     It also keeps memos that depend on its entries alone, so that every
     computation on the matrix shares them.  _lie_span_cache and
-    _pairing_row_cache are made with the matrix; _inv_rows, _chi_groups
-    (the entries != 1 grouped by value, which chi reads), _json,
-    _descent_table, _shuffle_cache and _shape_cache are made on first use,
-    through _first_use, so a matrix that never needs one allocates none.
+    _pairing_row_cache are made with the matrix; _inv_rows, _entry_pairs
+    (the one integer form of the entries and of their inverses, see
+    _pairs), _json, _descent_table, _shuffle_cache and _shape_cache are
+    made on first use, through _first_use, so a matrix that never needs
+    one allocates none.
     """
 
     __slots__ = (
-        "n", "order", "_rows", "_inv_rows", "_chi_groups", "_json", "_lie_span_cache",
+        "n", "order", "_rows", "_inv_rows", "_entry_pairs", "_json", "_lie_span_cache",
         "_pairing_row_cache", "_descent_table", "_shuffle_cache", "_shape_cache",
     )
 
@@ -101,7 +92,7 @@ class BraidingMatrix:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_inv_rows", None)
-        object.__setattr__(self, "_chi_groups", None)
+        object.__setattr__(self, "_entry_pairs", None)
         object.__setattr__(self, "_json", None)
         object.__setattr__(self, "_lie_span_cache", {})
         object.__setattr__(self, "_pairing_row_cache", {})
@@ -169,9 +160,25 @@ class BraidingMatrix:
         return self._rows[i - 1][j - 1]
 
     def inverse_row(self, i: int):
-        """q_ij^-1 for j=1..n, made once per matrix; the integer tables of
-        the descent and of the Lie-span builds are read off these."""
+        """q_ij^-1 for j=1..n, made once per matrix; the integer pairs of
+        the inverses (_pairs) are read off these."""
         return self._first_use("_inv_rows", _inverse_rows)[i - 1]
+
+    def _pairs(self, inverse: bool = False) -> tuple:
+        """The entries q_ij, or with inverse their inverses, as rows of
+        (numerator in Z[zeta_N], a plain int where rational, else a
+        scalar._Cyclotomic; positive int denominator) pairs, 0-based, None
+        for an entry equal to 1: the one integer form of the matrix, which
+        chi, the pairing descent, the bracket tables and the quantum
+        symmetrizer read.  Each half is made on first use and kept in
+        _entry_pairs, so a reader of the entries alone inverts nothing."""
+        halves = self._first_use("_entry_pairs", lambda B: [None, None])
+        if halves[inverse] is None:
+            rows = [self.inverse_row(i) for i in range(1, self.n + 1)] if inverse else self._rows
+            halves[inverse] = tuple(tuple(
+                None if e.is_one() else (e.num[0] if not any(e.num[1:]) else _ring(self.order, e.num), e.den)
+                for e in row) for row in rows)
+        return halves[inverse]
 
     def _first_use(self, name: str, make):
         """The memo in slot name, made by make(self) on first use and kept."""
@@ -184,20 +191,32 @@ class BraidingMatrix:
     # -- the bicharacter and friends --------------------------------------
 
     def chi(self, alpha, beta) -> Scalar:
-        """chi(alpha, beta) = prod q_ij^(alpha_i * beta_j) over Z^n x Z^n,
-        taken as one power per distinct entry q != 1, of the summed
-        exponents of its cells; an entry equal to 1 is skipped."""
+        """chi(alpha, beta) = prod q_ij^(alpha_i * beta_j) over Z^n x Z^n:
+        the pair of _chi_pair made canonical."""
         if len(alpha) != self.n or len(beta) != self.n:
             raise ValueError(
                 f"degree vectors must have length {self.n}, got {len(alpha)} and {len(beta)}"
             )
-        out = None  # the running 1, never multiplied
-        for value, cells in self._first_use("_chi_groups", _chi_groups):
-            e = sum(alpha[i] * beta[j] for i, j in cells)
-            if e:
-                f = value ** e
-                out = f if out is None else out * f
-        return Scalar.one(self.order) if out is None else out
+        num, den = self._chi_pair(alpha, beta)
+        return _canonical(self.order, (num,) if type(num) is int else num.c, den)
+
+    def _chi_pair(self, alpha, beta) -> tuple:
+        """chi(alpha, beta) as (a, b), a in Z[zeta_N] (scalar._ring's form)
+        and b > 0 an int with no common content, the Scalar's num and den:
+        the product of the entries' pairs (_pairs) to alpha_i * beta_j, the
+        pair of q_ij^-1 where that is negative; an entry 1 is skipped."""
+        num, den, q = _ring_units(self.order)[1], 1, self._pairs()
+        for i, a in enumerate(alpha):
+            if a:
+                row = q[i]
+                for j, b in enumerate(beta):
+                    if b and (entry := row[j]):
+                        e = a * b
+                        x, y = entry if e > 0 else self._pairs(True)[i][j]
+                        num, den = num * x ** abs(e), den * y ** abs(e)
+        content = (num,) if type(num) is int else num.c
+        g = gcd(den, *content)
+        return (num, den) if g == 1 else (_ring(self.order, [c // g for c in content]), den // g)
 
     def p_tilde(self, i: int, j: int) -> Scalar:
         """q_ij * q_ji; equal to 1 exactly when {i,j} is not a pure edge."""

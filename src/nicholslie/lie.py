@@ -8,8 +8,8 @@ paired from the stored pairing vectors of b and c by the quantum
 shuffle of nichols; a degree of the same shape as an earlier one (the
 same exponents and principal submatrix on its support) takes that span,
 relabelled; a build makes no scalar, and a span makes its basis of
-scalars on first read.  Monomial membership is an exact linear solve
-against that span.  max_supports and verify's thm-equiv scan
+scalars on first read.  Monomial membership is an exact linear solve on
+that span's integer rows.  max_supports and verify's thm-equiv scan
 multidegrees, pairing words only where a span is neither empty nor full,
 and share the walk of the full-support degrees (_full_support_witness),
 which max_supports runs first.
@@ -47,7 +47,7 @@ from .nichols import (
     _scalars,
     _shuffle_into,
 )
-from .scalar import Scalar, _ring_units
+from .scalar import _ring_units, euler_phi
 
 __all__ = [
     "ZERO_IN_NICHOLS",
@@ -69,18 +69,19 @@ NOT_MEMBER = "NotMember"
 class LieSpan:
     """A maximal independent set of bracketing images at one multidegree.
 
-    solver is the row reducer that selected the basis; solver.reduce(v) is
-    the exact residue of v, all zero exactly when v lies in the span, and
-    solver.contains(r, order) is that test on an integer row.  _integer_rows
-    holds each basis vector as the (pairs, scale) integer row of
-    nichols._integer_vector, made once with the span: the spans above read
-    these, and shuffle them into the pairing vectors of their candidates.
-    basis, the same vectors as NicholsVectors of scalars of the given
-    order, is made from them on first read, so a build makes no scalar.
-    A span relabelled from an earlier degree of the same shape (see _span)
-    shares that degree's solver and rows, so a solver is read-only once
-    its span is built: reduce it, never insert into it.  Spans compare by
-    degree, kind, basis and provenance.
+    solver is the integer row reducer that selected the basis:
+    solver.contains(r, order) tests whether an integer row r (over any
+    positive int) lies in the span, and solver.residue(r, order) gives its
+    exact residue.  _integer_rows holds each basis vector as the (pairs,
+    scale) integer row of nichols._integer_vector, made once with the
+    span: the spans above read these, and shuffle them into the pairing
+    vectors of their candidates, and monomial_membership solves its
+    witness on them (_witness).  basis, the same vectors as NicholsVectors
+    of scalars of the given order, is made from them on first read, so a
+    build makes no scalar.  A span relabelled from an earlier degree of
+    the same shape (see _span) shares that degree's solver and rows, so a
+    solver is read-only once its span is built: reduce by it, never insert
+    into it.  Spans compare by degree, kind, basis and provenance.
     """
 
     degree: tuple
@@ -250,8 +251,8 @@ def _build(B: BraidingMatrix, alpha: tuple, kind: str, cap: int) -> LieSpan:
     of integer rows of the spans below shuffled through the split's
     integer table (see nichols), over the two scales times the table's
     denominator, and the reducer takes that row as it is; p and p' are
-    read as integer pairs too (_ShuffleTables.chi), so a build makes no
-    scalar.  A kept candidate, with the content it shares with its
+    read as integer pairs too (BraidingMatrix._chi_pair), so a build makes
+    no scalar.  A kept candidate, with the content it shares with its
     denominator divided out, is the span's integer row for it: the
     lcm-scaled row of the scalars the shuffle over Q(zeta_N) gives, so
     every build above reads it as made.
@@ -284,8 +285,8 @@ def _build(B: BraidingMatrix, alpha: tuple, kind: str, cap: int) -> LieSpan:
             for beta, gamma, left, right in splits:
                 if beta in mirrored:
                     continue
-                p = tables.chi(gamma, beta) if kind == BRAIDED else (unit, 1)
-                if gamma > beta and (kind == MINUS or tables.inverses(p, tables.chi(beta, gamma))):
+                p = B._chi_pair(gamma, beta) if kind == BRAIDED else (unit, 1)
+                if gamma > beta and (kind == MINUS or tables.inverses(p, B._chi_pair(beta, gamma))):
                     mirrored.add(gamma)
                 bracket = tables.bracket(beta, gamma, p)
                 if bracket is None:  # every [b, c] here is zero
@@ -344,16 +345,27 @@ def monomial_membership(B: BraidingMatrix, word, kind: str, max_terms=None) -> M
     span = lie_span(B, alpha, kind, max_terms)
     if not span.solver.contains(target, B.order):
         return MembershipReport(word, NOT_MEMBER, span=span)
-    # The basis is independent, so the witness is unique: reducing
-    # (target | 0) by the rows (basis[k] | e_k) leaves (0 | -witness).
-    target = tuple(_scalars(B.order, target, _degree_den(B, alpha)))
-    r = len(span.basis)
-    zero, one = Scalar.zero(B.order), Scalar.one(B.order)
+    witness = _witness(B.order, span._integer_rows, target, _degree_den(B, alpha))
+    return MembershipReport(word, MEMBER, witness=witness, span=span)
+
+
+def _witness(order: int, rows, target: list, den: int) -> list:
+    """The coordinates, as scalars, of the integer row target over den in
+    the independent basis vectors of the integer rows (pairs, scale) of a
+    span, solved on integers.  The basis is independent, so they are
+    unique: reducing (target | 0) by the rows (P_k | s_k * e_k), each s_k
+    times (basis[k] | e_k), leaves (0 | -witness) over the factor the
+    reduction gathered times den."""
+    m, r, pad = len(target), len(rows), [0] * (euler_phi(order) - 1)
     augmented = _RowReducer()
-    for k, nv in enumerate(span.basis):
-        augmented.insert(nv.values + (zero,) * k + (one,) + (zero,) * (r - 1 - k))
-    tail = augmented.reduce(target + (zero,) * r)[-r:]
-    return MembershipReport(word, MEMBER, witness=[-v for v in tail], span=span)
+    for k, (pairs, scale) in enumerate(rows):
+        row = [0] * (m + r)
+        for idx, x in pairs:
+            row[idx] = x if type(x) is int else x.c
+        row[m + k] = [scale, *pad] if pad else scale
+        augmented.insert_integers(row, order)
+    residue, gathered = augmented.residue(target + [0] * r, order)
+    return _scalars(order, residue[m:], -gathered * den)  # a den < 0 negates (scalar._canonical)
 
 
 def _member(B: BraidingMatrix, span: LieSpan, word: tuple) -> bool:

@@ -11,15 +11,17 @@ word j of its degree in lexicographic order, and is the scalar left by
 applying D_{j_1} first, then D_{j_2}, and so on.  The descent runs on
 integers of Z[zeta_N] (ints at phi(N) = 1, else scalar._Cyclotomic),
 fraction-free (compare E. H. Bareiss, Math. Comp. 22, 1968): with
-q_xy^-1 = a_xy / b_xy and g_xy = lcm(b_xy, b_yx), D_i weighs the x_i at
-place k of a word w by prod_{l<k} a'_{i,w_l} * prod_{l>k} g_{i,w_l},
-a' = a * g / b, over prod_{l!=k} g_{i,w_l}, fixed by the degree.  As g is
-symmetric, the pairing values of degree alpha share one denominator
-(_degree_den), and scalars are made only where a caller reads them.  One
-descent (_descent) yields the nonzero values in dual-word order, applying
-D_i down to three letters and reading the memoized pairing rows of the
-words left; a vanished branch yields nothing, so the zero test is whether
-the descent has a first value.  For a product u*v, u of degree beta, the
+q_xy^-1 = a_xy / b_xy (B's integer entry pairs, BraidingMatrix._pairs,
+the one integer form of B that every kernel here reads) and g_xy =
+lcm(b_xy, b_yx), D_i weighs the x_i at place k of a word w by
+prod_{l<k} a'_{i,w_l} * prod_{l>k} g_{i,w_l}, a' = a * g / b, over
+prod_{l!=k} g_{i,w_l}, fixed by the degree.  As g is symmetric, the
+pairing values of degree alpha share one denominator (_degree_den), and
+scalars are made only where a caller reads them.  One descent (_descent)
+yields the nonzero values in dual-word order, applying D_i down to three
+letters and reading the memoized pairing rows of the words left; a
+vanished branch yields nothing, so the zero test is whether the descent
+has a first value.  For a product u*v, u of degree beta, the
 quantum shuffle (M. Rosso, Invent. Math. 133, 1998) fills it from f_u and
 f_v alone, summing over the position sets S of j that spell a word of
 degree beta:
@@ -32,21 +34,23 @@ gamma = alpha - beta, is paired through one table that folds both
 products' interleaving weights, of at most
 m(alpha) * min(prod C(alpha_i, beta_i), m(beta) * m(gamma)) entries,
 m counting the words of a degree (_ShuffleTables.bracket, _shuffle_into).
-Every weight is an integer of Z[zeta_N] over prod b_ij^(gamma_i * beta_j),
-which depends on the degrees alone, so a table is integer entries over
-one denominator, and f_b and f_c enter it as integer rows over the lcm of
-their denominators: a candidate row is built on integers from the table
-to the reducer.  The tables are built from the shuffles of suffix pairs
-of words, which depend on B alone and are memoized per matrix with each
-dual word as its lex index, and p is read from B's entries as an integer
-pair, so a table is built with no dual word and no scalar made.  Exact
-elimination on integer rows (_RowReducer) gives dim B(V)_alpha and
-membership, cross-checked by the rank of a quantum symmetrizer, whose rows
-are integers too.  basis_of_degree first eliminates the images of its
-integer rows mod a prime p = 1 (mod N), zeta_N mapped to a primitive N-th
-root of unity: a one-sided certificate, since independence mod p proves
-full rank over Q(zeta_N) and dependence mod p proves nothing, so any other
-degree is eliminated exactly.  The symmetrizer rank stays exact.
+Every weight is an integer of Z[zeta_N], the descent's a' and g, over
+prod g_ij^(gamma_i * beta_j), which depends on the degrees alone and, g
+being symmetric, is the same for both products, so a table is integer
+entries over one denominator, and f_b and f_c enter it as integer rows
+over the lcm of their denominators: a candidate row is built on integers
+from the table to the reducer.  The tables are built from the shuffles of
+suffix pairs of words, which depend on B alone and are memoized per matrix
+with each dual word as its lex index, and p is chi as an integer pair
+(BraidingMatrix._chi_pair), so a table is built with no dual word and no
+scalar made.  Exact elimination on integer rows (_RowReducer) gives
+dim B(V)_alpha and membership, cross-checked by the rank of a quantum
+symmetrizer, whose rows are integers too.  basis_of_degree first
+eliminates the images of its integer rows mod a prime p = 1 (mod N),
+zeta_N mapped to a primitive N-th root of unity: a one-sided certificate,
+since independence mod p proves full rank over Q(zeta_N) and dependence
+mod p proves nothing, so any other degree is eliminated exactly.  The
+symmetrizer rank stays exact.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from operator import mul
 
 from .braiding import BraidingMatrix
 from .freealg import FreeElement, _collect, _multidegree_words, _word_index, multinomial, word_degree
-from .scalar import (GuardrailExceeded, Scalar, _canonical, _Cyclotomic, _norm_cofactor, _product,
+from .scalar import (GuardrailExceeded, Scalar, _canonical, _norm_cofactor, _product,
                      _residue_field, _ring, _ring_units, euler_phi)
 
 __all__ = [
@@ -143,15 +147,16 @@ def _homogeneous_degree(B: BraidingMatrix, u: FreeElement):
 
 
 def _descent_table(B: BraidingMatrix) -> tuple:
-    """(rows, pairs) of the descent on B (see the module docstring):
-    rows[i - 1] is (a'_iy, an int where rational; g_iy, or None if all 1)
-    over y, pairs the (x, y, g_xy), 0-based x <= y, with g_xy != 1."""
-    inverses = [B.inverse_row(i) for i in range(1, B.n + 1)]
+    """(rows, pairs) of the descent on B (see the module docstring), read
+    from the pairs q_xy^-1 = a_xy / b_xy of B._pairs: rows[i - 1] is
+    (a'_iy, an int where rational; g_iy, or None if all 1) over y, pairs
+    the (x, y, g_xy), 0-based x <= y, with g_xy != 1."""
+    inverses = B._pairs(inverse=True)
+    dens = [[e[1] if e else 1 for e in row] for row in inverses]
     rows = []
     for i, row in enumerate(inverses):
-        g = [lcm(e.den, inverses[j][i].den) for j, e in enumerate(row)]
-        a = [[c * (h // e.den) for c in e.num] for e, h in zip(row, g)]
-        rows.append(([x[0] if not any(x[1:]) else _Cyclotomic(B.order, x) for x in a],
+        g = [lcm(b, dens[j][i]) for j, b in enumerate(dens[i])]
+        rows.append(([h if e is None else e[0] * (h // e[1]) for e, h in zip(row, g)],
                      None if g.count(1) == len(g) else g))
     return tuple(rows), tuple((x, y, h) for x, (_, g) in enumerate(rows) if g
                               for y, h in enumerate(g) if y >= x and h != 1)
@@ -291,18 +296,6 @@ def _word_charge(cap: int, alpha):
     return charge
 
 
-def _shuffle_memos(B: BraidingMatrix) -> tuple:
-    """The memos of _ShuffleTables on B: suffix shuffles, factors, the
-    inverses q_xy^-1 = a_xy / b_xy as a matrix of numerators a (in
-    Z[zeta_N], scalar._ring) and one of positive int denominators b, and
-    the entries q_xy as such (numerator, denominator) pairs, None for 1."""
-    inverses = [B.inverse_row(i) for i in range(1, B.n + 1)]
-    return ({}, {}, tuple(tuple(_ring(B.order, e.num) for e in row) for row in inverses),
-            tuple(tuple(e.den for e in row) for row in inverses),
-            tuple(tuple(None if e.is_one() else (_ring(B.order, e.num), e.den) for e in row)
-                  for row in B._rows))
-
-
 @lru_cache(maxsize=4096)
 def _blocks(alpha) -> tuple:
     """Per letter x, the index in the lex order of the words of alpha of
@@ -313,85 +306,70 @@ def _blocks(alpha) -> tuple:
 
 
 class _ShuffleTables:
-    """Pairing tables of the brackets on B, fraction-free over Z[zeta_N].
-    Write q_xy^-1 = a_xy / b_xy.  An interleaving of a word u of degree beta
-    with a word v of degree gamma weighs prod q_{x,y}^-1 over the pairs
-    with x of v placed before y of u: the product of a_xy over those pairs
-    and of b_xy over the others, divided by prod b_ij^(gamma_i * beta_j),
-    which depends on (beta, gamma) alone.  So the shuffles of u and v hold
-    integer weights over that denominator.
+    """Pairing tables of the brackets on B, fraction-free over Z[zeta_N],
+    on the integers of the descent (_descent_table): q_xy^-1 = a'_xy /
+    g_xy with g symmetric.  An interleaving of a word u of degree beta with
+    a word v of degree gamma weighs prod q_{x,y}^-1 over the pairs with x
+    of v placed before y of u: the product of a'_xy over those pairs and of
+    g_xy over the others, divided by prod g_ij^(gamma_i * beta_j), which
+    depends on (beta, gamma) alone and, as g is symmetric, is the same for
+    v and u.  So the shuffles of u and v and those of v and u hold integer
+    weights over one denominator.
 
-    chi(alpha, beta) is chi as a pair (a, b), a in Z[zeta_N] and b > 0 an
-    int with no common content, the Scalar's num and den, read from the
-    entries' pairs; inverses(p, p') tests p * p' = 1 on two such pairs.
-    bracket(beta, gamma, p) is (M, D) for [u, v] = v*u - p*u*v, p such a
-    pair, over the i-th word u of beta and the j-th word v of gamma:
-    M[i][j] lists the (k, w), w != 0, where w / D sums the weights of the
-    interleavings of v*u that spell the k-th dual word of alpha = beta +
-    gamma, minus p times those of u*v, with p's numerator and denominator
-    folded into w and D.  It is None when every entry cancels, and then
-    every bracket of that split is zero in B(V).  A table is built once per
-    split and not kept.  It is read from the shuffles of suffix pairs,
-    which are never enumerated (with repeated letters there are
+    bracket(beta, gamma, p) is (M, D) for [u, v] = v*u - p*u*v, p as the
+    pair (a, b) of BraidingMatrix._chi_pair, over the i-th word u of beta
+    and the j-th word v of gamma: M[i][j] lists the (k, w), w != 0, where
+    w / D sums the weights of the interleavings of v*u that spell the k-th
+    dual word of alpha = beta + gamma, minus p times those of u*v, with b
+    folded into D and a and b into w.  It is None when every entry
+    cancels, and then every bracket of that split is zero in B(V);
+    inverses(p, p') tests p * p' = 1 on two such pairs.  A table is built
+    once per split and not kept.  It is read from the shuffles of suffix
+    pairs, which are never enumerated (with repeated letters there are
     exponentially many) and hold each dual word as its lex index among the
     words of its degree, so no dual word is built: x * j has the index of
-    j plus the offset of x's block (_blocks), and a lone word the index
-    freealg._word_index gives it.  Like the factors and the integer entry
-    tables, they depend on B and the words alone, so all are kept on B
+    j plus the offset of x's block (_blocks), and a lone word, which is not
+    memoized, the index freealg._word_index gives it.  Like the factors,
+    they depend on B and the words alone, so both are kept on B
     (B._shuffle_cache) and shared by every alpha; they hold words and
     ints, never B, so they make no reference cycle.  Weights are plain ints
     at phi(N) = 1 and scalar._Cyclotomic otherwise."""
 
     def __init__(self, B: BraidingMatrix):
-        self.order, self.one, self.letters = B.order, _ring_units(B.order)[1], range(1, B.n + 1)
-        self.memo, self.factors, self.nums, self.dens, self.entries = B._first_use(
-            "_shuffle_cache", _shuffle_memos)
-
-    def chi(self, alpha, beta) -> tuple:
-        num, den = self.one, 1
-        for a, row in zip(alpha, self.entries):
-            if a:
-                for b, entry in zip(beta, row):
-                    if b and entry:
-                        num, den = num * entry[0] ** (a * b), den * entry[1] ** (a * b)
-        content = (num,) if type(num) is int else num.c
-        g = gcd(den, *content)
-        return (num, den) if g == 1 else (_ring(self.order, [c // g for c in content]), den // g)
+        self.one, self.letters = _ring_units(B.order)[1], range(1, B.n + 1)
+        self.rows, self.pairs = B._first_use("_descent_table", _descent_table)
+        self.memo, self.factors = B._first_use("_shuffle_cache", lambda B: ({}, {}))
 
     def inverses(self, p, q) -> bool:
         return not (p[0] * q[0] - self.one * (p[1] * q[1]))
 
     def bracket(self, beta, gamma, p):
-        (num, p_den), dens = p, self.dens
-        d_vu = d_uv = 1  # the denominators of the shuffles of v*u and of u*v
-        for i, row in enumerate(dens):
-            for j, b in enumerate(row):
-                if b != 1:
-                    d_vu *= b ** (beta[i] * gamma[j])
-                    d_uv *= b ** (gamma[i] * beta[j])
-        den = lcm(d_vu, d_uv * p_den)
-        s, c = den // d_vu, num * (den // (d_uv * p_den))
+        num, den = p
+        d = 1  # prod g_xy^(beta_x * gamma_y) over all x, y: the shuffles' denominator
+        for x, y, h in self.pairs:
+            d *= h ** (beta[x] * gamma[y] + beta[y] * gamma[x] if x != y else beta[x] * gamma[x])
         table = []
         vs = _multidegree_words(gamma)
         for u in _multidegree_words(beta):
             row = []
             for v in vs:
-                entry = {k: w * s for k, w in self.shuffles(v, u)}
+                entry = {k: w * den for k, w in self.shuffles(v, u)}
                 for k, w in self.shuffles(u, v):
-                    w = w * c
+                    w = w * num
                     entry[k] = entry[k] - w if k in entry else -w
                 row.append(tuple((k, w) for k, w in entry.items() if w))
             table.append(row)
-        return (table, den) if any(map(any, table)) else None
+        return (table, d * den) if any(map(any, table)) else None
 
     def factor(self, c, u):
-        # (prod a_{c,y}, prod b_{y,c}) over the letters y of u: the weight
-        # of placing c before all of u, and the denominator of placing it after
+        # (prod a'_{c,y}, prod g_{c,y}) over the letters y of u: the weight
+        # of placing c before all of u, and that of placing it after
         out = self.factors.get((c, u))
         if out is None:
             if u:
                 a, b = self.factor(c, u[1:])
-                out = a * self.nums[c - 1][u[0] - 1], b * self.dens[u[0] - 1][c - 1]
+                a_row, g_row = self.rows[c - 1]
+                out = a * a_row[u[0] - 1], b if g_row is None else b * g_row[u[0] - 1]
             else:
                 out = self.one, 1
             self.factors[(c, u)] = out
@@ -403,33 +381,22 @@ class _ShuffleTables:
         # all of u, and x * j has the index of j plus the offset of x's block
         # (_blocks).  When those letters differ the two halves lie in
         # different blocks, and no weight is 0 (Z[zeta_N] has no zero
-        # divisors), so they are joined as they are, which is what _merged
+        # divisors), so they are joined as they are, which is what _collect
         # would return
+        if not u or not v:
+            w = u or v
+            return ((_word_index(tuple(map(w.count, self.letters)))[w], self.one),)
         out = self.memo.get((u, v))
         if out is None:
-            if not u or not v:
-                w = u or v
-                out = ((_word_index(tuple(map(w.count, self.letters)))[w], self.one),)
-            else:
-                x, y = u[0], v[0]
-                blocks = _blocks(tuple(map((u + v).count, self.letters)))
-                g, f = self.factor(x, v)[1], self.factor(y, u)[0]
-                ox, oy = blocks[x - 1], blocks[y - 1]
-                first = [(ox + j, w * g) for j, w in self.shuffles(u[1:], v)]
-                second = [(oy + j, w * f) for j, w in self.shuffles(u, v[1:])]
-                out = tuple(first + second) if x != y else _merged(first, second)
+            x, y = u[0], v[0]
+            blocks = _blocks(tuple(map((u + v).count, self.letters)))
+            g, f = self.factor(x, v)[1], self.factor(y, u)[0]
+            ox, oy = blocks[x - 1], blocks[y - 1]
+            first = [(ox + j, w * g) for j, w in self.shuffles(u[1:], v)]
+            second = [(oy + j, w * f) for j, w in self.shuffles(u, v[1:])]
+            out = tuple(first + second) if x != y else tuple(_collect(first + second).items())
             self.memo[(u, v)] = out
         return out
-
-
-def _merged(first, second) -> tuple:
-    """The (dual-word index, weight) pairs of first, then those of second
-    whose index first lacks, with the weights of an index in both summed
-    and a zero sum dropped; each list names an index at most once."""
-    acc = dict(first)
-    for j, w in second:
-        acc[j] = acc[j] + w if j in acc else w
-    return tuple((j, w) for j, w in acc.items() if w)
 
 
 def _shuffle_into(acc: list, table, fu, fv) -> None:
@@ -478,28 +445,27 @@ def is_zero_in_nichols(B: BraidingMatrix, u: FreeElement, max_terms=None) -> boo
 
 
 class _RowReducer:
-    """Incremental exact row reduction (an echelon basis) of rows of
-    scalars, run fraction-free on integers over Z[zeta_N] (compare
-    E. H. Bareiss, Math. Comp. 22, 1968).
+    """Incremental exact row reduction (an echelon basis) of integer rows
+    over Z[zeta_N], fraction-free (compare E. H. Bareiss, Math. Comp. 22,
+    1968).
 
-    A row enters scaled by the lcm of its denominators, each entry as its
-    phi(N) integer coefficients, a plain int when phi(N) = 1 (a zero entry
-    is 0 at every order).  A pivot is a primitive integer row whose lead is
-    a positive rational integer D: where the lead has z-terms, the row is
-    first multiplied by the lead's norm cofactor (scalar._norm_cofactor).
-    It is kept under its lead column as (D, the nonzero (index, entry)
-    pairs after the lead).  Reducing a row r by it takes the entry c of r at the
-    lead and g = gcd(D, content(c)), and sets r <- (D/g) * r - (c/g) *
-    pivot, multiplying in Z[zeta_N] only at the pivot's nonzero entries.
-    The integer residue over the scale the row gathered (its lcm times
-    every D/g) is then exactly the residue of elimination by pivots
-    normalized to a leading 1, and each lead is the first nonzero column
-    of a residue, so it depends only on which entries are nonzero, and
-    the pivot kept for a row is the same for any nonzero rational multiple
-    of it, so insert_integers takes a Lie-span candidate as the integer
-    row it was built as.  Insertion order is the deterministic pivot
-    choice, and reduce walks the pivots in it (each is zero at the leads
-    inserted before it).
+    A row holds each entry as its phi(N) integer coefficients, a plain int
+    when phi(N) = 1 (a zero entry is 0 at every order).  A pivot is a
+    primitive integer row whose lead is a positive rational integer D:
+    where the lead has z-terms, the row is first multiplied by the lead's
+    norm cofactor (scalar._norm_cofactor).  It is kept under its lead
+    column as (D, the nonzero (index, entry) pairs after the lead).
+    Reducing a row r by it takes the entry c of r at the lead and g =
+    gcd(D, content(c)), and sets r <- (D/g) * r - (c/g) * pivot,
+    multiplying in Z[zeta_N] only at the pivot's nonzero entries.  The
+    residue over the factor the row gathered (every D/g) is then exactly
+    the residue of elimination by pivots normalized to a leading 1, and
+    each lead is the first nonzero column of a residue, so it depends only
+    on which entries are nonzero, and the pivot kept for a row is the same
+    for any nonzero rational multiple of it: a Lie-span candidate is taken
+    as the integer row it was built as.  Insertion order is the
+    deterministic pivot choice, and residue walks the pivots in it (each is
+    zero at the leads inserted before it).
     """
 
     def __init__(self):
@@ -509,9 +475,11 @@ class _RowReducer:
     def rank(self) -> int:
         return len(self._by_lead)
 
-    def _eliminate(self, r, order: int) -> tuple:
+    def residue(self, r, order: int) -> tuple:
         """(integer residue, the factor it gathered) of a nonempty integer
-        row, which is not changed."""
+        row of the given order after elimination by every pivot; the row is
+        not changed, and the residue is all zero exactly when the row lies
+        in the span."""
         r, scale = list(r), 1
         if euler_phi(order) == 1:
             for lead, (D, rest) in self._by_lead.items():
@@ -545,28 +513,16 @@ class _RowReducer:
                 r[lead] = 0
         return r, scale
 
-    def reduce(self, row) -> list:
-        """The residue of a row after elimination by every pivot, as
-        scalars; it is all zero exactly when the row lies in the span."""
-        order = row[0].order
-        r, scale = _integer_row(row)
-        r, gathered = self._eliminate(r, order)
-        return _scalars(order, r, scale * gathered)
-
     def contains(self, row, order: int) -> bool:
-        """Whether a nonempty integer row of the given order, in the layout
-        above, lies in the span; it builds no scalar."""
-        return not any(self._eliminate(row, order)[0])
-
-    def insert(self, row) -> bool:
-        """Reduce a row and keep it as a new pivot if independent; returns
-        True when the rank grew."""
-        return self.insert_integers(_integer_row(row)[0], row[0].order)
+        """Whether a nonempty integer row of the given order lies in the
+        span; it builds no scalar."""
+        return not any(self.residue(row, order)[0])
 
     def insert_integers(self, row, order: int) -> bool:
-        """insert for a nonempty integer row of the given order, in the
-        layout above, taken as it is."""
-        r = self._eliminate(row, order)[0]
+        """Reduce a nonempty integer row of the given order, taken as it
+        is, and keep it as a new pivot if independent; returns True when the
+        rank grew."""
+        r = self.residue(row, order)[0]
         lead = next((k for k, x in enumerate(r) if x), None)
         if lead is None:
             return False
@@ -585,19 +541,6 @@ class _RowReducer:
             D = r[lead][0]
         self._by_lead[lead] = D, tuple((k, r[k]) for k in range(lead + 1, len(r)) if r[k])
         return True
-
-
-def _integer_row(row) -> tuple:
-    """(integer row, scale) of a nonempty row of scalars of one order, in
-    _RowReducer's layout: scaled by the lcm of its denominators, each
-    entry as its phi(N) integer coefficients, a plain int at phi(N) = 1,
-    and 0 for a zero entry at every order."""
-    scale = lcm(*[x.den for x in row])
-    if len(row[0].num) == 1:
-        return [x.num[0] * (scale // x.den) for x in row], scale
-    zeros = (0,) * len(row[0].num)
-    return [0 if x.num == zeros else x.num if x.den == scale else [c * (scale // x.den) for c in x.num]
-            for x in row], scale
 
 
 def _integer_vector(order: int, r, den: int) -> tuple:
@@ -621,7 +564,7 @@ def _scalars(order: int, r, den: int) -> list:
 
 
 def _insert_mod_p(pivots: list, row: list, p: int) -> bool:
-    """_RowReducer.insert over F_p on a row of ints mod p, the pivots kept
+    """_RowReducer.insert_integers over F_p on a row of ints mod p, the pivots kept
     as (lead, nonzero (index, value) pairs) in insertion order."""
     for lead, pivot in pivots:
         c = row[lead]
@@ -676,10 +619,9 @@ def _symmetrizer_rows(B: BraidingMatrix, alpha):
     ...C_1), C_k swapping the letters a, b at places k, k+1 with the factor
     q_ab, so a stage moves one letter of the first d places to place d, one
     pass per word.  Each pair of places is met once and weighs num(q_ab)
-    where its a passes its b, den(q_ab) where it stays before."""
-    order, one = B.order, _ring_units(B.order)[1]
-    nums = [[_ring(order, e.num) if any(e.num[1:]) else e.num[0] for e in row] for row in B._rows]
-    dens = [[e.den for e in row] for row in B._rows]
+    where its a passes its b, den(q_ab) where it stays before, both read
+    from B._pairs."""
+    one, q = _ring_units(B.order)[1], B._pairs()
     index = _word_index(alpha)
 
     def moved(terms, d):
@@ -687,11 +629,11 @@ def _symmetrizer_rows(B: BraidingMatrix, alpha):
             for j in range(d):
                 a, c = word[j], coeff
                 for b in word[:j]:
-                    if (f := dens[b - 1][a - 1]) != 1:
-                        c = c * f
+                    if (f := q[b - 1][a - 1]) and f[1] != 1:
+                        c = c * f[1]
                 for b in word[j + 1:d]:
-                    if (f := nums[a - 1][b - 1]) != 1:
-                        c = c * f
+                    if (f := q[a - 1][b - 1]) and f[0] != 1:
+                        c = c * f[0]
                 yield word[:j] + word[j + 1:d] + (a,) + word[d:], c
 
     for word in index:

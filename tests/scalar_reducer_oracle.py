@@ -4,8 +4,11 @@ pivot normalized to a leading 1 by a field inverse.
 It is kept as the oracle for nichols._RowReducer, which eliminates
 fraction-free on integers over Z[zeta_N], and the degree-basis and span
 oracles reduce with it, so that they do not run the reducer they check.
-normalized_pivots reads the pivots of either reducer in one form.
+normalized_pivots reads the pivots of either reducer in one form, and
+integer_row writes a row of Scalars as the integer row that reducer takes.
 """
+
+from math import lcm
 
 from nicholslie.scalar import Scalar
 
@@ -63,3 +66,14 @@ def normalized_pivots(reducer, order: int) -> list:
         entries = [(k, Scalar.from_poly(order, [x] if isinstance(x, int) else x) / D) for k, x in rest]
         out.append((lead, ((lead, one), *entries)))
     return out
+
+
+def integer_row(row) -> tuple:
+    """(integer row, scale) of a nonempty row of Scalars of one order, in
+    nichols._RowReducer's layout: scaled by the lcm of its denominators,
+    each entry as its phi(N) integer coefficients, a plain int at
+    phi(N) = 1, and 0 for a zero entry at every order."""
+    scale = lcm(*[x.den for x in row])
+    if len(row[0].num) == 1:
+        return [x.num[0] * (scale // x.den) for x in row], scale
+    return [[c * (scale // x.den) for c in x.num] if x else 0 for x in row], scale

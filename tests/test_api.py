@@ -65,6 +65,13 @@ def test_top_level_names_are_module_exports():
         ("scalar", "_reduce"),
         ("scalar", "_ScalarParser"),
         ("scalar", "_root_table"),
+        ("braiding", "_chi_groups"),
+        ("nichols", "_merged"),
+        ("nichols", "_integer_row"),
+        ("nichols", "_shuffle_memos"),
+        ("nichols", "_RowReducer.reduce"),
+        ("nichols", "_RowReducer.insert"),
+        ("nichols", "_ShuffleTables.chi"),
     ],
 )
 def test_removed_names_stay_removed(module, path):

@@ -232,15 +232,24 @@ def test_matrix_attributes_cannot_be_set():
 def test_first_use_memos_are_made_once():
     B = matrix_from_strings([["2", "z"], ["1", "-1"]], 3)
     assert B._lie_span_cache == {} and B._pairing_row_cache == {}
-    for name in ("_inv_rows", "_chi_groups", "_json", "_shuffle_cache", "_shape_cache"):
+    for name in ("_inv_rows", "_entry_pairs", "_json", "_shuffle_cache", "_shape_cache"):
         assert getattr(B, name) is None
     text, row = B.to_json(), B.inverse_row(2)
     assert B.to_json() is text and B.inverse_row(2) is row
     assert B._inv_rows[1] is row
-    # chi's groups: the entries != 1 by value, in order of first appearance
+    # chi's entry pairs: q_ij and q_ij^-1 as (numerator, denominator), the
+    # numerator an int where rational, None for an entry equal to 1; the
+    # inverses are paired when a negative exponent first needs them
+    B = matrix_from_strings([["2", "z"], ["1", "-1"]], 3)
     B.chi((1, 1), (1, 1))
-    groups = B._chi_groups
-    B.chi((2, 0), (0, 1))
-    assert B._chi_groups is groups
-    assert [(str(value), cells) for value, cells in groups] == [
-        ("2", ((0, 0),)), ("z", ((0, 1),)), ("-1", ((1, 1),))]
+    halves = B._entry_pairs
+    assert halves[1] is None and B._inv_rows is None
+    q = halves[0]
+    B.chi((2, 0), (0, -1))
+    assert B._entry_pairs is halves and halves[0] is q and B._pairs(True) is halves[1]
+
+    def plain(rows):
+        return [[None if e is None else (e[0] if type(e[0]) is int else e[0].c, e[1]) for e in r] for r in rows]
+
+    assert plain(q) == [[(2, 1), ([0, 1], 1)], [None, (-1, 1)]]
+    assert plain(halves[1]) == [[(1, 2), ([-1, -1], 1)], [None, (-1, 1)]]  # z^-1 = z^2 = -1 - z

@@ -1,12 +1,14 @@
-"""BraidingMatrix.chi, which takes one power per distinct entry q != 1 of
-the summed exponents of its cells, against the cell-by-cell product
-prod q_ij^(alpha_i * beta_j), as a derandomized Hypothesis property.
+"""BraidingMatrix.chi, the product of the entries' integer pairs
+(braiding._entry_pairs, an entry 1 skipped) made canonical, against the
+cell-by-cell product prod q_ij^(alpha_i * beta_j) of Scalars, as a
+derandomized Hypothesis property.
 
 Matrices are drawn over orders 1, 3, 8 and 24 from a small palette, so
 that equal entries repeat.  Each entry is built on its own, so equal
 entries are distinct objects, and an entry equal to 1 is never the cached
-Scalar.one.  Exponents range over negative values too, so the exponents
-of a group can cancel to 0."""
+Scalar.one.  Exponents range over negative values too, which take the
+pairs of the inverses q_ij^-1, so that the powers of equal entries can
+cancel to 1."""
 
 from fractions import Fraction
 
@@ -48,9 +50,9 @@ def cell_by_cell(B, alpha, beta):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(case=chi_cases())
-# q11 = q21 = 2: the group's exponents 1 and -1 cancel, and q12 = 1 is built anew
+# q11 = q21 = 2: their exponents 1 and -1 cancel, and q12 = 1 is built anew
 @example(case=(1, [[("2",), ("1",)], [("2",), ("-1",)]], (1, -1), (1, 0)))
-# order 24, every entry the same z^3 but for a 1; exponents that cancel in that group
+# order 24, every entry the same z^3 but for a 1; exponents that cancel over those entries
 @example(case=(24, [[(0, 0, 0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0, 0)],
                     [(0, 0, 0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0, 0)]], (2, -1), (1, 1)))
 def test_chi_is_the_cell_by_cell_product(case):
@@ -58,5 +60,5 @@ def test_chi_is_the_cell_by_cell_product(case):
     B = BraidingMatrix([[built(order, coeffs) for coeffs in row] for row in rows])
     assert all(e is not Scalar.one(order) for row in B._rows for e in row)
     assert B.chi(alpha, beta) == cell_by_cell(B, alpha, beta)
-    # the same on a second call, from the groups kept on B
+    # the same on a second call, from the pairs kept on B
     assert B.chi(beta, alpha) == cell_by_cell(B, beta, alpha)

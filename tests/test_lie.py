@@ -33,7 +33,6 @@ from nicholslie.lie import (
 )
 from nicholslie.nichols import (
     GuardrailExceeded,
-    _integer_row,
     _integer_vector,
     _RowReducer,
     _shuffle_into,
@@ -46,7 +45,7 @@ from nicholslie.scalar import Scalar, _ring_units
 
 from conftest import matrix_from_strings, random_braiding_matrix, random_scalar, rational_matrix
 from max_supports_oracle import oracle_equivalence_evidence, oracle_max_supports
-from scalar_reducer_oracle import ScalarRowReducer, normalized_pivots
+from scalar_reducer_oracle import ScalarRowReducer, integer_row, normalized_pivots
 from span_oracle import divided_table, oracle_span, ring_pair, ring_scalar
 
 
@@ -156,7 +155,7 @@ def test_bracket_table_pairs_the_bracket(rows, order):
             cancelled += 1
             continue
         table, den = table
-        (fu, su), (fv, sv) = (_integer_vector(order, *_integer_row(pairing_vector(B, e).values))
+        (fu, su), (fv, sv) = (_integer_vector(order, *integer_row(pairing_vector(B, e).values))
                               for e in (u, v))
         acc = [_ring_units(order)[0]] * multinomial(alpha)
         _shuffle_into(acc, table, fu, fv)
@@ -234,6 +233,64 @@ def test_membership_member_when_connected():
         assert checked >= 3
 
 
+# Entries with denominators and with numerators that are no root of unity,
+# per cyclotomic order, for the witness property below
+WITNESS_ENTRIES = {
+    1: ["1", "-1", "2", "3", "1/3", "-3/2"],
+    3: ["1", "-1", "z", "z^2", "1/3", "-3/2", "2*z+1"],
+    8: ["1", "-1", "z", "z^3", "1/3", "-3/2", "2*z+1"],
+    24: ["1", "-1", "z^3", "z^5", "1/3", "-3/2", "2*z+1"],
+}
+
+
+def scalar_witness(span, target):
+    """The coordinates of a pairing vector in span.basis, solved on Scalars
+    by ScalarRowReducer: reducing (target | 0) by the rows (basis[k] | e_k)
+    leaves (0 | -witness)."""
+    r, order = span.dimension, target.values[0].order
+    zero, one = Scalar.zero(order), Scalar.one(order)
+    augmented = ScalarRowReducer()
+    for k, nv in enumerate(span.basis):
+        augmented.insert(nv.values + (zero,) * k + (one,) + (zero,) * (r - 1 - k))
+    return [-v for v in augmented.reduce(target.values + (zero,) * r)[-r:]]
+
+
+def test_member_witnesses_are_the_scalar_solve():
+    # a derandomized Hypothesis property over orders 1, 3, 8 and 24 with
+    # entries that have denominators: every Member witness, solved on the
+    # span's integer rows, rebuilds its monomial's pairing vector and is the
+    # witness the Scalar reducer solves from span.basis
+    hypothesis = pytest.importorskip("hypothesis")
+    st, met = hypothesis.strategies, set()
+
+    @st.composite
+    def cases(draw):
+        order = draw(st.sampled_from(sorted(WITNESS_ENTRIES)))
+        n = draw(st.integers(2, 3))
+        rows = [[draw(st.sampled_from(WITNESS_ENTRIES[order])) for _ in range(n)] for _ in range(n)]
+        word = tuple(draw(st.lists(st.integers(1, n), min_size=2, max_size=4)))
+        return rows, order, word, draw(st.sampled_from((BRAIDED, MINUS)))
+
+    @hypothesis.settings(derandomize=True, max_examples=80, deadline=None)
+    @hypothesis.given(cases())
+    # a connected rank-2 matrix over Q(zeta_24) with a denominator entry
+    @hypothesis.example(([["z^3", "2*z+1"], ["1/3", "-1"]], 24, (1, 2, 1), BRAIDED))
+    @hypothesis.example(([["z^3", "2*z+1"], ["1/3", "-1"]], 24, (2, 1, 2), BRAIDED))
+    def check(case):
+        rows, order, word, kind = case
+        B = matrix_from_strings(rows, order)
+        report = monomial_membership(B, word, kind)
+        if report.status == MEMBER:
+            assert_witness_rebuilds(B, word, report)
+            target = pairing_vector(B, FreeElement.from_word(B.n, order, word))
+            assert report.witness == scalar_witness(report.span, target), case
+            if report.span.dimension >= 2 and any(x.den > 1 for x in report.witness):
+                met.add(order)
+
+    check()
+    assert met == set(WITNESS_ENTRIES)
+
+
 def test_membership_rejects_out_of_range_letter():
     B = matrix_from_strings(CONNECTED, 8)
     with pytest.raises(ValueError, match="letter 3 out of range 1..2"):
@@ -296,14 +353,13 @@ def test_membership_rejects_empty_word():
 def test_bracket_closure_at_small_degrees(rng):
     # bracketing two basis elements lands inside the span at the sum degree
     from nicholslie.freealg import braided_bracket
-    from nicholslie.nichols import _RowReducer
 
     for _ in range(4):
         B = random_braiding_matrix(rng, 2, 8)
         s1 = lie_span(B, (1, 0), BRAIDED)
         s2 = lie_span(B, (1, 1), BRAIDED)
         target_span = lie_span(B, (2, 1), BRAIDED)
-        reducer = _RowReducer()
+        reducer = ScalarRowReducer()
         for nv in target_span.basis:
             reducer.insert(nv.values)
         for t1, w1 in s1.generators_used:
@@ -642,9 +698,7 @@ def test_minus_span_inside_braided_at_trivial_braiding():
     for alpha in [(1, 1), (2, 1)]:
         minus_span = lie_span(B, alpha, MINUS)
         braided_span = lie_span(B, alpha, BRAIDED)
-        from nicholslie.nichols import _RowReducer
-
-        reducer = _RowReducer()
+        reducer = ScalarRowReducer()
         for nv in braided_span.basis:
             reducer.insert(nv.values)
         for nv in minus_span.basis:
@@ -832,7 +886,7 @@ def assert_matches_former_build(B, kind, monkeypatch):
             assert normalized_pivots(span.solver, B.order) == normalized_pivots(expected.solver, B.order)
             # the rows kept from the candidates are those read from the scalars
             assert _plain(span._integer_rows) == _plain(
-                _integer_vector(B.order, *_integer_row(nv.values)) for nv in span.basis), alpha
+                _integer_vector(B.order, *integer_row(nv.values)) for nv in span.basis), alpha
     skipped = 0
     for alpha, paired in oracle_paired.items():
         asked = calls.pop(alpha, None)
@@ -963,9 +1017,10 @@ SCALAR_OPERATIONS = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "_
 
 
 def test_scans_run_no_scalar_arithmetic(monkeypatch):
-    # with B's first-use memos made (its inverse table, and the integer
-    # tables of the descent and of the shuffles), max_supports builds every
-    # span and pairs every word on integers: no Scalar operation, no
+    # with B's first-use memos made (its entry pairs, its inverse table and
+    # their pairs, and the integer tables of the descent and of the
+    # shuffles, the last four made by _ShuffleTables), max_supports builds
+    # every span and pairs every word on integers: no Scalar operation, no
     # canonical scalar and no chi, over the 15 graph classes and Cartan A3
     # at zeta_3 and zeta_8
     a3 = [["z", "z^-1", "1"], ["1", "z", "z^-1"], ["1", "1", "z"]]
@@ -973,9 +1028,9 @@ def test_scans_run_no_scalar_arithmetic(monkeypatch):
         matrix_from_strings(a3, order) for order in (3, 8)]
     expected = [max_supports(BraidingMatrix(B._rows), 4, BRAIDED) for B in matrices]
     for B in matrices:
-        B.inverse_row(1)
-        B._first_use("_descent_table", nichols._descent_table)
-        B._first_use("_shuffle_cache", nichols._shuffle_memos)
+        B._pairs()
+        _ShuffleTables(B)
+        assert B._inv_rows and all(B._entry_pairs) and B._descent_table and B._shuffle_cache
         _ring_units(B.order)
     calls = []
 
@@ -1002,9 +1057,9 @@ def test_scans_run_no_scalar_arithmetic(monkeypatch):
 # may lower a count, never raise it.  Each integer row is derived once, in
 # the build that keeps its vector, and never again by a build that pairs it.
 SPAN_WORK_CAPS = {"tables": 242, "entries": 1028, "rows": 399, "derived": 235}
-# The suffix shuffles that go through _merged, a dict merge: those of two
-# words with the same first letter, where a dual word can repeat; any other
-# pair joins its two halves as they are.
+# The suffix shuffles that go through freealg._collect, a dict merge: those
+# of two words with the same first letter, where a dual word can repeat; any
+# other pair joins its two halves as they are.
 SUFFIX_SHUFFLE_MERGES = 46
 
 
@@ -1035,12 +1090,27 @@ def test_span_builds_stay_within_their_work_caps(monkeypatch):
     monkeypatch.setattr("nicholslie.lie._ShuffleTables", CountingTables)
     monkeypatch.setattr("nicholslie.lie._RowReducer", CountingReducer)
     monkeypatch.setattr("nicholslie.lie._integer_vector", counting("derived", _integer_vector))
-    monkeypatch.setattr("nicholslie.nichols._merged", counting("merges", nichols._merged))
+    monkeypatch.setattr("nicholslie.nichols._collect", counting("merges", nichols._collect))
     for n, edges in GRAPH_CLASSES:
         max_supports(realize_graph(n, edges), 4, BRAIDED)
     assert all(0 < counts[k] <= cap for k, cap in SPAN_WORK_CAPS.items()), counts
     assert counts["derived"] <= counts["kept"], counts
     assert counts["merges"] == SUFFIX_SHUFFLE_MERGES, counts
+
+
+def test_suffix_shuffle_memos_hold_no_lone_word():
+    # the shuffle of a lone word with the empty word is the word's own index
+    # with weight 1, read without a memo entry: after one max_supports(B, 4,
+    # "braided") per graph class, no key of a suffix-shuffle memo has an
+    # empty side
+    memos = []
+    for n, edges in GRAPH_CLASSES:
+        B = realize_graph(n, edges)
+        max_supports(B, 4, BRAIDED)
+        if B._shuffle_cache is not None:
+            memos.append(B._shuffle_cache[0])
+    assert sum(map(len, memos)) > 1000
+    assert all(u and v for memo in memos for u, v in memo)
 
 
 # The matrices of perfbench's zeroness-mixed workload (augmented graph split
@@ -1141,8 +1211,10 @@ def test_suffix_shuffles_are_kept_per_matrix():
     assert B._shuffle_cache is None  # made by the first build, not with the matrix
     for matrix in (B, emptied):
         lie_span(matrix, (2, 2), BRAIDED)
-    # (suffix shuffles, factors, inverse numerators, inverse denominators)
-    for memo in emptied._shuffle_cache[:2]:
+    # (suffix shuffles, factors); the integer entries are kept elsewhere
+    # (B._entry_pairs, B._descent_table)
+    assert len(emptied._shuffle_cache) == 2
+    for memo in emptied._shuffle_cache:
         memo.clear()
     shuffles = B._shuffle_cache[0]
     before = len(shuffles)
@@ -1156,7 +1228,7 @@ def test_matrix_caches_make_no_reference_cycle():
     # BraidingMatrix has no weakref slot; with the collector off, anything a
     # span build leaves in a cycle survives del B and is found by collect.
     # The order-3 matrix keeps scalar._Cyclotomic weights in its memos, the
-    # rational one plain ints; both keep their inverse tables there
+    # rational one plain ints; both keep their entry pairs there
     gc.collect()
     gc.disable()
     try:
@@ -1165,7 +1237,7 @@ def test_matrix_caches_make_no_reference_cycle():
             B = build()  # the loop keeps no reference to it
             assert max_supports(B, 4, BRAIDED) == supports
             assert B._lie_span_cache and B._shuffle_cache[0] and B._shape_cache
-            assert len(B._shuffle_cache[2]) == len(B._shuffle_cache[3]) == B.n
+            assert len(B._entry_pairs[0]) == len(B._entry_pairs[1]) == len(B._descent_table[0]) == B.n
             del B
             assert gc.collect() == 0
     finally:

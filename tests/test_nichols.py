@@ -34,7 +34,7 @@ from nicholslie.scalar import FieldMismatchError, Scalar, _Cyclotomic, _ring_uni
 from conftest import matrix_from_strings, random_braiding_matrix, random_scalar, rational_matrix
 from degree_basis_oracle import oracle_basis_of_degree
 from descent_oracle import oracle_pairings
-from scalar_reducer_oracle import ScalarRowReducer, normalized_pivots
+from scalar_reducer_oracle import ScalarRowReducer, integer_row, normalized_pivots
 from symmetrizer_oracle import oracle_symmetrizer_row
 
 
@@ -709,10 +709,11 @@ def test_zero_test_never_walks_a_vanished_branch():
 
 
 def test_pivot_insert_multiplies_only_nonzero_entries(monkeypatch):
-    # a row into an empty reducer: over Q it is kept as integers, with no
-    # scalar product; over Q(zeta_8) a lead with z-terms multiplies the row
-    # by its norm cofactor, one product per nonzero entry.  Only nonzero
-    # entries are stored, and the pivot over its lead is the row over its lead.
+    # a row into an empty reducer, offered as its integer row: over Q it is
+    # kept as integers, with no scalar product; over Q(zeta_8) a lead with
+    # z-terms multiplies the row by its norm cofactor, one product per
+    # nonzero entry.  Only nonzero entries are stored, and the pivot over its
+    # lead is the row over its lead.
     mul, calls = Scalar.__mul__, []
 
     def counted(self, other):
@@ -722,12 +723,12 @@ def test_pivot_insert_multiplies_only_nonzero_entries(monkeypatch):
     zero = Scalar.zero(1)
     row = [zero, Scalar.from_rational(1, 2), zero, zero, Scalar.from_rational(1, -6), zero, zero]
     monkeypatch.setattr(Scalar, "__mul__", counted)
-    reducer = _RowReducer()
-    assert reducer.insert(row)
+    reducer, ints = _RowReducer(), integer_row(row)[0]
+    assert reducer.insert_integers(ints, 1)
     assert calls == []
     assert reducer._by_lead == {1: (1, ((4, -3),))}  # 2 and -6 over their content 2
     assert normalized_pivots(reducer, 1) == [(1, ((1, Scalar.one(1)), (4, Scalar.from_rational(1, -3))))]
-    assert not any(reducer.reduce(row))
+    assert not any(reducer.residue(ints, 1)[0])
 
     monkeypatch.undo()
     products, product = [], nichols._product
@@ -739,12 +740,12 @@ def test_pivot_insert_multiplies_only_nonzero_entries(monkeypatch):
     zero, z = Scalar.zero(8), Scalar.root_power(8, 1)
     row = [zero, z + 1, zero, zero, z * z / 2, zero, zero]
     monkeypatch.setattr(nichols, "_product", counted_product)
-    reducer = _RowReducer()
-    assert reducer.insert(row)
+    reducer, ints = _RowReducer(), integer_row(row)[0]
+    assert reducer.insert_integers(ints, 8)
     assert len(products) == 2
     assert list(reducer._by_lead) == [1] and [k for k, _ in reducer._by_lead[1][1]] == [4]
     assert normalized_pivots(reducer, 8) == [(1, ((1, Scalar.one(8)), (4, row[4] / row[1])))]
-    assert not any(reducer.reduce(row))
+    assert not any(reducer.residue(ints, 8)[0])
 
 
 def test_pairing_guardrail():

@@ -3,9 +3,9 @@ Z[zeta_N] and one denominator per split, against the former Scalar-weight
 tables of span_oracle.ScalarTables, as a derandomized Hypothesis property:
 every split of a drawn degree, each integer table divided by its
 denominator, must be the Scalar table entry for entry, and None exactly
-where the Scalar table is None.  Its chi, an integer pair, must be
-BraidingMatrix.chi in lowest terms, and its p * p' = 1 test must agree
-with the Scalar product.
+where the Scalar table is None.  The chi pair it takes for p,
+BraidingMatrix._chi_pair, must be BraidingMatrix.chi in lowest terms, and
+its p * p' = 1 test must agree with the Scalar product.
 
 Matrices are drawn over orders 1, 3, 8 and 24 with entries that are signed
 roots of unity or have denominators 2 and 3 and negative coefficients; the
@@ -85,8 +85,8 @@ def test_integer_tables_are_the_scalar_tables(case):
             assert divided_table(B.order, result) == expected, (beta, p)
             if result is not None:
                 assert result[1] > 0 and all(w for row in result[0] for entry in row for _, w in entry)
-            # chi on the entries' integer pairs, in lowest terms, and its p * p' = 1 test
-            chi, mirror = tables.chi(gamma, beta), tables.chi(beta, gamma)
+            # chi on the entries' integer pairs, in lowest terms, and the p * p' = 1 test
+            chi, mirror = B._chi_pair(gamma, beta), B._chi_pair(beta, gamma)
             assert ring_scalar(B.order, *chi) == B.chi(gamma, beta) and chi[1] == B.chi(gamma, beta).den
             assert tables.inverses(chi, mirror) == (B.chi(gamma, beta) * B.chi(beta, gamma)).is_one()
 
